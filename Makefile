@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check cover bench bench-diff bench-diff-replay fuzz scenario-goldens cluster-smoke wal-smoke parallel-replay-smoke stream-smoke profile clean
+.PHONY: all build test race vet check cover bench fuzz scenario-goldens cluster-smoke wal-smoke stream-smoke profile clean
 
 all: build
 
@@ -54,17 +54,6 @@ wal-smoke:
 	$(GO) test -run 'TestCrashRestartEndToEnd|TestJournal' -count=1 -v ./internal/cluster
 	$(GO) test -count=1 ./internal/wal
 
-# The parallel-replay gate: the epoch-windowed speculative driver must
-# be byte-identical to the flat serial driver. Runs the determinism
-# matrix at replay workers ∈ {1, 2, 8} under the race detector: the
-# sched-level equivalence tests (including the fuzz corpus), the
-# core-level flat-vs-parallel report comparisons, and the end-to-end
-# fig6 render matrix. Blocking in CI.
-parallel-replay-smoke:
-	$(GO) test -race -count=1 -run 'TestEpoch|FuzzEpochFootprint' ./internal/sched
-	$(GO) test -race -count=1 -run 'TestReplayParallel' ./internal/core
-	$(GO) test -race -count=1 -run 'TestRenderBytesAcrossReplayWorkers' ./internal/experiments
-
 # The stream gate: multi-phase query streams must be equivalent to
 # direct execution everywhere. Runs the core equivalence suite (direct
 # vs recorded vs per-segment replay, including live-recorded update
@@ -78,8 +67,8 @@ stream-smoke:
 
 # Profile a named preset (default fig6) under the CPU and heap
 # profilers. The capture/decode/replay pipeline stages run under pprof
-# labels ("stage" = capture | decode | replay), so the epoch driver's
-# parallel fraction is measurable per stage:
+# labels ("stage" = capture | decode | replay), so host time is
+# attributable per stage:
 #   go tool pprof -tagfocus stage=replay cpu.pprof
 PROFILE_EXP ?= fig6
 PROFILE_SCALE ?= 0.01
@@ -113,38 +102,15 @@ cover:
 		if ($$3 + 0 < min) { exit 1 } }'
 	@rm -f cover.out
 
-# Benchmark snapshot: the per-figure experiment benchmarks (one cold
-# iteration each — the runner's result cache would otherwise serve
-# repeats and measure nothing) plus the per-reference hot-path
-# microbenchmarks, folded into a committed JSON file for cross-PR diffs.
-BENCH_JSON ?= BENCH_pr10.json
+# The benchmark (bench/README.md): builds the binaries, runs the four
+# BENCHMARK.json workloads with their per-layer probes, and exits 1 on
+# any report-digest or exact-count mismatch against bench/expected.json.
+# Timings are printed, not gated — wall-clock from another host cannot
+# gate. The internal/machine and internal/sched micro-benchmarks stay
+# available through `go test -bench`.
 bench:
-	$(GO) test -run NONE -bench . -benchmem -benchtime 1x . > bench_output.txt
-	$(GO) test -run NONE -bench . -benchmem ./internal/machine ./internal/sched >> bench_output.txt
-	$(GO) test -run NONE -bench 'BenchmarkReplay' -benchmem -benchtime 5x . >> bench_output.txt
-	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) bench_output.txt
-	@echo "wrote $(BENCH_JSON)"
-
-# Comparison mode: re-run the benchmarks and diff them against the
-# committed baseline snapshot, failing on any >10% ns/op regression.
-# Single-iteration experiment benchmarks are noisy, so CI runs this as
-# a non-blocking job — a red result is a prompt to look, not a gate.
-BENCH_BASELINE ?= BENCH_pr10.json
-bench-diff:
-	$(GO) test -run NONE -bench . -benchmem -benchtime 1x . > bench_output.txt
-	$(GO) test -run NONE -bench . -benchmem ./internal/machine ./internal/sched >> bench_output.txt
-	$(GO) run ./cmd/benchjson -diff $(BENCH_BASELINE) bench_output.txt
-
-# The replay gate: the BenchmarkReplay* family measures the replay fast
-# path this repo's sweeps live on, runs multiple iterations, and is
-# stable enough to block CI on. A >10% ns/op regression against the
-# committed snapshot fails the build; everything else stays advisory in
-# bench-diff above.
-REPLAY_BASELINE ?= BENCH_pr10.json
-bench-diff-replay:
-	$(GO) test -run NONE -bench 'BenchmarkReplay' -benchmem -benchtime 5x . > bench_replay_output.txt
-	$(GO) run ./cmd/benchjson -diff $(REPLAY_BASELINE) -only '^BenchmarkReplay' bench_replay_output.txt
+	bash bench/run.sh
 
 clean:
 	$(GO) clean ./...
-	rm -f bench_output.txt bench_replay_output.txt cover.out cpu.pprof mem.pprof
+	rm -rf .bench_build cover.out cpu.pprof mem.pprof

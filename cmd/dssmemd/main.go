@@ -3,7 +3,7 @@
 // repeated experiment requests are answered from the content-addressed
 // result cache instead of re-simulating.
 //
-//	dssmemd [-addr :8080] [-jobs N] [-replay-workers N] [-cache-dir DIR] [-trace-dir DIR] [-wal-dir DIR]
+//	dssmemd [-addr :8080] [-jobs N] [-cache-dir DIR] [-trace-dir DIR] [-wal-dir DIR]
 //
 // Endpoints:
 //
@@ -52,7 +52,6 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/runner"
@@ -67,11 +66,6 @@ type request struct {
 	Scale   float64  `json:"scale,omitempty"`
 	Seed    uint64   `json:"seed,omitempty"`
 	Queries []string `json:"queries,omitempty"`
-	// ReplayWorkers tunes the process-wide replay parallelism for this
-	// and subsequent runs (results are byte-identical at any setting, so
-	// it is tuning, not identity; it never enters cache keys). 0 leaves
-	// the current setting; negative is rejected.
-	ReplayWorkers int `json:"replay_workers,omitempty"`
 }
 
 // experimentRun is one submitted experiment's lifecycle record.
@@ -205,7 +199,7 @@ func (s *server) handler() http.Handler {
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	var req request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -213,14 +207,6 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown experiment %q; valid: %s",
 			req.Exp, strings.Join(experiments.KnownExperiments, ", ")))
 		return
-	}
-	if req.ReplayWorkers < 0 {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("replay_workers must be >= 0 (got %d)", req.ReplayWorkers))
-		return
-	}
-	if req.ReplayWorkers > 0 {
-		core.ReplayWorkers = req.ReplayWorkers
 	}
 	o := experiments.Defaults()
 	if req.Scale > 0 {
@@ -447,7 +433,6 @@ func main() {
 	log.SetPrefix("dssmemd: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	jobs := flag.Int("jobs", 0, "concurrent experiment workers (0 = GOMAXPROCS)")
-	replayWorkers := flag.Int("replay-workers", 0, "host goroutines inside one trace replay (0 = GOMAXPROCS, 1 = serial)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
 	traceDir := flag.String("trace-dir", "", "directory for captured reference-trace blobs (empty = traces stay in the result cache)")
 	walDir := flag.String("wal-dir", "", "directory for the job/task write-ahead log; a restarted daemon replays it and resumes pre-crash jobs (empty = no durability)")
@@ -464,10 +449,6 @@ func main() {
 	// buckets silently; reject them as usage errors instead.
 	if *jobs < 0 {
 		fmt.Fprintf(os.Stderr, "dssmemd: -jobs must be >= 0 (got %d)\n", *jobs)
-		os.Exit(2)
-	}
-	if *replayWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "dssmemd: -replay-workers must be >= 0 (got %d)\n", *replayWorkers)
 		os.Exit(2)
 	}
 
@@ -546,8 +527,7 @@ func main() {
 		}
 	}
 
-	exec := experiments.NewExecConfig(runner.Config{Workers: *jobs, ReplayWorkers: *replayWorkers,
-		Blobs: fan, Metrics: reg})
+	exec := experiments.NewExecConfig(runner.Config{Workers: *jobs, Blobs: fan, Metrics: reg})
 	s := newServer(exec, reg, store, *renderTimeout, journal, recovered)
 	// Re-run whatever had not finished; the coordinator hands back the
 	// recovered tasks' outcomes and the caches absorb the recompute.

@@ -106,6 +106,27 @@ func TestRoutes(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyBounds pins the two edges of what POST /v1/experiments
+// reads: the body is capped at 1 MB like every other POST endpoint, and
+// the decoder stays lenient about fields it does not know, so a client
+// still sending the retired "replay_workers" tuning field keeps working.
+func TestSubmitBodyBounds(t *testing.T) {
+	s, _ := newTestServer(t)
+	submit := func(body string) int {
+		rec := httptest.NewRecorder()
+		s.handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/experiments", strings.NewReader(body)))
+		return rec.Code
+	}
+	// Well-formed apart from its size: without the cap it is accepted.
+	big := `{"exp":"table1","scale":0.001,"pad":"` + strings.Repeat("a", 1<<20) + `"}`
+	if code := submit(big); code != 400 {
+		t.Errorf("oversized body: got %d, want 400", code)
+	}
+	if code := submit(`{"exp":"table1","scale":0.001,"replay_workers":4}`); code != 202 {
+		t.Errorf("legacy body with replay_workers: got %d, want 202", code)
+	}
+}
+
 // TestPresetsEndpoint checks that GET /v1/scenarios/presets serves the
 // full preset registry as decodable scenario specs.
 func TestPresetsEndpoint(t *testing.T) {

@@ -18,8 +18,7 @@ import (
 // under pprof labels so a -cpuprofile of a sweep attributes samples per
 // stage ("stage" ∈ capture, decode, replay — `make profile` renders
 // this). Labels are inherited by goroutines spawned inside the labeled
-// region, which covers the decode pipeline and the epoch driver's
-// shadow workers.
+// region, which covers the decode pipeline.
 func withStage(stage string, f func()) {
 	pprof.Do(context.Background(), pprof.Labels("stage", stage), func(context.Context) { f() })
 }
@@ -133,7 +132,7 @@ func (s *System) replayStreams(src trace.Source) error {
 	defer close(done)
 	srcs := batchSources(src, s.LockMgr, s.Mem.Nodes(), done)
 	var err error
-	withStage("replay", func() { err = s.Eng.RunReplayParallel(srcs, replayWorkers()) })
+	withStage("replay", func() { err = s.Eng.RunReplay(srcs) })
 	return err
 }
 
@@ -205,27 +204,6 @@ func defaultDecodeAhead() int {
 	return 3
 }
 
-// ReplayWorkers is the number of host goroutines a single replay may
-// use for epoch-windowed parallel execution (sched.RunReplayParallel).
-// 1 forces the flat serial driver; 0 or negative selects the adaptive
-// default (GOMAXPROCS, or serial on a single-CPU host). Values above 1
-// on any host are byte-identical to serial — the parallel driver
-// commits a window only after proving the serial interleaving could not
-// have differed — so the knob tunes speed, never results, and is
-// deliberately excluded from scenario specs and result cache keys.
-var ReplayWorkers = 0
-
-func replayWorkers() int {
-	if ReplayWorkers > 0 {
-		return ReplayWorkers
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		return 1
-	}
-	return n
-}
-
 // replayBatch is the pipeline's unit of work: events per decoded batch.
 // A 64KB chunk of typical 2-3-byte ref events decodes to ~2.5 batches.
 const replayBatch = 8192
@@ -244,24 +222,14 @@ type ReplayStats struct {
 	DecodeStalls uint64
 	ArenaHits    uint64
 	ArenaMisses  uint64
-
-	// Epoch replay window counters (sched.EpochStats): committed
-	// parallel windows, up-front serial windows, validation aborts.
-	EpochParallel uint64
-	EpochSerial   uint64
-	EpochAborted  uint64
 }
 
 // ReadReplayStats returns the process-wide replay pipeline counters.
 func ReadReplayStats() ReplayStats {
-	par, ser, ab := sched.EpochStats()
 	return ReplayStats{
-		DecodeStalls:  decodeStalls.Load(),
-		ArenaHits:     arenaHits.Load(),
-		ArenaMisses:   arenaMisses.Load(),
-		EpochParallel: par,
-		EpochSerial:   ser,
-		EpochAborted:  ab,
+		DecodeStalls: decodeStalls.Load(),
+		ArenaHits:    arenaHits.Load(),
+		ArenaMisses:  arenaMisses.Load(),
 	}
 }
 
@@ -406,7 +374,7 @@ func replayOn(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source) (*Report
 	defer close(done)
 	srcs := batchSources(src, lm, meta.Nodes, done)
 	var err error
-	withStage("replay", func() { err = eng.RunReplayParallel(srcs, replayWorkers()) })
+	withStage("replay", func() { err = eng.RunReplay(srcs) })
 	if err != nil {
 		return nil, fmt.Errorf("core: replaying %s: %w", meta.Query, err)
 	}

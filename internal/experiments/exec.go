@@ -69,15 +69,6 @@ func newExecMetrics(r *metrics.Registry) execMetrics {
 	r.GaugeFunc("dssmem_replay_arena_misses_total",
 		"Replay skeleton systems built fresh (arena miss).",
 		func() float64 { return float64(core.ReadReplayStats().ArenaMisses) })
-	r.GaugeFunc("dssmem_replay_epoch_parallel_total",
-		"Replay clock windows committed by the parallel epoch driver.",
-		func() float64 { return float64(core.ReadReplayStats().EpochParallel) })
-	r.GaugeFunc("dssmem_replay_epoch_serial_total",
-		"Replay clock windows classified serial (overlap or lock op).",
-		func() float64 { return float64(core.ReadReplayStats().EpochSerial) })
-	r.GaugeFunc("dssmem_replay_epoch_aborts_total",
-		"Replay clock windows rolled back after failed commit validation.",
-		func() float64 { return float64(core.ReadReplayStats().EpochAborted) })
 	return execMetrics{
 		seconds: r.HistogramVec("dssmem_experiment_seconds",
 			"Host wall-clock per rendered experiment.", experimentBuckets, "exp"),

@@ -104,23 +104,6 @@ func (t *dirTab) entry(line uint64) *dirEntry {
 	return &t.vals[i]
 }
 
-// get is the non-inserting lookup: it returns the entry's current value
-// (zero if the line was never touched) without mutating the table, so
-// concurrent readers — the epoch replay's shadow machines reading base
-// directory state — never observe a grow or an insert.
-func (t *dirTab) get(line uint64) (dirEntry, bool) {
-	i := lineHash(line) & t.mask
-	for {
-		switch t.keys[i] {
-		case line:
-			return t.vals[i], true
-		case 0:
-			return dirEntry{}, false
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
 func (t *dirTab) grow() {
 	oldK, oldV := t.keys, t.vals
 	n := (t.mask + 1) * 2

@@ -129,17 +129,6 @@ func (t *QueryTrace) Bytes() int {
 	return n
 }
 
-// Replayer consumes one stream's events in order. The replay driver
-// implements it on a simulated processor; the locality analysis rides
-// the same interface.
-type Replayer interface {
-	Ref(a simm.Addr, size int, write bool)
-	Busy(n int64)
-	SpinAcquire(a simm.Addr)
-	SpinRelease(a simm.Addr)
-	LockOp(acquire bool, relID uint32, level uint8, page uint32, mode uint8)
-}
-
 // chunkPool recycles sealed chunk buffers. The execute-as-replay path
 // records a run's streams, replays them once, and discards them, so
 // without reuse the 64KB chunk backing arrays dominate its allocation
@@ -322,8 +311,8 @@ type Event struct {
 	Mode    uint8
 }
 
-// Cursor decodes a stream one event at a time — the single decode loop
-// behind both Stream.Replay and the simulator's flat replay driver.
+// Cursor decodes a stream: Next is the per-event reference decoder,
+// DecodeReplayBatch the batched form the replay driver consumes.
 type Cursor struct {
 	r streamReader
 }
@@ -436,16 +425,19 @@ func (c *Cursor) Next(ev *Event) (bool, error) {
 	return true, nil
 }
 
-// DecodeReplayBatch is DecodeBatch writing the scheduler's replay form
-// directly: the decoded array is the replay driver's working set, and
-// converting it out-of-line would cost a second pass. Data references
+// DecodeReplayBatch decodes up to len(evs) events into evs, in the
+// scheduler's replay form, and returns how many it wrote. n == 0 (with a
+// nil error) means the end of the stream; a decode error may follow a
+// short batch — the events before the error are valid and returned.
+// Batch decode is the pipelined replay's unit of work: the decoder runs
+// it off the driver goroutine, filling reusable buffers. Data references
 // and busy charges — the bulk of every stream — decode through the same
 // resident-event fast path as Next; the rare synchronization events
 // fall back to Next plus a conversion, with lock-manager operations
 // (the one kind whose replay form is a closure over live lock state the
 // decoder cannot build) going through mkOp. Stale fields from a
 // recycled buffer slot are left in place for kinds that do not use
-// them, exactly as DecodeBatch leaves them.
+// them.
 func (c *Cursor) DecodeReplayBatch(evs []sched.ReplayEvent,
 	mkOp func(acquire bool, relID uint32, level uint8, page uint32, mode uint8) func(*sched.Proc)) (int, error) {
 	r := &c.r
@@ -511,27 +503,6 @@ func (c *Cursor) DecodeReplayBatch(evs []sched.ReplayEvent,
 			ev.Kind = sched.ReplayOp
 			ev.Op = mkOp(tmp.Acquire, tmp.RelID, tmp.Level, tmp.Page, tmp.Mode)
 		}
-	}
-	return n, nil
-}
-
-// DecodeBatch decodes up to len(evs) events into evs and returns how
-// many it wrote. n == 0 (with a nil error) means the end of the stream.
-// Batch decode is the pipelined replay's unit of work: the decoder runs
-// it off the driver goroutine, filling reusable buffers a chunk's worth
-// of events at a time. A decode error may follow a short batch — the
-// events before the error are valid and returned.
-func (c *Cursor) DecodeBatch(evs []Event) (int, error) {
-	n := 0
-	for n < len(evs) {
-		ok, err := c.Next(&evs[n])
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			break
-		}
-		n++
 	}
 	return n, nil
 }
@@ -605,31 +576,4 @@ func (t *QueryTrace) SegmentFlush(k int) bool {
 		return true
 	}
 	return t.Segments[k].Flush
-}
-
-// Replay decodes the stream, feeding each event to rp in order.
-func (s *Stream) Replay(rp Replayer) error {
-	cur := s.Cursor()
-	var ev Event
-	for {
-		ok, err := cur.Next(&ev)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		switch ev.Kind {
-		case EvRef:
-			rp.Ref(ev.Addr, ev.Size, ev.Write)
-		case EvBusy:
-			rp.Busy(ev.N)
-		case EvSpinAcquire:
-			rp.SpinAcquire(ev.Addr)
-		case EvSpinRelease:
-			rp.SpinRelease(ev.Addr)
-		case EvLockOp:
-			rp.LockOp(ev.Acquire, ev.RelID, ev.Level, ev.Page, ev.Mode)
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/simm"
 )
 
@@ -11,9 +12,10 @@ import (
 // trace decoder. The contract under fuzz:
 //
 //   - never panic, on any input;
-//   - per-event decode (Cursor.Next) and batch decode (DecodeBatch)
-//     accept exactly the same inputs and yield identical event
-//     sequences — a short batch is always followed by the same error;
+//   - per-event decode (Cursor.Next) and the replay batch decoder
+//     (DecodeReplayBatch) accept exactly the same inputs and yield
+//     identical event sequences — a short batch is always followed by
+//     the same error;
 //   - Unmarshal (whole-blob) and OpenBlob (streaming) accept exactly
 //     the same blobs and decode identical events, so truncated or
 //     corrupt blobs surface errors up front on both paths and a
@@ -80,32 +82,30 @@ func checkChunkDecode(t *testing.T, data []byte) {
 	}
 
 	bcur := s.Cursor()
-	buf := make([]Event, 7) // odd size: batches end mid-chunk
+	buf := make([]sched.ReplayEvent, 7) // odd size: batches end mid-chunk
 	var bevs []Event
 	var batchErr error
 	for {
-		n, err := bcur.DecodeBatch(buf)
-		for _, bev := range buf[:n] {
-			bevs = append(bevs, canon(bev))
-		}
+		batch, err := replayBatchEvents(bcur, buf)
+		bevs = append(bevs, batch...)
 		if err != nil {
 			batchErr = err
 			break
 		}
-		if n == 0 {
+		if len(batch) == 0 {
 			break
 		}
 	}
 
 	if (nextErr == nil) != (batchErr == nil) {
-		t.Fatalf("decode disagreement: Next err %v, DecodeBatch err %v", nextErr, batchErr)
+		t.Fatalf("decode disagreement: Next err %v, DecodeReplayBatch err %v", nextErr, batchErr)
 	}
 	if len(evs) != len(bevs) {
-		t.Fatalf("Next decoded %d events, DecodeBatch %d", len(evs), len(bevs))
+		t.Fatalf("Next decoded %d events, DecodeReplayBatch %d", len(evs), len(bevs))
 	}
 	for i := range evs {
 		if evs[i] != bevs[i] {
-			t.Fatalf("event %d: Next %+v, DecodeBatch %+v", i, evs[i], bevs[i])
+			t.Fatalf("event %d: Next %+v, DecodeReplayBatch %+v", i, evs[i], bevs[i])
 		}
 	}
 }

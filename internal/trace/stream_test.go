@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/simm"
 )
 
@@ -63,6 +64,35 @@ func canon(ev Event) Event {
 			ev.Acquire, ev.RelID, ev.Level, ev.Page, ev.Mode
 	}
 	return out
+}
+
+// replayBatchEvents decodes one batch through DecodeReplayBatch — the
+// decoder replay runs on — and maps it back to canonical Events so it
+// can be held against Cursor.Next. mkOp records each lock operation's
+// arguments, which rejoin their ReplayOp slots in stream order.
+func replayBatchEvents(cur *Cursor, buf []sched.ReplayEvent) ([]Event, error) {
+	var ops []Event
+	n, err := cur.DecodeReplayBatch(buf, func(acquire bool, relID uint32, level uint8, page uint32, mode uint8) func(*sched.Proc) {
+		ops = append(ops, Event{Kind: EvLockOp, Acquire: acquire, RelID: relID, Level: level, Page: page, Mode: mode})
+		return nil
+	})
+	out := make([]Event, 0, n)
+	for _, rev := range buf[:n] {
+		switch rev.Kind {
+		case sched.ReplayRef:
+			out = append(out, Event{Kind: EvRef, Addr: rev.Addr, Size: rev.Size, Write: rev.Write})
+		case sched.ReplayBusy:
+			out = append(out, Event{Kind: EvBusy, N: rev.N})
+		case sched.ReplaySpinAcquire:
+			out = append(out, Event{Kind: EvSpinAcquire, Addr: rev.Addr})
+		case sched.ReplaySpinRelease:
+			out = append(out, Event{Kind: EvSpinRelease, Addr: rev.Addr})
+		case sched.ReplayOp:
+			out = append(out, ops[0])
+			ops = ops[1:]
+		}
+	}
+	return out, err
 }
 
 func decodeAll(t *testing.T, cur *Cursor) []Event {
@@ -292,27 +322,25 @@ func flipBit(b []byte, i int) []byte {
 	return out
 }
 
-// TestDecodeBatchMatchesNext pins batch decode to per-event decode,
-// including across chunk boundaries and odd batch sizes.
+// TestDecodeBatchMatchesNext pins the replay batch decoder to per-event
+// decode, including across chunk boundaries and odd batch sizes.
 func TestDecodeBatchMatchesNext(t *testing.T) {
 	tr := testTrace()
 	for i := range tr.Streams {
 		want := decodeAll(t, tr.StreamCursor(i))
 		for _, size := range []int{1, 7, 4096} {
 			cur := tr.StreamCursor(i)
-			buf := make([]Event, size)
+			buf := make([]sched.ReplayEvent, size)
 			var got []Event
 			for {
-				n, err := cur.DecodeBatch(buf)
+				evs, err := replayBatchEvents(cur, buf)
 				if err != nil {
 					t.Fatalf("stream %d batch %d: %v", i, size, err)
 				}
-				if n == 0 {
+				if len(evs) == 0 {
 					break
 				}
-				for _, ev := range buf[:n] {
-					got = append(got, canon(ev))
-				}
+				got = append(got, evs...)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("stream %d batch %d: %d events, want %d", i, size, len(got), len(want))
