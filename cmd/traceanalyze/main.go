@@ -45,7 +45,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var src trace.Source
+	var src trace.StreamSource
 	if *replay != "" {
 		// Stream the saved blob: header and CRC verified up front, the
 		// chunk bytes read on demand during the replay below.

@@ -95,10 +95,12 @@ func OpenReader(s Store, ns, key string) (Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bytesReader{bytes.NewReader(b)}, nil
+	return NewBytesReader(b), nil
 }
 
-// bytesReader adapts an in-memory blob to the Reader interface.
+// NewBytesReader adapts an in-memory blob to the Reader interface.
+func NewBytesReader(b []byte) Reader { return bytesReader{bytes.NewReader(b)} }
+
 type bytesReader struct{ *bytes.Reader }
 
 func (bytesReader) Close() error { return nil }

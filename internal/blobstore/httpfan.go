@@ -1,7 +1,6 @@
 package blobstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -116,7 +115,7 @@ func (f *Fan) GetReader(ns, key string) (Reader, error) {
 				return r, nil
 			}
 		}
-		return bytesReader{bytes.NewReader(b)}, nil
+		return NewBytesReader(b), nil
 	}
 	return nil, err
 }

@@ -1,7 +1,6 @@
 package blobstore
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -40,7 +39,7 @@ func (s *Mem) GetReader(ns, key string) (Reader, error) {
 	if !ok {
 		return nil, fmt.Errorf("%s/%s: %w", ns, key, ErrNotExist)
 	}
-	return bytesReader{bytes.NewReader(b)}, nil
+	return NewBytesReader(b), nil
 }
 
 // Put stores a copy of the blob.

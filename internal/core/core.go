@@ -19,7 +19,6 @@ import (
 	"repro/internal/simm"
 	"repro/internal/stats"
 	"repro/internal/tpcd"
-	"repro/internal/trace"
 )
 
 // Config assembles a system.
@@ -69,7 +68,6 @@ type System struct {
 	DB      *tpcd.Database
 
 	privRegions []*simm.Region
-	analyzer    *trace.Analyzer
 }
 
 // NewSystem builds the machine, loads and indexes the database
@@ -113,21 +111,7 @@ func (s *System) ReplaceMachine(cfg machine.Config) error {
 	s.Mach = m
 	s.Cfg.Machine = cfg
 	s.Eng = sched.New(s.Cfg.Sched, s.Mem, m)
-	if s.analyzer != nil {
-		s.Eng.Tracer = s.analyzer.Hook()
-	}
 	return nil
-}
-
-// AttachAnalyzer installs (and returns) a locality analyzer that
-// observes every traced reference of subsequent runs — the paper's
-// Section 3 address-trace methodology. It survives ReplaceMachine.
-func (s *System) AttachAnalyzer() *trace.Analyzer {
-	if s.analyzer == nil {
-		s.analyzer = trace.NewAnalyzer(s.Mem)
-	}
-	s.Eng.Tracer = s.analyzer.Hook()
-	return s.analyzer
 }
 
 // QueryRun names one query execution on one processor.
@@ -199,13 +183,6 @@ func singleRunLists(runs []QueryRun) [][]QueryRun {
 		}
 	}
 	return lists
-}
-
-// queryBodies builds one executor body per non-empty run, filling
-// rep.Queries and (when the bodies execute) rep.Rows.
-func (s *System) queryBodies(runs []QueryRun, rep *Report) []func(*sched.Proc) {
-	return s.phaseBodies(singleRunLists(runs), rep,
-		func(proc, _ int) *int { return &rep.Rows[proc] })
 }
 
 // phaseBodies builds one executor body per processor for one stream

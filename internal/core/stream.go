@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/machine"
-	"repro/internal/pg/lockmgr"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -46,18 +44,6 @@ func StreamPhasesFromSpec(phases []scenario.Phase) []StreamPhase {
 	return out
 }
 
-// ScenarioStreamPhases maps a validated scenario's workload to stream
-// phases: explicit phases verbatim, the legacy queries+warm shape via
-// scenario.LegacyPhases (warm-up phase flushed, measured phase not).
-// The query argument selects the target for legacy workloads and is
-// ignored for phase workloads.
-func ScenarioStreamPhases(sc *scenario.Scenario, query string) []StreamPhase {
-	if len(sc.Workload.Phases) > 0 {
-		return StreamPhasesFromSpec(sc.Workload.Phases)
-	}
-	return StreamPhasesFromSpec(scenario.LegacyPhases(query, sc.Workload.Warm, sc.Machine.Processors))
-}
-
 // runPhase executes one phase's run lists against the current machine
 // state and returns the phase report plus per-run row counts indexed
 // [processor][run]. Phases of read-only queries take the same
@@ -82,15 +68,11 @@ func (s *System) runPhase(runLists [][]QueryRun, record bool) (*Report, [][]int,
 		snap.restore(s.Mem)
 		streams = rec.Streams()
 		src := &trace.QueryTrace{Nodes: n, Streams: streams}
-		if err := s.replayStreams(src); err != nil {
+		if err := replayStreams(s.Eng, s.LockMgr, src); err != nil {
 			panic(fmt.Sprintf("core: replaying just-captured phase: %v", err))
 		}
 		if !record {
-			// The capture is dead: on the success path every decode
-			// goroutine has already exited (EOF closes its batch channel
-			// before the driver observes it), so no cursor still
-			// references the chunks and they can recycle into the next
-			// recording.
+			// The capture is dead (its cursors ended with the replay).
 			trace.ReleaseStreams(streams)
 			streams = nil
 		}
@@ -219,55 +201,12 @@ func (s *System) RunStreamAnswers(phases []StreamPhase) [][]StreamRunAnswer {
 // its boundary. Unsegmented traces replay as their own single flushed
 // segment, so ReplayStream(tr, cfg) generalizes ReplayTrace.
 func ReplayStream(src trace.StreamSource, mcfg machine.Config) ([]*Report, error) {
-	return ReplayStreamPrefix(src, mcfg, src.NumSegments())
+	return replaySkeleton(src, mcfg, src.NumSegments(), nil)
 }
 
 // ReplayStreamPrefix replays only the stream's first n segments — a
 // phase-granular job needs the warm state of every earlier segment but
 // nothing after its own.
 func ReplayStreamPrefix(src trace.StreamSource, mcfg machine.Config, n int) ([]*Report, error) {
-	if n < 1 || n > src.NumSegments() {
-		return nil, fmt.Errorf("core: replay prefix %d of a %d-segment stream", n, src.NumSegments())
-	}
-	meta := src.Meta()
-	if err := mcfg.Validate(); err != nil {
-		return nil, err
-	}
-	if mcfg.Nodes != meta.Nodes {
-		return nil, fmt.Errorf("core: trace recorded on %d nodes, config has %d", meta.Nodes, mcfg.Nodes)
-	}
-	sk, err := acquireSkeleton(meta.Layout)
-	if err != nil {
-		return nil, err
-	}
-	mach, err := machine.NewReusing(mcfg, sk.mem, sk.mach)
-	if err != nil {
-		return nil, err
-	}
-	sk.mach = mach
-	scfg := sched.Config{BusyPerAccess: meta.BusyPerAccess, SpinBackoff: meta.SpinBackoff}
-	eng := sched.New(scfg, sk.mem, mach)
-	lm, err := lockmgr.Attach(sk.mem, meta.LockCap)
-	if err != nil {
-		return nil, err
-	}
-	reps := make([]*Report, n)
-	for k := range reps {
-		seg := src.Segment(k)
-		if sm := seg.Meta(); len(sm.Streams) != meta.Nodes {
-			return nil, fmt.Errorf("core: segment %d has %d streams for %d nodes", k, len(sm.Streams), meta.Nodes)
-		}
-		if src.SegmentFlush(k) {
-			mach.Flush()
-		}
-		mach.ResetStats()
-		eng.ResetBreakdowns()
-		rep, err := replayOn(eng, lm, seg)
-		if err != nil {
-			return nil, fmt.Errorf("core: segment %d: %w", k, err)
-		}
-		reps[k] = rep
-	}
-	releaseSkeleton(sk)
-	return reps, nil
+	return replaySkeleton(src, mcfg, n, nil)
 }

@@ -183,7 +183,7 @@ func TestLegacyPhasesEquivalence(t *testing.T) {
 
 // TestReplayStreamUnsegmented: an unsegmented single-query trace
 // replays through ReplayStream as one flushed segment, identical to
-// ReplayTrace.
+// ReplayTrace — which in turn refuses anything but a single segment.
 func TestReplayStreamUnsegmented(t *testing.T) {
 	cfg := testConfig(0.001)
 	s, err := NewSystem(cfg)
@@ -201,6 +201,10 @@ func TestReplayStreamUnsegmented(t *testing.T) {
 	}
 	if len(reps) != 1 || !reflect.DeepEqual(reps[0], single) {
 		t.Error("unsegmented ReplayStream diverges from ReplayTrace")
+	}
+	seg := trace.Segment{Flush: true, Rows: tr.Rows, Streams: tr.Streams}
+	if _, err := ReplayTrace(s.StreamTrace([]trace.Segment{seg, seg}), cfg.Machine); err == nil {
+		t.Error("ReplayTrace accepted a 2-segment source")
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"sync/atomic"
 
@@ -14,13 +13,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Profiler stage labels: the capture/decode/replay pipeline stages run
-// under pprof labels so a -cpuprofile of a sweep attributes samples per
-// stage ("stage" ∈ capture, decode, replay — `make profile` renders
-// this). Labels are inherited by goroutines spawned inside the labeled
-// region, which covers the decode pipeline.
-func withStage(stage string, f func()) {
-	pprof.Do(context.Background(), pprof.Labels("stage", stage), func(context.Context) { f() })
+// Profiler stage labels: capture, decode and replay run under pprof
+// labels so a -cpuprofile of a sweep attributes samples per stage
+// ("stage" ∈ capture, decode, replay — `make profile` renders this).
+// Everything runs on the calling goroutine: a replay is labelled
+// stage=replay, and each batch decode inside it relabels the goroutine
+// stage=decode for the duration of the call (see syncSource).
+func withStage(stage string, f func(context.Context)) {
+	pprof.Do(context.Background(), pprof.Labels("stage", stage), f)
 }
 
 // Record-once/replay-many: a cold query run's reference stream depends
@@ -120,53 +120,24 @@ func (s *System) recordPure(bodies []func(*sched.Proc)) *trace.Recorder {
 		s.Eng.Recorder, s.Eng.RecordPure = nil, false
 		s.LockMgr.Tracer = nil
 	}()
-	withStage("capture", func() { s.Eng.Run(bodies) })
+	withStage("capture", func(context.Context) { s.Eng.Run(bodies) })
 	return rec
-}
-
-// replayStreams drives a flat replay of src's streams on the system's
-// own engine and lock manager, continuing from the current clocks and
-// machine state.
-func (s *System) replayStreams(src trace.Source) error {
-	done := make(chan struct{})
-	defer close(done)
-	srcs := batchSources(src, s.LockMgr, s.Mem.Nodes(), done)
-	var err error
-	withStage("replay", func() { err = s.Eng.RunReplay(srcs) })
-	return err
 }
 
 // RunColdRecorded is RunCold with trace capture: it returns the run's
 // report (byte-identical to an unrecorded run — observation does not
-// perturb the simulation) plus the recorded trace. Read-only queries
-// are captured record-pure and the report derived by one replay;
+// perturb the simulation) plus the recorded trace. It is the one-phase
+// case of the stream executor's capture (see runPhase): read-only
+// queries are captured record-pure and the report derived by one replay;
 // updates record during a live run.
 func (s *System) RunColdRecorded(query string) (*Report, *trace.QueryTrace) {
-	runs := s.SameQueryAllProcs(query)
-	if s.replayable(runs) {
-		rep := &Report{Rows: make([]int, len(runs))}
-		snap := s.snapshotLockState()
-		rec := s.recordPure(s.queryBodies(runs, rep))
-		snap.restore(s.Mem)
-		tr := s.queryTrace(query, rep.Rows, rec)
-		s.ColdStart()
-		if err := s.replayStreams(tr); err != nil {
-			panic(fmt.Sprintf("core: replaying just-captured %s: %v", query, err))
-		}
-		s.finishReport(rep)
-		return rep, tr
-	}
-	rec := trace.NewRecorder(s.Mem.Nodes())
-	s.Eng.Recorder = rec
-	s.LockMgr.Tracer = lockTracer{rec: rec}
-	rep := s.RunCold(query)
-	s.Eng.Recorder = nil
-	s.LockMgr.Tracer = nil
-	return rep, s.queryTrace(query, rep.Rows, rec)
+	s.ColdStart()
+	rep, _, streams := s.runPhase(singleRunLists(s.SameQueryAllProcs(query)), true)
+	return rep, s.queryTrace(query, rep.Rows, streams)
 }
 
 // queryTrace assembles the portable trace for a just-recorded run.
-func (s *System) queryTrace(query string, rows []int, rec *trace.Recorder) *trace.QueryTrace {
+func (s *System) queryTrace(query string, rows []int, streams []trace.Stream) *trace.QueryTrace {
 	return &trace.QueryTrace{
 		Query: query,
 		Scale: s.Cfg.DB.ScaleFactor,
@@ -179,58 +150,30 @@ func (s *System) queryTrace(query string, rows []int, rec *trace.Recorder) *trac
 
 		Layout:  s.Mem.Layout(),
 		Rows:    append([]int(nil), rows...),
-		Streams: rec.Streams(),
+		Streams: streams,
 	}
 }
 
-// DecodeAhead is the replay decode pipeline's depth in batches per
-// processor stream: decode goroutines run up to this many replayBatch-
-// sized batches ahead of the timing-model turn loop. Decode is a pure
-// function of the stream bytes, so running it off the driver goroutine
-// cannot perturb the simulation — only the *application* of events
-// stays on the single driver. Zero (or negative) disables the pipeline
-// and decodes synchronously inline, which is bitwise-equivalent.
-//
-// The default is adaptive: on a host with a single schedulable CPU
-// there is no core for the decode goroutines to overlap onto, and the
-// channel handoffs become pure overhead, so the pipeline defaults off
-// there. Setting DecodeAhead explicitly always wins.
-var DecodeAhead = defaultDecodeAhead()
-
-func defaultDecodeAhead() int {
-	if runtime.GOMAXPROCS(0) < 2 {
-		return 0
-	}
-	return 3
-}
-
-// replayBatch is the pipeline's unit of work: events per decoded batch.
-// A 64KB chunk of typical 2-3-byte ref events decodes to ~2.5 batches.
+// replayBatch is the replay's unit of decode: events per batch. A 64KB
+// chunk of typical 2-3-byte ref events decodes to ~2.5 batches.
 const replayBatch = 8192
 
-// Replay pipeline counters (package-wide, atomic): pipeline stalls —
-// turns where the driver wanted a batch that was not decoded yet — and
-// skeleton-arena reuse, surfaced as gauges by the experiments layer.
+// Skeleton-arena reuse counters (package-wide, atomic), surfaced as
+// gauges by the experiments layer.
 var (
-	decodeStalls atomic.Uint64
-	arenaHits    atomic.Uint64
-	arenaMisses  atomic.Uint64
+	arenaHits   atomic.Uint64
+	arenaMisses atomic.Uint64
 )
 
-// ReplayStats is a snapshot of the replay pipeline counters.
+// ReplayStats is a snapshot of the skeleton-arena counters.
 type ReplayStats struct {
-	DecodeStalls uint64
-	ArenaHits    uint64
-	ArenaMisses  uint64
+	ArenaHits   uint64
+	ArenaMisses uint64
 }
 
-// ReadReplayStats returns the process-wide replay pipeline counters.
+// ReadReplayStats returns the process-wide skeleton-arena counters.
 func ReadReplayStats() ReplayStats {
-	return ReplayStats{
-		DecodeStalls: decodeStalls.Load(),
-		ArenaHits:    arenaHits.Load(),
-		ArenaMisses:  arenaMisses.Load(),
-	}
+	return ReplayStats{ArenaHits: arenaHits.Load(), ArenaMisses: arenaMisses.Load()}
 }
 
 // decodeInto fills out with the cursor's next batch in the engine's
@@ -250,16 +193,19 @@ func decodeInto(cur *trace.Cursor, lm *lockmgr.Manager, out []sched.ReplayEvent)
 	})
 }
 
-// syncSource decodes inline on the driver goroutine (DecodeAhead <= 0),
-// still batch-at-a-time into one reused buffer.
-func syncSource(cur *trace.Cursor, lm *lockmgr.Manager) sched.ReplaySource {
+// syncSource decodes inline on the driver goroutine, batch-at-a-time
+// into one reused buffer, under the decode label; replay is the label
+// to restore once the batch is decoded.
+func syncSource(cur *trace.Cursor, lm *lockmgr.Manager, replay, decode context.Context) sched.ReplaySource {
 	out := make([]sched.ReplayEvent, replayBatch)
 	var perr error
 	return func() ([]sched.ReplayEvent, error) {
 		if perr != nil {
 			return nil, perr
 		}
+		pprof.SetGoroutineLabels(decode)
 		n, err := decodeInto(cur, lm, out)
+		pprof.SetGoroutineLabels(replay)
 		if n == 0 {
 			return nil, err
 		}
@@ -268,92 +214,26 @@ func syncSource(cur *trace.Cursor, lm *lockmgr.Manager) sched.ReplaySource {
 	}
 }
 
-type replayBatchMsg struct {
-	evs []sched.ReplayEvent
-	err error
-}
-
-// pipelineSource runs the decoder on its own goroutine, up to depth
-// batches ahead of the driver, recycling depth+1 buffers through a free
-// list (the +1 is the batch the driver is applying). done tears the
-// goroutine down when the replay exits early (error or panic unwind).
-func pipelineSource(cur *trace.Cursor, lm *lockmgr.Manager, depth int, done <-chan struct{}) sched.ReplaySource {
-	ch := make(chan replayBatchMsg, depth)
-	free := make(chan []sched.ReplayEvent, depth+1)
-	for i := 0; i < depth+1; i++ {
-		free <- make([]sched.ReplayEvent, replayBatch)
-	}
-	go withStage("decode", func() {
-		defer close(ch)
-		for {
-			var out []sched.ReplayEvent
-			select {
-			case out = <-free:
-			case <-done:
-				return
-			}
-			n, err := decodeInto(cur, lm, out)
-			if n == 0 && err == nil {
-				return
-			}
-			select {
-			case ch <- replayBatchMsg{evs: out[:n], err: err}:
-			case <-done:
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	})
-	var prev []sched.ReplayEvent
-	var perr error
-	return func() ([]sched.ReplayEvent, error) {
-		if prev != nil {
-			free <- prev[:replayBatch]
-			prev = nil
-		}
-		if perr != nil {
-			return nil, perr
-		}
-		var m replayBatchMsg
-		var ok bool
-		select {
-		case m, ok = <-ch:
-		default:
-			// The decoder has not produced the next batch yet: a
-			// pipeline stall. Block for it.
-			decodeStalls.Add(1)
-			m, ok = <-ch
-		}
-		if !ok {
-			return nil, nil
-		}
-		if m.err != nil {
-			perr = m.err
-			if len(m.evs) == 0 {
-				return nil, perr
-			}
-		}
-		prev = m.evs
-		return m.evs, nil
-	}
-}
-
 // batchSources builds one replay source per processor over src's
-// streams, pipelined when DecodeAhead > 0.
-func batchSources(src trace.Source, lm *lockmgr.Manager, nodes int, done <-chan struct{}) []sched.ReplaySource {
-	depth := DecodeAhead
-	srcs := make([]sched.ReplaySource, nodes)
-	for i := 0; i < nodes; i++ {
-		cur := src.StreamCursor(i)
-		if depth <= 0 {
-			srcs[i] = syncSource(cur, lm)
-		} else {
-			srcs[i] = pipelineSource(cur, lm, depth, done)
-		}
+// streams.
+func batchSources(src trace.Source, lm *lockmgr.Manager, replay context.Context) []sched.ReplaySource {
+	decode := pprof.WithLabels(replay, pprof.Labels("stage", "decode"))
+	srcs := make([]sched.ReplaySource, src.Meta().Nodes)
+	for i := range srcs {
+		srcs[i] = syncSource(src.StreamCursor(i), lm, replay, decode)
 	}
 	return srcs
+}
+
+// replayStreams drives a flat replay of src's streams on eng, with lock
+// operations re-executed against lm, continuing from the engine's
+// current clocks and machine state.
+func replayStreams(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source) error {
+	var err error
+	withStage("replay", func(ctx context.Context) {
+		err = eng.RunReplay(batchSources(src, lm, ctx))
+	})
+	return err
 }
 
 // replayOn drives a full replay on an engine whose machine and memory
@@ -370,12 +250,7 @@ func replayOn(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source) (*Report
 			rep.Queries = append(rep.Queries, meta.Query)
 		}
 	}
-	done := make(chan struct{})
-	defer close(done)
-	srcs := batchSources(src, lm, meta.Nodes, done)
-	var err error
-	withStage("replay", func() { err = eng.RunReplay(srcs) })
-	if err != nil {
+	if err := replayStreams(eng, lm, src); err != nil {
 		return nil, fmt.Errorf("core: replaying %s: %w", meta.Query, err)
 	}
 	for _, p := range eng.Procs() {
@@ -386,34 +261,24 @@ func replayOn(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source) (*Report
 	return rep, nil
 }
 
-// ReplayTrace replays a recorded query under the given machine
-// configuration on a reconstructed skeleton system — the layout's
-// regions and page categories without any data contents — and returns
-// the report a fresh execution of that configuration would produce.
-// The replayed streams must come from the same (query, scale, seed);
-// the configuration may vary in any way that leaves the reference
-// stream invariant (cache geometry, prefetching, write buffering — not
-// node count). src may be a decoded *trace.QueryTrace or a streaming
-// *trace.Reader; skeleton systems are arena-pooled and reset between
-// replays of the same layout.
-func ReplayTrace(src trace.Source, mcfg machine.Config) (*Report, error) {
-	return ReplayTraceWith(src, mcfg, nil)
-}
-
-// ReplayTraceWith is ReplayTrace with an attachment hook called after
-// the skeleton is assembled and before the replay runs — the locality
-// analyzer installs its Tracer this way to analyze a saved trace
-// without re-running the executor.
-func ReplayTraceWith(src trace.Source, mcfg machine.Config, attach func(*sched.Engine, *simm.Memory)) (*Report, error) {
+// replaySkeleton replays the first n segments of src under mcfg on a
+// reconstructed skeleton system — the layout's regions and page
+// categories without any data contents, arena-pooled and reset between
+// replays of the same layout — and returns one report per segment.
+// Machine state carries across segments exactly as RunStream carries it
+// across phases: flushed segments start cold, and every segment's
+// counters and clocks reset at its boundary. attach, when non-nil, runs
+// once the skeleton is assembled and before the first segment replays.
+func replaySkeleton(src trace.StreamSource, mcfg machine.Config, n int, attach func(*sched.Engine, *simm.Memory)) ([]*Report, error) {
+	if n < 1 || n > src.NumSegments() {
+		return nil, fmt.Errorf("core: replay prefix %d of a %d-segment stream", n, src.NumSegments())
+	}
 	meta := src.Meta()
 	if err := mcfg.Validate(); err != nil {
 		return nil, err
 	}
 	if mcfg.Nodes != meta.Nodes {
 		return nil, fmt.Errorf("core: trace recorded on %d nodes, config has %d", meta.Nodes, mcfg.Nodes)
-	}
-	if len(meta.Streams) != meta.Nodes {
-		return nil, fmt.Errorf("core: trace has %d streams for %d nodes", len(meta.Streams), meta.Nodes)
 	}
 	sk, err := acquireSkeleton(meta.Layout)
 	if err != nil {
@@ -433,12 +298,50 @@ func ReplayTraceWith(src trace.Source, mcfg machine.Config, attach func(*sched.E
 	if attach != nil {
 		attach(eng, sk.mem)
 	}
-	rep, err := replayOn(eng, lm, src)
+	reps := make([]*Report, n)
+	for k := range reps {
+		seg := src.Segment(k)
+		if sm := seg.Meta(); len(sm.Streams) != meta.Nodes {
+			return nil, fmt.Errorf("core: segment %d has %d streams for %d nodes", k, len(sm.Streams), meta.Nodes)
+		}
+		if src.SegmentFlush(k) {
+			mach.Flush()
+		}
+		mach.ResetStats()
+		eng.ResetBreakdowns()
+		if reps[k], err = replayOn(eng, lm, seg); err != nil {
+			return nil, fmt.Errorf("core: segment %d: %w", k, err)
+		}
+	}
+	releaseSkeleton(sk)
+	return reps, nil
+}
+
+// ReplayTrace replays a recorded query under the given machine
+// configuration on a skeleton system and returns the report a fresh
+// execution of that configuration would produce. The replayed streams
+// must come from the same (query, scale, seed); the configuration may
+// vary in any way that leaves the reference stream invariant (cache
+// geometry, prefetching, write buffering — not node count). src may be
+// a decoded *trace.QueryTrace or a streaming *trace.Reader, and must be
+// a single segment (stream traces replay through ReplayStream).
+func ReplayTrace(src trace.StreamSource, mcfg machine.Config) (*Report, error) {
+	return ReplayTraceWith(src, mcfg, nil)
+}
+
+// ReplayTraceWith is ReplayTrace with an attachment hook called after
+// the skeleton is assembled and before the replay runs — the locality
+// analyzer installs its Tracer this way to analyze a saved trace
+// without re-running the executor.
+func ReplayTraceWith(src trace.StreamSource, mcfg machine.Config, attach func(*sched.Engine, *simm.Memory)) (*Report, error) {
+	if n := src.NumSegments(); n != 1 {
+		return nil, fmt.Errorf("core: ReplayTrace of a %d-segment stream", n)
+	}
+	reps, err := replaySkeleton(src, mcfg, 1, attach)
 	if err != nil {
 		return nil, err
 	}
-	releaseSkeleton(sk)
-	return rep, nil
+	return reps[0], nil
 }
 
 // ReplayCold replays a recorded query on this system's current machine

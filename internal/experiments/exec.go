@@ -55,14 +55,11 @@ type execMetrics struct {
 var experimentBuckets = []float64{.05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600}
 
 func newExecMetrics(r *metrics.Registry) execMetrics {
-	// Replay pipeline gauges: process-wide counters maintained by
-	// internal/core and internal/trace, sampled at gather time.
+	// Replay gauges: process-wide counters maintained by internal/core
+	// and internal/trace, sampled at gather time.
 	r.GaugeFunc("dssmem_trace_streamed_bytes",
 		"Trace chunk bytes read on demand by streaming replay cursors.",
 		func() float64 { return float64(trace.StreamedBytes()) })
-	r.GaugeFunc("dssmem_replay_decode_stalls_total",
-		"Replay driver turns that waited on the decode-ahead pipeline.",
-		func() float64 { return float64(core.ReadReplayStats().DecodeStalls) })
 	r.GaugeFunc("dssmem_replay_arena_hits_total",
 		"Replay skeleton systems served from the reuse arena.",
 		func() float64 { return float64(core.ReadReplayStats().ArenaHits) })
@@ -203,9 +200,8 @@ func coldJob(sc scenario.Scenario, q string) *runner.Job {
 // cache, which is what keeps resident memory flat as scale grows. Blob
 // carries the bytes inline only when no store took them.
 type CaptureResult struct {
-	Report  *core.Report
-	Blob    []byte
-	Spilled bool // blob lives in the trace store under the capture key
+	Report *core.Report
+	Blob   []byte
 }
 
 // captureJob is coldJob with trace capture: it executes the point
@@ -225,11 +221,8 @@ func (e *Exec) captureJob(sc scenario.Scenario, q string) *runner.Job {
 		Spec: sc,
 		Body: func(c *runner.Ctx) (interface{}, error) {
 			if rd, ok := c.TraceReader(); ok {
-				rep, err := replayStored(rd, mcfg)
-				rd.Close()
-				if err == nil {
-					e.met.replays.Inc()
-					return &CaptureResult{Report: rep, Spilled: true}, nil
+				if rep, err := e.replayStored(rd, mcfg, 0, 1); err == nil {
+					return &CaptureResult{Report: rep}, nil
 				}
 				// Damaged or unreadable blob: fall through to executing,
 				// which re-records and re-spills a good one.
@@ -243,7 +236,7 @@ func (e *Exec) captureJob(sc scenario.Scenario, q string) *runner.Job {
 			e.met.captures.Inc()
 			e.met.traceBytes.Add(float64(len(blob)))
 			if c.PutTraceBlob(blob) {
-				return &CaptureResult{Report: rep, Spilled: true}, nil
+				return &CaptureResult{Report: rep}, nil
 			}
 			return &CaptureResult{Report: rep, Blob: blob}, nil
 		},
@@ -272,31 +265,23 @@ func (e *Exec) replayJob(sc scenario.Scenario, q string, capture *runner.Job) *r
 			if !ok {
 				return nil, fmt.Errorf("experiments: replay of %s: dependency returned %T, not a capture", q, dep)
 			}
+			// The capture's blob is inline when no trace store took it,
+			// else spilled under the capture's key; either way it is read
+			// through one streaming reader, chunk by chunk.
+			var rd blobstore.Reader
 			if len(cr.Blob) > 0 {
-				tr, err := trace.Unmarshal(cr.Blob)
-				if err != nil {
-					return nil, err
-				}
-				rep, err := core.ReplayTrace(tr, mcfg)
-				if err != nil {
-					return nil, err
-				}
-				e.met.replays.Inc()
-				return rep, nil
+				rd = blobstore.NewBytesReader(cr.Blob)
+			} else if r, ok := c.TraceReaderFor(capture.Key()); ok {
+				rd = r
 			}
-			// Spilled capture: stream the blob from the trace store
-			// chunk by chunk instead of materializing it.
-			if rd, ok := c.TraceReaderFor(capture.Key()); ok {
-				rep, err := replayStored(rd, mcfg)
-				rd.Close()
-				if err == nil {
-					e.met.replays.Inc()
+			if rd != nil {
+				if rep, err := e.replayStored(rd, mcfg, 0, 1); err == nil {
 					return rep, nil
 				}
 			}
-			// The spilled blob vanished or went bad between capture and
-			// replay: execute this point fresh — replay is byte-identical
-			// to execution, so the fallback preserves every output.
+			// The blob vanished or went bad between capture and replay:
+			// execute this point fresh — replay is byte-identical to
+			// execution, so the fallback preserves every output.
 			s, err := c.System()
 			if err != nil {
 				return nil, err
@@ -306,15 +291,26 @@ func (e *Exec) replayJob(sc scenario.Scenario, q string, capture *runner.Job) *r
 	}
 }
 
-// replayStored replays a trace-store blob through a streaming reader:
-// header and CRC verified up front, chunks read on demand during the
-// replay. The caller closes rd.
-func replayStored(rd blobstore.Reader, mcfg machine.Config) (*core.Report, error) {
+// replayStored derives segment k's report from a stored blob that must
+// hold want segments (a single-query capture is segment 0 of 1): header
+// and CRC verified up front, chunks read on demand while segments 0..k
+// replay. It closes rd and counts a successful replay; on any error the
+// caller falls back to executing.
+func (e *Exec) replayStored(rd blobstore.Reader, mcfg machine.Config, k, want int) (*core.Report, error) {
+	defer rd.Close()
 	src, err := trace.OpenBlob(rd, rd.Size())
 	if err != nil {
 		return nil, err
 	}
-	return core.ReplayTrace(src, mcfg)
+	if src.NumSegments() != want {
+		return nil, fmt.Errorf("experiments: stored trace has %d segments, want %d", src.NumSegments(), want)
+	}
+	reps, err := core.ReplayStreamPrefix(src, mcfg, k+1)
+	if err != nil {
+		return nil, err
+	}
+	e.met.replays.Inc()
+	return reps[k], nil
 }
 
 // asReport unwraps a job result that is a report either way.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -35,7 +37,11 @@ func executeSweepPoint(t *testing.T, o Options, mcfg machine.Config, q string, p
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.RunCold(q)
+	return sweepPointOf(s.RunCold(q), q, prm)
+}
+
+// sweepPointOf projects a cold report onto the sweep's point shape.
+func sweepPointOf(rep *core.Report, q string, prm int) SweepPoint {
 	return SweepPoint{
 		Query:  q,
 		Param:  prm,
@@ -216,6 +222,42 @@ func TestCaptureSurvivesDamagedTraceFile(t *testing.T) {
 		if !reflect.DeepEqual(rep, want[0].Report) {
 			t.Errorf("%s blob: re-spilled blob replays a different report", d.name)
 		}
+	}
+}
+
+// TestReplaySurvivesDamagedInlineBlob is the same contract without a
+// trace store, where the capture's blob rides inline in its cached
+// result: a replay job that finds the inline blob damaged must fall
+// back to execution exactly as it does for a damaged spilled blob,
+// instead of failing the sweep.
+func TestReplaySurvivesDamagedInlineBlob(t *testing.T) {
+	const q, ls = "Q6", 128
+	o := replayOptions(q)
+	e := NewExec(1)
+	defer e.Close()
+	sc := applyOptions(scenario.Default(), o)
+	capture := e.captureJob(pointSpec(sc, scenario.FromMachineConfig(machine.Baseline()), q), q)
+	res, err := e.pool.RunAll(context.Background(), []*runner.Job{capture})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The memory cache hands every later hit this same value, so the
+	// damage below is what the replay job's dependency delivers.
+	cr := res[0].(*CaptureResult)
+	if len(cr.Blob) == 0 {
+		t.Fatal("capture without a trace store carries no inline blob")
+	}
+	cr.Blob[len(cr.Blob)/2] ^= 0x40
+
+	mcfg := machine.Baseline().WithLineSize(ls)
+	capture = e.captureJob(capture.Spec, q)
+	replay := e.replayJob(pointSpec(sc, scenario.FromMachineConfig(mcfg), q), q, capture)
+	reps, err := e.reports([]*runner.Job{capture, replay})
+	if err != nil {
+		t.Fatalf("damaged inline blob failed the sweep: %v", err)
+	}
+	if got, want := sweepPointOf(reps[1], q, ls), executeSweepPoint(t, o, mcfg, q, ls); !reflect.DeepEqual(got, want) {
+		t.Errorf("fallback diverges from execution\nfallback: %+v\nexecute:  %+v", got, want)
 	}
 }
 

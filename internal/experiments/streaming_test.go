@@ -7,27 +7,22 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 )
 
-// TestStreamedReplayWorstCasePipeline runs a fig8-shaped sweep under
-// the worst decode-ahead budget the pipeline supports — a single batch
-// in flight, so the replay driver overruns the decoder as often as the
-// workload allows — with every capture streamed back from a trace
-// directory, and requires the result to be byte-identical to (a) the
-// fully unpipelined synchronous decode path and (b) fresh per-point
-// serial execution.
-func TestStreamedReplayWorstCasePipeline(t *testing.T) {
-	defer func(d int) { core.DecodeAhead = d }(core.DecodeAhead)
+// TestStreamedReplayMatchesExecution runs a fig8-shaped sweep with every
+// capture spilled to a trace directory and requires four routes to the
+// same points to agree byte for byte: the capturing run, a re-run that
+// has no cached result and must stream every replay from the trace
+// store, a single-worker run, and fresh per-point serial execution.
+func TestStreamedReplayMatchesExecution(t *testing.T) {
 	dir := t.TempDir()
 	o := replayOptions("Q6")
 
-	sweep := func(depth, workers int) ([]SweepPoint, string) {
+	sweep := func(workers int) ([]SweepPoint, string) {
 		t.Helper()
-		core.DecodeAhead = depth
 		e := NewExecConfig(runner.Config{Workers: workers, TraceDir: dir})
 		defer e.Close()
 		pts, err := e.RunLineSweep(o)
@@ -41,24 +36,24 @@ func TestStreamedReplayWorstCasePipeline(t *testing.T) {
 		return pts, buf.String()
 	}
 
-	// First run captures (and spills to dir); second run has no inline
-	// blob and must stream every replay from the trace store.
-	pipelined, pipeBytes := sweep(1, 4)
-	streamed, streamBytes := sweep(1, 4)
-	if streamBytes != pipeBytes {
+	// First run captures (and spills to dir); the later runs have no
+	// inline blob and must stream every replay from the trace store.
+	captured, captureBytes := sweep(4)
+	streamed, streamBytes := sweep(4)
+	if streamBytes != captureBytes {
 		t.Error("streamed rerun rendered different fig8 bytes than the capturing run")
 	}
-	if !reflect.DeepEqual(streamed, pipelined) {
+	if !reflect.DeepEqual(streamed, captured) {
 		t.Error("streamed rerun diverges from the capturing run")
 	}
 
-	unpipelined, flatBytes := sweep(0, 1)
-	if flatBytes != pipeBytes {
-		t.Error("pipelined fig8 render differs from unpipelined render")
+	single, singleBytes := sweep(1)
+	if singleBytes != captureBytes {
+		t.Error("single-worker fig8 render differs from the 4-worker render")
 	}
-	if !reflect.DeepEqual(unpipelined, pipelined) {
-		t.Errorf("pipelined sweep diverges from unpipelined replay\npipelined:   %+v\nunpipelined: %+v",
-			pipelined, unpipelined)
+	if !reflect.DeepEqual(single, captured) {
+		t.Errorf("single-worker sweep diverges from the 4-worker sweep\n4 workers: %+v\n1 worker:  %+v",
+			captured, single)
 	}
 
 	if raceEnabled {
@@ -69,9 +64,9 @@ func TestStreamedReplayWorstCasePipeline(t *testing.T) {
 	for i, ls := range LineSizes {
 		executed[i] = executeSweepPoint(t, o, machine.Baseline().WithLineSize(ls), "Q6", ls)
 	}
-	if !reflect.DeepEqual(pipelined, executed) {
-		t.Errorf("streamed pipelined sweep diverges from serial execution\nreplay:  %+v\nexecute: %+v",
-			pipelined, executed)
+	if !reflect.DeepEqual(captured, executed) {
+		t.Errorf("streamed sweep diverges from serial execution\nreplay:  %+v\nexecute: %+v",
+			captured, executed)
 	}
 }
 

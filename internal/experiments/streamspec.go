@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/blobstore"
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/simm"
@@ -74,10 +72,7 @@ func (e *Exec) streamJobs(sc scenario.Scenario) []*runner.Job {
 			// still untouched, or the replayed state would diverge from it.
 			if st.next == 0 && captureKey != "" {
 				if rd, ok := c.TraceReaderFor(captureKey); ok {
-					rep, err := replayStoredPhase(rd, mcfg, k, len(phases))
-					rd.Close()
-					if err == nil {
-						e.met.replays.Inc()
+					if rep, err := e.replayStored(rd, mcfg, k, len(phases)); err == nil {
 						return rep, nil
 					}
 					// Damaged or mismatched blob: fall through to executing.
@@ -102,23 +97,6 @@ func (e *Exec) streamJobs(sc scenario.Scenario) []*runner.Job {
 	}
 	captureKey = jobs[len(jobs)-1].Key()
 	return jobs
-}
-
-// replayStoredPhase derives phase k's report from a stored stream blob
-// holding want segments. The caller closes rd.
-func replayStoredPhase(rd blobstore.Reader, mcfg machine.Config, k, want int) (*core.Report, error) {
-	src, err := trace.OpenBlob(rd, rd.Size())
-	if err != nil {
-		return nil, err
-	}
-	if src.NumSegments() != want {
-		return nil, fmt.Errorf("experiments: stored stream has %d segments, want %d", src.NumSegments(), want)
-	}
-	reps, err := core.ReplayStreamPrefix(src, mcfg, k+1)
-	if err != nil {
-		return nil, err
-	}
-	return reps[k], nil
 }
 
 // runStreamSpec executes a phase workload and collects one result per

@@ -55,19 +55,11 @@ func (c *Ctx) After(i int) (interface{}, error) {
 	return res, nil
 }
 
-// TraceBlob returns the trace-store blob filed under this job's key, if
-// the pool has a trace directory and the file exists. Content integrity
-// is the decoder's job: a damaged blob fails to unmarshal, which
-// callers treat as a miss.
-func (c *Ctx) TraceBlob() ([]byte, bool) {
-	return c.pool.traces.get(c.rec.key)
-}
-
 // TraceReader opens the trace-store blob filed under this job's key for
-// chunk-granular streaming — the memory-flat counterpart of TraceBlob.
-// The caller owns the reader and must Close it. Content integrity is
-// still the decoder's job: a damaged blob fails to open as a trace,
-// which callers treat as a miss.
+// chunk-granular streaming, if the pool has a trace directory and the
+// blob exists. The caller owns the reader and must Close it. Content
+// integrity is the decoder's job: a damaged blob fails to open as a
+// trace, which callers treat as a miss.
 func (c *Ctx) TraceReader() (blobstore.Reader, bool) {
 	return c.pool.traces.getReader(c.rec.key)
 }

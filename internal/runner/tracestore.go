@@ -38,32 +38,10 @@ func newTraceStore(store blobstore.Store, met traceMetrics) *traceStore {
 	return &traceStore{store: store, met: met}
 }
 
-// get returns the stored blob for key. Unreadable or absent blobs are
-// misses; content validation is the caller's decode step.
-func (s *traceStore) get(key string) ([]byte, bool) {
-	if s.store == nil || key == "" {
-		return nil, false
-	}
-	b, err := s.store.Get(blobstore.NSTrace, key)
-	if err != nil {
-		s.met.misses.Inc()
-		s.mu.Lock()
-		s.st.Misses++
-		s.mu.Unlock()
-		return nil, false
-	}
-	s.met.hits.Inc()
-	s.mu.Lock()
-	s.st.Hits++
-	s.mu.Unlock()
-	return b, true
-}
-
-// getReader opens the stored blob for chunk-granular reads — the
-// streaming counterpart of get, with identical hit/miss accounting.
-// An openable blob counts as a hit even if its content later fails the
-// decoder's checksum: the tier served bytes, the decode turns damage
-// into a fallback, exactly as with get.
+// getReader opens the stored blob for chunk-granular reads. Unreadable
+// or absent blobs are misses. An openable blob counts as a hit even if
+// its content later fails the decoder's checksum: the tier served
+// bytes, and the decode turns damage into a fallback.
 func (s *traceStore) getReader(key string) (blobstore.Reader, bool) {
 	if s.store == nil || key == "" {
 		return nil, false

@@ -1,12 +1,10 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"math"
-
-	"repro/internal/simm"
 )
 
 // Blob format: the self-contained on-disk / in-cache encoding of a
@@ -129,240 +127,27 @@ func (t *QueryTrace) Marshal() []byte {
 	return append(out, w.b...)
 }
 
-type blobReader struct {
-	b   []byte
-	off int
-}
-
-func (r *blobReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated blob")
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *blobReader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated blob")
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *blobReader) take(n uint64) ([]byte, error) {
-	if n > uint64(len(r.b)-r.off) {
-		return nil, fmt.Errorf("trace: truncated blob")
-	}
-	p := r.b[r.off : r.off+int(n) : r.off+int(n)]
-	r.off += int(n)
-	return p, nil
-}
-
-func (r *blobReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	p, err := r.take(n)
-	return string(p), err
-}
-
-func (r *blobReader) byte() (byte, error) {
-	p, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return p[0], nil
-}
-
-// Unmarshal decodes a blob, verifying magic and checksum. The decoded
-// trace aliases b's stream chunks; callers must not mutate b afterwards.
+// Unmarshal decodes a blob held in memory. OpenBlob is the one parser of
+// the framing (magic, checksum, both versions); Unmarshal materialises
+// its chunk table by aliasing each chunk as a sub-slice of b, so the
+// decoded trace is zero-copy and callers must not mutate b afterwards.
 func Unmarshal(b []byte) (*QueryTrace, error) {
-	if len(b) < len(blobMagic)+4 {
-		return nil, fmt.Errorf("trace: blob too short (%d bytes)", len(b))
-	}
-	if string(b[:len(blobMagic)]) != string(blobMagic[:]) {
-		return nil, fmt.Errorf("trace: bad magic %q", b[:len(blobMagic)])
-	}
-	sum := binary.LittleEndian.Uint32(b[len(blobMagic):])
-	payload := b[len(blobMagic)+4:]
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("trace: checksum mismatch (corrupted blob)")
-	}
-	r := blobReader{b: payload}
-	ver, err := r.uvarint()
+	rd, err := OpenBlob(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		return nil, err
 	}
-	if ver != blobVersion && ver != blobVersionSeg {
-		return nil, fmt.Errorf("trace: unsupported blob version %d", ver)
-	}
-	t := &QueryTrace{}
-	if t.Query, err = r.str(); err != nil {
-		return nil, err
-	}
-	bits, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	t.Scale = math.Float64frombits(bits)
-	if t.Seed, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	nodes, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	t.Nodes = int(nodes)
-	if t.BusyPerAccess, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if t.SpinBackoff, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if t.LockCap, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-
-	ln, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	t.Layout.Nodes = int(ln)
-	nr, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nr; i++ {
-		var lr simm.LayoutRegion
-		if lr.Name, err = r.str(); err != nil {
-			return nil, err
+	t := rd.meta
+	for k, segRefs := range rd.chunks {
+		streams := t.Streams
+		if len(t.Segments) > 0 {
+			streams = t.Segments[k].Streams
 		}
-		if lr.Size, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		cat, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		lr.Cat = simm.Category(cat)
-		node, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		lr.Node = int(node)
-		t.Layout.Regions = append(t.Layout.Regions, lr)
-	}
-	nc, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nc; i++ {
-		pages, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		cat, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		t.Layout.Cats = append(t.Layout.Cats, simm.CatRun{Pages: uint32(pages), Cat: simm.Category(cat)})
-	}
-
-	if ver == blobVersionSeg {
-		nseg, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for si := uint64(0); si < nseg; si++ {
-			var seg Segment
-			flush, err := r.byte()
-			if err != nil {
-				return nil, err
+		for i, refs := range segRefs {
+			for _, c := range refs {
+				end := c.off + int64(c.n)
+				streams[i].Chunks = append(streams[i].Chunks, b[c.off:end:end])
 			}
-			seg.Flush = flush != 0
-			nq, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			for i := uint64(0); i < nq; i++ {
-				q, err := r.str()
-				if err != nil {
-					return nil, err
-				}
-				seg.Queries = append(seg.Queries, q)
-			}
-			if seg.Rows, err = r.rows(); err != nil {
-				return nil, err
-			}
-			if seg.Streams, err = r.streams(); err != nil {
-				return nil, err
-			}
-			t.Segments = append(t.Segments, seg)
-		}
-	} else {
-		if t.Rows, err = r.rows(); err != nil {
-			return nil, err
-		}
-		if t.Streams, err = r.streams(); err != nil {
-			return nil, err
 		}
 	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("trace: %d trailing bytes after blob", len(payload)-r.off)
-	}
-	return t, nil
-}
-
-func (r *blobReader) rows() ([]int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	var rows []int
-	for i := uint64(0); i < n; i++ {
-		v, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, int(v))
-	}
-	return rows, nil
-}
-
-func (r *blobReader) streams() ([]Stream, error) {
-	ns, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	var streams []Stream
-	for i := uint64(0); i < ns; i++ {
-		var s Stream
-		if s.Refs, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if s.Events, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		nch, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < nch; j++ {
-			cn, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			c, err := r.take(cn)
-			if err != nil {
-				return nil, err
-			}
-			s.Chunks = append(s.Chunks, c)
-		}
-		streams = append(streams, s)
-	}
-	return streams, nil
+	return &t, nil
 }

@@ -429,8 +429,8 @@ func (c *Cursor) Next(ev *Event) (bool, error) {
 // scheduler's replay form, and returns how many it wrote. n == 0 (with a
 // nil error) means the end of the stream; a decode error may follow a
 // short batch — the events before the error are valid and returned.
-// Batch decode is the pipelined replay's unit of work: the decoder runs
-// it off the driver goroutine, filling reusable buffers. Data references
+// Batch decode is the replay's unit of work: the driver calls it
+// between turns, refilling one reused buffer per stream. Data references
 // and busy charges — the bulk of every stream — decode through the same
 // resident-event fast path as Next; the rare synchronization events
 // fall back to Next plus a conversion, with lock-manager operations

@@ -16,10 +16,10 @@ import (
 //     (DecodeReplayBatch) accept exactly the same inputs and yield
 //     identical event sequences — a short batch is always followed by
 //     the same error;
-//   - Unmarshal (whole-blob) and OpenBlob (streaming) accept exactly
-//     the same blobs and decode identical events, so truncated or
-//     corrupt blobs surface errors up front on both paths and a
-//     streamed replay can never silently run short.
+//   - Unmarshal (chunks aliased in memory) and OpenBlob (chunks read
+//     on demand) accept exactly the same blobs and decode identical
+//     events, so truncated or corrupt blobs surface errors up front on
+//     both paths and a streamed replay can never silently run short.
 func FuzzTraceChunkDecode(f *testing.F) {
 	tr := testFuzzTrace()
 	blob := tr.Marshal()

@@ -11,14 +11,14 @@ import (
 	"repro/internal/simm"
 )
 
-// Streaming blob access: OpenBlob parses the same "DSSTRC01" framing as
-// Unmarshal, but over an io.ReaderAt and without retaining the stream
-// chunk bytes. One sequential pass reads the payload in 64KB sections,
-// folding every byte into the CRC while parsing the structure, and
-// records each stream chunk's (offset, length) instead of its contents.
-// Corruption and truncation are therefore detected up front — exactly
-// like Unmarshal — but replaying a trace holds at most one chunk per
-// stream resident, keeping memory flat as traces grow.
+// Streaming blob access: OpenBlob is the one parser of the "DSSTRC01"
+// framing (Unmarshal opens its bytes through it). It reads an
+// io.ReaderAt without retaining the stream chunk bytes: one sequential
+// pass reads the payload in 64KB sections, folding every byte into the
+// CRC while parsing the structure, and records each stream chunk's
+// (offset, length) instead of its contents. Corruption and truncation
+// are therefore detected up front, but replaying a trace holds at most
+// one chunk per stream resident, keeping memory flat as traces grow.
 
 var streamedBytes atomic.Uint64
 
@@ -135,9 +135,8 @@ func readAtFull(src io.ReaderAt, p []byte, off int64) error {
 }
 
 // payloadReader walks the blob payload front to back through a bounded
-// window, CRC-ing every section as it is fetched. It accepts exactly
-// the encodings blobReader accepts (binary.Uvarint semantics), so a
-// blob parses identically whether loaded whole or streamed.
+// window, CRC-ing every section as it is fetched. Varints follow
+// binary.Uvarint semantics (at most ten bytes, no overflow).
 type payloadReader struct {
 	src  io.ReaderAt
 	base int64 // payload start within src
@@ -313,7 +312,7 @@ func (p *payloadReader) streams() ([]Stream, [][]chunkRef, error) {
 // OpenBlob opens an encoded blob for streaming replay. It verifies the
 // magic and CRC (reading the whole payload once, in sections) and
 // decodes everything except the stream chunk bytes, which later cursors
-// fetch on demand. Any error Unmarshal would report, OpenBlob reports.
+// fetch on demand.
 func OpenBlob(src io.ReaderAt, size int64) (*Reader, error) {
 	if size < int64(len(blobMagic))+4 {
 		return nil, fmt.Errorf("trace: blob too short (%d bytes)", size)

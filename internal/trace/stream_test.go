@@ -112,9 +112,19 @@ func decodeAll(t *testing.T, cur *Cursor) []Event {
 }
 
 // TestOpenBlobMatchesUnmarshal pins the streaming reader to the
-// in-memory decoder: same metadata, same events, for every stream.
+// in-memory decoder: same metadata, same events, for every stream, and
+// what Unmarshal materialises re-encodes to the bytes it was given.
 func TestOpenBlobMatchesUnmarshal(t *testing.T) {
 	blob := testTrace().Marshal()
+	for name, b := range map[string][]byte{"v1": blob, "v2": testStreamTrace().Marshal()} {
+		tr, err := Unmarshal(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(tr.Marshal(), b) {
+			t.Errorf("%s: Unmarshal(b).Marshal() != b", name)
+		}
+	}
 	tr, err := Unmarshal(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -306,12 +316,15 @@ func TestOpenBlobRejectsDamage(t *testing.T) {
 		"seg-bitflip":    flipBit(seg, len(seg)/2),
 		"seg-early-flip": flipBit(seg, 20),
 	}
+	entries := map[string]func([]byte) error{
+		"OpenBlob":  func(b []byte) error { _, err := OpenBlob(bytes.NewReader(b), int64(len(b))); return err },
+		"Unmarshal": func(b []byte) error { _, err := Unmarshal(b); return err },
+	}
 	for name, b := range cases {
-		if _, err := OpenBlob(bytes.NewReader(b), int64(len(b))); err == nil {
-			t.Errorf("%s: OpenBlob accepted damaged blob", name)
-		}
-		if _, err := Unmarshal(b); err == nil {
-			t.Errorf("%s: Unmarshal accepted damaged blob", name)
+		for entry, open := range entries {
+			if open(b) == nil {
+				t.Errorf("%s: %s accepted damaged blob", name, entry)
+			}
 		}
 	}
 }
