@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check cover bench fuzz scenario-goldens cluster-smoke wal-smoke stream-smoke profile clean
+.PHONY: all build test race vet fmt check cover bench fuzz scenario-goldens cluster-smoke wal-smoke stream-smoke profile clean
 
 all: build
 
@@ -24,6 +24,10 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails, naming the files, when gofmt would rewrite any.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
 # The scenario-golden gate: render every preset through the declarative
 # spec path and diff byte-for-byte against the committed golden files.
 # This is the refactor-safety net — any change to the spec interpreter,
@@ -32,7 +36,7 @@ vet:
 scenario-goldens:
 	$(GO) test -run TestGoldenOutput -count=1 ./internal/experiments
 
-check: build vet race test scenario-goldens
+check: build fmt vet race test scenario-goldens
 
 # The cluster gate: one coordinator plus two in-process workers run a
 # fig8-style sweep through the async job API. Passing means the
@@ -59,16 +63,17 @@ wal-smoke:
 # vs recorded vs per-segment replay, including live-recorded update
 # phases and the legacy warm-pair lowering), the experiments job-chain
 # equivalence at 1 and 4 workers, the capture-per-stream trace-store
-# round trip, and the mixedstreams golden at -jobs 1 vs parallel.
-# Blocking in CI.
+# round trip, the no-store run that must record nothing, and the
+# mixedstreams golden at -jobs 1 vs parallel. Blocking in CI.
 stream-smoke:
 	$(GO) test -count=1 -run 'TestStreamReplayMatchesExecution|TestStreamReplaySweeps|TestLegacyPhasesEquivalence|TestReplayStreamUnsegmented|TestRunStreamAnswers' -v ./internal/core
-	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestGoldenOutput' ./internal/experiments
+	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestStreamWithoutStoreRecordsNothing|TestGoldenOutput' ./internal/experiments
 
 # Profile a named preset (default fig6) under the CPU and heap
-# profilers. The capture/decode/replay pipeline stages run under pprof
-# labels ("stage" = capture | decode | replay), so host time is
-# attributable per stage:
+# profilers. The pipeline stages run under pprof labels ("stage" =
+# build | capture | live | decode | replay | marshal: database
+# generation, record-pure capture, live update phases, trace decode,
+# replay, blob encoding), so host time is attributable per stage:
 #   go tool pprof -tagfocus stage=replay cpu.pprof
 PROFILE_EXP ?= fig6
 PROFILE_SCALE ?= 0.01

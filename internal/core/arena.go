@@ -20,13 +20,15 @@ import (
 // so reuse is byte-identical by construction while eliminating the
 // dominant per-job allocations left after PR 2.
 
-// skeleton is one pooled replay system: the reconstructed memory plus
-// the machine most recently attached to it (reused when the next
-// replay's configuration matches, mined for tables when it doesn't).
+// skeleton is one pooled replay system: the reconstructed memory, the
+// machine most recently attached to it (reused when the next replay's
+// configuration matches, mined for tables when it doesn't), and the
+// decode buffers its replays fill.
 type skeleton struct {
-	fp   string
-	mem  *simm.Memory
-	mach *machine.Machine
+	fp     string
+	mem    *simm.Memory
+	mach   *machine.Machine
+	decode decodeBufs
 }
 
 // arenaMax bounds retained skeletons across all layouts; beyond it,

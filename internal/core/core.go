@@ -68,6 +68,7 @@ type System struct {
 	DB      *tpcd.Database
 
 	privRegions []*simm.Region
+	decode      decodeBufs // self-replay decode buffers (see runPhase)
 }
 
 // NewSystem builds the machine, loads and indexes the database

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/machine"
@@ -68,7 +69,7 @@ func (s *System) runPhase(runLists [][]QueryRun, record bool) (*Report, [][]int,
 		snap.restore(s.Mem)
 		streams = rec.Streams()
 		src := &trace.QueryTrace{Nodes: n, Streams: streams}
-		if err := replayStreams(s.Eng, s.LockMgr, src); err != nil {
+		if err := replayStreams(s.Eng, s.LockMgr, src, &s.decode); err != nil {
 			panic(fmt.Sprintf("core: replaying just-captured phase: %v", err))
 		}
 		if !record {
@@ -83,7 +84,7 @@ func (s *System) runPhase(runLists [][]QueryRun, record bool) (*Report, [][]int,
 			s.Eng.Recorder = rec
 			s.LockMgr.Tracer = lockTracer{rec: rec}
 		}
-		s.Eng.Run(bodies)
+		WithStage("live", func(context.Context) { s.Eng.Run(bodies) })
 		if record {
 			s.Eng.Recorder = nil
 			s.LockMgr.Tracer = nil

@@ -13,13 +13,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Profiler stage labels: capture, decode and replay run under pprof
-// labels so a -cpuprofile of a sweep attributes samples per stage
-// ("stage" ∈ capture, decode, replay — `make profile` renders this).
-// Everything runs on the calling goroutine: a replay is labelled
-// stage=replay, and each batch decode inside it relabels the goroutine
-// stage=decode for the duration of the call (see syncSource).
-func withStage(stage string, f func(context.Context)) {
+// WithStage runs f under the pprof label stage=<stage>, so a -cpuprofile
+// attributes host CPU per pipeline stage ("stage" ∈ build, capture,
+// live, decode, replay, marshal — `make profile` renders this): build is
+// database generation, capture a record-pure run, live an update phase
+// (or any observed run) on the goroutine scheduler, marshal the blob
+// encoding. A replay is labelled stage=replay, and each batch decode
+// inside it relabels the driver goroutine stage=decode for the duration
+// of the call (see syncSource). Goroutines started inside f inherit the
+// label, which is how a live run's processor goroutines are covered.
+func WithStage(stage string, f func(context.Context)) {
 	pprof.Do(context.Background(), pprof.Labels("stage", stage), f)
 }
 
@@ -120,7 +123,7 @@ func (s *System) recordPure(bodies []func(*sched.Proc)) *trace.Recorder {
 		s.Eng.Recorder, s.Eng.RecordPure = nil, false
 		s.LockMgr.Tracer = nil
 	}()
-	withStage("capture", func(context.Context) { s.Eng.Run(bodies) })
+	WithStage("capture", func(context.Context) { s.Eng.Run(bodies) })
 	return rec
 }
 
@@ -193,11 +196,23 @@ func decodeInto(cur *trace.Cursor, lm *lockmgr.Manager, out []sched.ReplayEvent)
 	})
 }
 
+// decodeBufs holds one replayBatch-event decode buffer per processor.
+// They belong to whoever owns the replaying engine — a pooled skeleton,
+// or a System for its self-replays — so consecutive replays decode into
+// the same buffers instead of allocating 4 x 384 KB per segment.
+type decodeBufs [][]sched.ReplayEvent
+
+func (b *decodeBufs) proc(i int) []sched.ReplayEvent {
+	for len(*b) <= i {
+		*b = append(*b, make([]sched.ReplayEvent, replayBatch))
+	}
+	return (*b)[i]
+}
+
 // syncSource decodes inline on the driver goroutine, batch-at-a-time
-// into one reused buffer, under the decode label; replay is the label
-// to restore once the batch is decoded.
-func syncSource(cur *trace.Cursor, lm *lockmgr.Manager, replay, decode context.Context) sched.ReplaySource {
-	out := make([]sched.ReplayEvent, replayBatch)
+// into out, under the decode label; replay is the label to restore once
+// the batch is decoded.
+func syncSource(cur *trace.Cursor, lm *lockmgr.Manager, out []sched.ReplayEvent, replay, decode context.Context) sched.ReplaySource {
 	var perr error
 	return func() ([]sched.ReplayEvent, error) {
 		if perr != nil {
@@ -215,12 +230,12 @@ func syncSource(cur *trace.Cursor, lm *lockmgr.Manager, replay, decode context.C
 }
 
 // batchSources builds one replay source per processor over src's
-// streams.
-func batchSources(src trace.Source, lm *lockmgr.Manager, replay context.Context) []sched.ReplaySource {
+// streams, decoding into bufs.
+func batchSources(src trace.Source, lm *lockmgr.Manager, bufs *decodeBufs, replay context.Context) []sched.ReplaySource {
 	decode := pprof.WithLabels(replay, pprof.Labels("stage", "decode"))
 	srcs := make([]sched.ReplaySource, src.Meta().Nodes)
 	for i := range srcs {
-		srcs[i] = syncSource(src.StreamCursor(i), lm, replay, decode)
+		srcs[i] = syncSource(src.StreamCursor(i), lm, bufs.proc(i), replay, decode)
 	}
 	return srcs
 }
@@ -228,17 +243,17 @@ func batchSources(src trace.Source, lm *lockmgr.Manager, replay context.Context)
 // replayStreams drives a flat replay of src's streams on eng, with lock
 // operations re-executed against lm, continuing from the engine's
 // current clocks and machine state.
-func replayStreams(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source) error {
+func replayStreams(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source, bufs *decodeBufs) error {
 	var err error
-	withStage("replay", func(ctx context.Context) {
-		err = eng.RunReplay(batchSources(src, lm, ctx))
+	WithStage("replay", func(ctx context.Context) {
+		err = eng.RunReplay(batchSources(src, lm, bufs, ctx))
 	})
 	return err
 }
 
 // replayOn drives a full replay on an engine whose machine and memory
 // are already prepared (cold caches, zeroed/quiesced lock state).
-func replayOn(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source) (*Report, error) {
+func replayOn(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source, bufs *decodeBufs) (*Report, error) {
 	meta := src.Meta()
 	rep := &Report{Rows: append([]int(nil), meta.Rows...)}
 	for i := 0; i < meta.Nodes; i++ {
@@ -250,7 +265,7 @@ func replayOn(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source) (*Report
 			rep.Queries = append(rep.Queries, meta.Query)
 		}
 	}
-	if err := replayStreams(eng, lm, src); err != nil {
+	if err := replayStreams(eng, lm, src, bufs); err != nil {
 		return nil, fmt.Errorf("core: replaying %s: %w", meta.Query, err)
 	}
 	for _, p := range eng.Procs() {
@@ -309,7 +324,7 @@ func replaySkeleton(src trace.StreamSource, mcfg machine.Config, n int, attach f
 		}
 		mach.ResetStats()
 		eng.ResetBreakdowns()
-		if reps[k], err = replayOn(eng, lm, seg); err != nil {
+		if reps[k], err = replayOn(eng, lm, seg, &sk.decode); err != nil {
 			return nil, fmt.Errorf("core: segment %d: %w", k, err)
 		}
 	}
@@ -358,5 +373,5 @@ func (s *System) ReplayCold(tr *trace.QueryTrace) (*Report, error) {
 		return nil, fmt.Errorf("core: trace has %d streams for %d nodes", len(tr.Streams), tr.Nodes)
 	}
 	s.ColdStart()
-	return replayOn(s.Eng, s.LockMgr, tr)
+	return replayOn(s.Eng, s.LockMgr, tr, &s.decode)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -117,5 +118,37 @@ func TestTraceReplayRejectsWrongNodes(t *testing.T) {
 	cfg.Nodes = 8
 	if _, err := ReplayTrace(tr, cfg); err == nil {
 		t.Error("replay accepted a node-count mismatch")
+	}
+}
+
+// TestSecondReplayReusesItsBuffers pins what a replay allocates once the
+// arena is warm: the second replay of one trace at one configuration gets
+// its skeleton, machine tables and decode buffers back from the first, so
+// what is left is the engine, the cursors, the lock-operation goroutines
+// and the report.
+func TestSecondReplayReusesItsBuffers(t *testing.T) {
+	s, err := NewSystem(testConfig(0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, tr := s.RunColdRecorded("Q6")
+	mcfg := s.Cfg.Machine
+	if _, err := ReplayTrace(tr, mcfg); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReplayTrace(tr, mcfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("second replay diverges from the recorded run")
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("second replay allocated %d bytes", alloc)
+	if alloc >= 256<<10 {
+		t.Errorf("second replay allocated %d bytes, want < %d", alloc, 256<<10)
 	}
 }

@@ -232,15 +232,29 @@ func (e *Exec) captureJob(sc scenario.Scenario, q string) *runner.Job {
 				return nil, err
 			}
 			rep, tr := s.RunColdRecorded(q)
-			blob := tr.Marshal()
-			e.met.captures.Inc()
-			e.met.traceBytes.Add(float64(len(blob)))
+			blob := e.encodeCapture(tr)
 			if c.PutTraceBlob(blob) {
 				return &CaptureResult{Report: rep}, nil
 			}
 			return &CaptureResult{Report: rep, Blob: blob}, nil
 		},
 	}
+}
+
+// encodeCapture turns a just-recorded trace into its blob (the
+// profiler's stage=marshal) and counts the capture. The blob is the
+// recording from here on: every cursor over tr has finished and the
+// caller holds the only reference, so tr's chunk buffers go back to the
+// pool the next recording draws from.
+func (e *Exec) encodeCapture(tr *trace.QueryTrace) (blob []byte) {
+	core.WithStage("marshal", func(context.Context) { blob = tr.Marshal() })
+	trace.ReleaseStreams(tr.Streams)
+	for i := range tr.Segments {
+		trace.ReleaseStreams(tr.Segments[i].Streams)
+	}
+	e.met.captures.Inc()
+	e.met.traceBytes.Add(float64(len(blob)))
+	return blob
 }
 
 // replayJob derives the cold report of the point spec by replaying

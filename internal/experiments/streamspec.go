@@ -17,10 +17,13 @@ import (
 // one job per phase, chained by After edges on a shared live system:
 // phase k's cache identity is the spec narrowed to phases[:k+1], so two
 // streams sharing a warm prefix share the prefix's cache entries, and a
-// cached prefix is never re-simulated. The last phase's job assembles
-// the whole stream's segmented trace and spills it to the trace store;
-// a later submission that misses the result cache but finds the blob
+// cached prefix is never re-simulated. When the pool has a trace store
+// the phases are recorded as they run, and the last phase's job
+// assembles the whole stream's segmented trace and spills it there; a
+// later submission that misses the result cache but finds the blob
 // derives any phase by replaying segments 0..k — no executor work.
+// Without a store nothing could read the recording back, so the phases
+// run unrecorded.
 
 // StreamPhaseResult is one phase of a stream workload's measurement.
 type StreamPhaseResult struct {
@@ -82,14 +85,20 @@ func (e *Exec) streamJobs(sc scenario.Scenario) []*runner.Job {
 			if err != nil {
 				return nil, err
 			}
-			reps, segs := s.RunStreamRecorded(phases[st.next : k+1])
-			st.segs = append(st.segs, segs...)
+			run := phases[st.next : k+1]
 			st.next = k + 1
+			if !c.HasTraceStore() {
+				reps := s.RunStream(run)
+				return reps[len(reps)-1], nil
+			}
+			reps, segs := s.RunStreamRecorded(run)
+			st.segs = append(st.segs, segs...)
 			if last && len(st.segs) == len(phases) {
-				blob := s.StreamTrace(st.segs).Marshal()
-				e.met.captures.Inc()
-				e.met.traceBytes.Add(float64(len(blob)))
-				c.PutTraceBlob(blob)
+				c.PutTraceBlob(e.encodeCapture(s.StreamTrace(st.segs)))
+				// Every job body of the chain closes over st: without this
+				// the (now released) segments would stay reachable for as
+				// long as the runner keeps the jobs.
+				st.segs = nil
 			}
 			return reps[len(reps)-1], nil
 		}

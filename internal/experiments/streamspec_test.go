@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
@@ -51,36 +54,114 @@ func TestStreamSpecMatchesDirectExecution(t *testing.T) {
 	}
 }
 
-// TestStreamTraceStoreServesPhases is the capture-per-stream positive
-// path: the first process records the whole stream as one segmented
-// blob; a second process (fresh result cache, same -trace-dir) must
-// derive every phase by replaying the blob's segment prefix — no
-// executor work — with identical reports.
-func TestStreamTraceStoreServesPhases(t *testing.T) {
-	dir := t.TempDir()
-	sc := streamSpec()
-
-	e1 := NewExecConfig(runner.Config{Workers: 2, TraceDir: dir})
-	want, err := e1.RunScenario(sc)
+// runStream runs the stream spec on a fresh metered Exec built from cfg
+// and returns the phase results, the rendered report, the Exec's
+// registry and the bytes the run allocated.
+func runStream(t *testing.T, cfg runner.Config) ([]StreamPhaseResult, string, *metrics.Registry, uint64) {
+	t.Helper()
+	cfg.Metrics = metrics.New()
+	e := NewExecConfig(cfg)
+	defer e.Close()
+	// Two collections empty the trace chunk pool (a sync.Pool), so every
+	// measured run starts as a fresh process would, whatever ran before.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := e.RunScenario(streamSpec())
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1.Close()
+	var out bytes.Buffer
+	if err := e.RenderScenario(&out, streamSpec()); err != nil { // answered from the result cache
+		t.Fatal(err)
+	}
+	return res.Stream, out.String(), cfg.Metrics, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestStreamTraceStoreServesPhases is the capture-per-stream positive
+// path: the first process records the whole stream as one segmented
+// blob, files it, and lets go of the recorded segments (their chunk
+// buffers return to the pool the next recording draws from); a second
+// process (fresh result cache, same -trace-dir) must derive every phase
+// by replaying the blob's segment prefix — no executor work — with
+// identical reports and identical rendered bytes.
+func TestStreamTraceStoreServesPhases(t *testing.T) {
+	dir := t.TempDir()
+	cfg := runner.Config{Workers: 2, TraceDir: dir}
+
+	want, wantText, reg1, _ := runStream(t, cfg)
 	if files, err := filepath.Glob(filepath.Join(dir, "*.trace")); err != nil || len(files) != 1 {
 		t.Fatalf("want one spilled stream blob, got %v (err %v)", files, err)
 	}
+	if got := counterValue(t, reg1, "dssmem_trace_captures_total", nil); got != 1 {
+		t.Errorf("recording run: dssmem_trace_captures_total = %v, want 1", got)
+	}
 
-	e2 := NewExecConfig(runner.Config{Workers: 2, TraceDir: dir})
-	defer e2.Close()
-	got, err := e2.RunScenario(sc)
+	got, gotText, reg2, _ := runStream(t, cfg)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("trace-store-served stream diverges from the executed stream")
+	}
+	if gotText != wantText {
+		t.Error("trace-store-served report differs from the executed stream's report")
+	}
+	if n := counterValue(t, reg2, "dssmem_trace_replays_total", nil); int(n) != len(want) {
+		t.Errorf("dssmem_trace_replays_total = %v, want one replay per phase (%d)", n, len(want))
+	}
+	if n := counterValue(t, reg2, "dssmem_trace_captures_total", nil); n != 0 {
+		t.Errorf("served run recorded again: dssmem_trace_captures_total = %v", n)
+	}
+	if n := counterValue(t, reg2, "dssmem_cache_hits_total", map[string]string{"tier": "trace"}); n == 0 {
+		t.Error("phase jobs did not consult the trace store")
+	}
+}
+
+// TestStreamWithoutStoreRecordsNothing is the pay-per-use contract: with
+// no trace store nothing could read a recording back, so the stream runs
+// unrecorded — same reports, no capture counted, no blob bytes, and well
+// under half the allocation of the same run recorded for a store.
+func TestStreamWithoutStoreRecordsNothing(t *testing.T) {
+	sc := streamSpec()
+	s, err := core.NewScenarioSystem(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Stream, want.Stream) {
-		t.Error("trace-store-served stream diverges from the executed stream")
+	want := s.RunStream(core.StreamPhasesFromSpec(sc.Workload.Phases))
+	sameReports := func(name string, res []StreamPhaseResult) {
+		t.Helper()
+		if len(res) != len(want) {
+			t.Fatalf("%s: %d phase results for %d phases", name, len(res), len(want))
+		}
+		for k := range res {
+			if !reflect.DeepEqual(res[k].Report, want[k]) {
+				t.Errorf("%s: phase %d diverges from direct execution", name, k)
+			}
+		}
 	}
-	st := e2.Pool().Stats()
-	if st.TraceHits == 0 {
-		t.Errorf("phase jobs did not consult the trace store: %+v", st)
+
+	bare, bareText, reg, bareAlloc := runStream(t, runner.Config{Workers: 1})
+	sameReports("no store", bare)
+	for _, name := range []string{"dssmem_trace_captures_total", "dssmem_trace_recorded_bytes"} {
+		if got := counterValue(t, reg, name, nil); got != 0 {
+			t.Errorf("no store: %s = %v, want 0", name, got)
+		}
+	}
+
+	dir := t.TempDir()
+	stored, storedText, reg, storedAlloc := runStream(t, runner.Config{Workers: 1, TraceDir: dir})
+	sameReports("with store", stored)
+	if storedText != bareText {
+		t.Error("recorded and unrecorded runs render different reports")
+	}
+	if got := counterValue(t, reg, "dssmem_trace_captures_total", nil); got != 1 {
+		t.Errorf("with store: dssmem_trace_captures_total = %v, want 1", got)
+	}
+	if got := counterValue(t, reg, "dssmem_trace_recorded_bytes", nil); got <= 0 {
+		t.Errorf("with store: dssmem_trace_recorded_bytes = %v, want > 0", got)
+	}
+	t.Logf("allocated: %d bytes unrecorded, %d recorded", bareAlloc, storedAlloc)
+	if bareAlloc >= storedAlloc/2 {
+		t.Errorf("unrecorded run allocated %d bytes, want under half the recorded run's %d", bareAlloc, storedAlloc)
 	}
 }

@@ -187,7 +187,7 @@ func (m *Machine) Flush() {
 	for _, n := range m.nodes {
 		n.l1.flush()
 		n.l2.flush()
-		n.wb = nil
+		n.wb = n.wb[:0]
 		n.pfReady.reset()
 		n.pfQueue = n.pfQueue[:0]
 		n.pfHead = 0
@@ -305,14 +305,18 @@ func (m *Machine) insertL2(n int, line uint64, st uint8) {
 
 // wbPending reports whether node n's write buffer holds an undrained
 // store to the given secondary line (read forwarding), pruning drained
-// entries as a side effect.
+// entries as a side effect. Pruning compacts in place: re-slicing off
+// the front would walk the slice down its backing array until WriteCat's
+// append had to reallocate, every few stores.
 func (m *Machine) wbPending(n int, line uint64, now int64) bool {
 	nd := m.nodes[n]
 	i := 0
 	for i < len(nd.wb) && nd.wb[i].done <= now {
 		i++
 	}
-	nd.wb = nd.wb[i:]
+	if i > 0 {
+		nd.wb = nd.wb[:copy(nd.wb, nd.wb[i:])]
+	}
 	for _, e := range nd.wb {
 		if e.line == line {
 			return true

@@ -204,6 +204,38 @@ func TestWriteBufferDrains(t *testing.T) {
 	}
 }
 
+// TestWriteBufferSteadyStateAllocatesNothing pins the in-place
+// compaction: a steady stream of buffered stores, each advancing the
+// clock by its stall as the engine does, keeps the pending list inside
+// one backing array — pruning must not walk the slice off its front and
+// force WriteCat's append to reallocate.
+func TestWriteBufferSteadyStateAllocatesNothing(t *testing.T) {
+	cfg := Baseline()
+	m, _, a0, _ := testRig(t, cfg)
+	now, i := int64(0), 0
+	store := func() {
+		r := m.WriteCat(0, a0+simm.Addr(i%1024*cfg.L2Line), 8, now, simm.CatData)
+		now += 10 + r.Stall
+		i++
+	}
+	for i < 4096 { // warm-up: own every line, grow the buffer to its depth
+		store()
+	}
+	// AllocsPerRun reports whole allocations per run, so a run is many
+	// stores: one reallocation every buffer's-worth would round to 0.
+	burst := func() {
+		for j := 0; j < 256; j++ {
+			store()
+		}
+	}
+	if got := testing.AllocsPerRun(100, burst); got != 0 {
+		t.Errorf("256 buffered WriteCat calls allocate %v times, want 0", got)
+	}
+	if m.st.WBOverflows == 0 {
+		t.Error("stream never filled the write buffer: the test exercised no pruning under load")
+	}
+}
+
 func TestUpgradeInvalidatesSharers(t *testing.T) {
 	m, _, a0, _ := testRig(t, Baseline())
 	m.Read(0, a0, 8, 0)

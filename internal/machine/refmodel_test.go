@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -269,59 +270,66 @@ func TestAgainstReferenceModel(t *testing.T) {
 		{"big-4way", 32 << 10, 32, 1 << 20, 64, 4},
 	} {
 		t.Run(geom.name, func(t *testing.T) {
-			cfg := Baseline()
-			cfg.L1Bytes, cfg.L1Line = geom.l1, geom.l1l
-			cfg.L2Bytes, cfg.L2Line, cfg.L2Ways = geom.l2, geom.l2l, geom.wys
-			mem := simm.New(cfg.Nodes)
-			regions := []*simm.Region{
-				mem.AllocRegion("data", 1<<20, simm.CatData, simm.AnyNode),
-				mem.AllocRegion("meta", 64<<10, simm.CatLockHash, simm.AnyNode),
-				mem.AllocRegion("priv", 256<<10, simm.CatPriv, 0),
-			}
-			m, err := New(cfg, mem)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := newRefMachine(cfg, mem)
+			// The write buffer drains between accesses here, so its depth
+			// must not show: both depths face the same reference tables.
+			for _, wb := range []int{1, 16} {
+				t.Run(fmt.Sprintf("wb%d", wb), func(t *testing.T) {
+					cfg := Baseline()
+					cfg.L1Bytes, cfg.L1Line = geom.l1, geom.l1l
+					cfg.L2Bytes, cfg.L2Line, cfg.L2Ways = geom.l2, geom.l2l, geom.wys
+					cfg.WriteBufEntries = wb
+					mem := simm.New(cfg.Nodes)
+					regions := []*simm.Region{
+						mem.AllocRegion("data", 1<<20, simm.CatData, simm.AnyNode),
+						mem.AllocRegion("meta", 64<<10, simm.CatLockHash, simm.AnyNode),
+						mem.AllocRegion("priv", 256<<10, simm.CatPriv, 0),
+					}
+					m, err := New(cfg, mem)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := newRefMachine(cfg, mem)
 
-			rng := rand.New(rand.NewSource(99))
-			now := int64(0)
-			for i := 0; i < 60000; i++ {
-				n := rng.Intn(cfg.Nodes)
-				reg := regions[rng.Intn(len(regions))]
-				// Skewed offsets create sharing and conflicts.
-				var off uint64
-				if rng.Intn(3) == 0 {
-					off = uint64(rng.Intn(512)) * 8 // hot area: heavy sharing
-				} else {
-					off = uint64(rng.Intn(int(reg.Size)/8-1)) * 8
-				}
-				a := reg.Base + simm.Addr(off)
-				// Large gaps keep the write buffer drained so timing
-				// never changes behavior.
-				now += 100000
-				switch rng.Intn(10) {
-				case 0:
-					m.Sync(n, a, now)
-					ref.sync(n, a)
-				case 1, 2:
-					m.Write(n, a, 8, now)
-					ref.write(n, a)
-				default:
-					m.Read(n, a, 8, now)
-					ref.read(n, a, 8)
-				}
-			}
+					rng := rand.New(rand.NewSource(99))
+					now := int64(0)
+					for i := 0; i < 60000; i++ {
+						n := rng.Intn(cfg.Nodes)
+						reg := regions[rng.Intn(len(regions))]
+						// Skewed offsets create sharing and conflicts.
+						var off uint64
+						if rng.Intn(3) == 0 {
+							off = uint64(rng.Intn(512)) * 8 // hot area: heavy sharing
+						} else {
+							off = uint64(rng.Intn(int(reg.Size)/8-1)) * 8
+						}
+						a := reg.Base + simm.Addr(off)
+						// Large gaps keep the write buffer drained so timing
+						// never changes behavior.
+						now += 100000
+						switch rng.Intn(10) {
+						case 0:
+							m.Sync(n, a, now)
+							ref.sync(n, a)
+						case 1, 2:
+							m.Write(n, a, 8, now)
+							ref.write(n, a)
+						default:
+							m.Read(n, a, 8, now)
+							ref.read(n, a, 8)
+						}
+					}
 
-			st := m.Stats()
-			if st.L1Misses != ref.l1m {
-				t.Errorf("L1 miss tables diverge:\n got %v\n ref %v", st.L1Misses, ref.l1m)
-			}
-			if st.L2Misses != ref.l2m {
-				t.Errorf("L2 miss tables diverge:\n got %v\n ref %v", st.L2Misses, ref.l2m)
-			}
-			if st.Invalidations != ref.inv {
-				t.Errorf("invalidations: got %d, ref %d", st.Invalidations, ref.inv)
+					st := m.Stats()
+					if st.L1Misses != ref.l1m {
+						t.Errorf("L1 miss tables diverge:\n got %v\n ref %v", st.L1Misses, ref.l1m)
+					}
+					if st.L2Misses != ref.l2m {
+						t.Errorf("L2 miss tables diverge:\n got %v\n ref %v", st.L2Misses, ref.l2m)
+					}
+					if st.Invalidations != ref.inv {
+						t.Errorf("invalidations: got %d, ref %d", st.Invalidations, ref.inv)
+					}
+				})
 			}
 		})
 	}

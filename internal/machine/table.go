@@ -65,8 +65,12 @@ func (t *seenTab) set(line uint64, v uint8) {
 }
 
 func (t *seenTab) reset() {
-	// Drop all history; chunks rematerialize on demand.
-	t.chunks = nil
+	// Forget all history but keep the leaves: a zeroed chunk reads
+	// exactly as an absent one, and the next run over the same address
+	// ranges would only allocate them again.
+	for _, c := range t.chunks {
+		clear(c)
+	}
 }
 
 // dirTab maps line -> dirEntry, storing entries inline (no per-entry

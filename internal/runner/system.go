@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/blobstore"
@@ -13,9 +14,10 @@ import (
 type SystemFactory func(scenario.Scenario) (*core.System, error)
 
 // defaultFactory builds the real thing: the system the job's scenario
-// spec describes.
-func defaultFactory(sc scenario.Scenario) (*core.System, error) {
-	return core.NewScenarioSystem(sc)
+// spec describes. Database generation is the profiler's stage=build.
+func defaultFactory(sc scenario.Scenario) (s *core.System, err error) {
+	core.WithStage("build", func(context.Context) { s, err = core.NewScenarioSystem(sc) })
+	return s, err
 }
 
 // Ctx is the execution context handed to a job Body. Its System method
@@ -69,6 +71,12 @@ func (c *Ctx) TraceReader() (blobstore.Reader, bool) {
 func (c *Ctx) TraceReaderFor(key string) (blobstore.Reader, bool) {
 	return c.pool.traces.getReader(key)
 }
+
+// HasTraceStore reports whether the pool has a trace store (-trace-dir
+// or an injected blobstore.Store). Without one every lookup misses and
+// every put is dropped, so nothing can ever read a recording back: a
+// job may skip recording what only the store could have served.
+func (c *Ctx) HasTraceStore() bool { return c.pool.traces.store != nil }
 
 // PutTraceBlob files a trace blob under this job's key in the trace
 // store and reports whether it landed (false without a trace

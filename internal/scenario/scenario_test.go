@@ -150,15 +150,15 @@ func TestCanonicalAndHash(t *testing.T) {
 	}
 
 	perturb := map[string]func(*Scenario){
-		"machine":  func(s *Scenario) { s.Machine.L2Ways = 4 },
-		"sched":    func(s *Scenario) { s.Machine.BusyPerAccess = 5 },
-		"queries":  func(s *Scenario) { s.Workload.Queries = []string{"Q3"} },
-		"scale":    func(s *Scenario) { s.Workload.Scale = 0.004 },
-		"seed":     func(s *Scenario) { s.Workload.Seed = 7 },
-		"warm":     func(s *Scenario) { s.Workload.Warm = "Q6" },
-		"heap":     func(s *Scenario) { s.Workload.PrivateHeapBytes = 64 << 20 },
-		"axis":     func(s *Scenario) { s.Sweep = Sweep{Axis: AxisLine, Points: []int{64}} },
-		"points":   func(s *Scenario) { s.Sweep = Sweep{Axis: AxisLine, Points: []int{64, 128}} },
+		"machine":   func(s *Scenario) { s.Machine.L2Ways = 4 },
+		"sched":     func(s *Scenario) { s.Machine.BusyPerAccess = 5 },
+		"queries":   func(s *Scenario) { s.Workload.Queries = []string{"Q3"} },
+		"scale":     func(s *Scenario) { s.Workload.Scale = 0.004 },
+		"seed":      func(s *Scenario) { s.Workload.Seed = 7 },
+		"warm":      func(s *Scenario) { s.Workload.Warm = "Q6" },
+		"heap":      func(s *Scenario) { s.Workload.PrivateHeapBytes = 64 << 20 },
+		"axis":      func(s *Scenario) { s.Sweep = Sweep{Axis: AxisLine, Points: []int{64}} },
+		"points":    func(s *Scenario) { s.Sweep = Sweep{Axis: AxisLine, Points: []int{64, 128}} },
 		"costmodel": func(s *Scenario) { s.Workload.TupleBusy = 1 },
 	}
 	for field, mutate := range perturb {

@@ -141,14 +141,18 @@ func New(nodes int) *Memory {
 // Nodes returns the number of nodes the space was created for.
 func (m *Memory) Nodes() int { return m.nodes }
 
-// WipeContents drops every region's materialized backing chunks, so all
-// simulated memory reads as zero again — exactly the state a fresh
-// NewFromLayout space is in. Regions, page tables, categories, and
-// homes are untouched. The replay-system arena resets pooled address
-// spaces this way instead of rebuilding them per job.
+// WipeContents zeroes every region's materialized backing chunks in
+// place, so all simulated memory reads as zero again — exactly the state
+// a fresh NewFromLayout space is in, with the chunks the next replay
+// will write (lock tables, spin words) already allocated. Regions, page
+// tables, categories, and homes are untouched. The replay-system arena
+// resets pooled address spaces this way instead of rebuilding them per
+// job.
 func (m *Memory) WipeContents() {
 	for _, r := range m.regions {
-		clear(r.chunks)
+		for _, c := range r.chunks {
+			clear(c)
+		}
 	}
 }
 

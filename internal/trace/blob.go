@@ -30,6 +30,9 @@ const (
 
 var blobMagic = [8]byte{'D', 'S', 'S', 'T', 'R', 'C', '0', '1'}
 
+// blobHeader is the framing in front of the payload: magic + CRC-32.
+const blobHeader = len(blobMagic) + 4
+
 type blobWriter struct{ b []byte }
 
 func (w *blobWriter) uvarint(v uint64) {
@@ -63,10 +66,38 @@ func (w *blobWriter) streams(streams []Stream) {
 	}
 }
 
-// Marshal encodes the trace as a blob.
+// marshalBound is an upper bound on the encoded blob size — every
+// varint at its worst case — so Marshal's one buffer never regrows.
+func (t *QueryTrace) marshalBound() int {
+	const v = binary.MaxVarintLen64
+	n := blobHeader + 16*v + len(t.Query) + v*len(t.Rows)
+	for _, r := range t.Layout.Regions {
+		n += len(r.Name) + 3*v + 1
+	}
+	n += len(t.Layout.Cats) * (v + 1)
+	streams := func(ss []Stream) {
+		for i := range ss {
+			n += 3*v + ss[i].Bytes() + v*len(ss[i].Chunks)
+		}
+	}
+	streams(t.Streams)
+	for i := range t.Segments {
+		seg := &t.Segments[i]
+		n += 1 + 4*v + v*len(seg.Rows)
+		for _, q := range seg.Queries {
+			n += v + len(q)
+		}
+		streams(seg.Streams)
+	}
+	return n
+}
+
+// Marshal encodes the trace as a blob, in one allocation: the payload is
+// written behind a reserved header, and the magic and the payload's CRC
+// are patched into the reservation once the payload is complete.
 func (t *QueryTrace) Marshal() []byte {
 	var w blobWriter
-	w.b = make([]byte, 0, t.Bytes()+4096)
+	w.b = make([]byte, blobHeader, t.marshalBound())
 	ver := uint64(blobVersion)
 	if len(t.Segments) > 0 {
 		ver = blobVersionSeg
@@ -121,10 +152,9 @@ func (t *QueryTrace) Marshal() []byte {
 		w.streams(t.Streams)
 	}
 
-	out := make([]byte, 0, len(w.b)+12)
-	out = append(out, blobMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(w.b))
-	return append(out, w.b...)
+	copy(w.b, blobMagic[:])
+	binary.LittleEndian.PutUint32(w.b[len(blobMagic):], crc32.ChecksumIEEE(w.b[blobHeader:]))
+	return w.b
 }
 
 // Unmarshal decodes a blob held in memory. OpenBlob is the one parser of

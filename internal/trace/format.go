@@ -75,8 +75,8 @@ type Segment struct {
 	Queries []string
 	// Flush records that the phase started from flushed caches; replay
 	// must flush at the same boundary to reproduce the recorded run.
-	Flush bool
-	Rows  []int // per-processor result rows of the phase
+	Flush   bool
+	Rows    []int // per-processor result rows of the phase
 	Streams []Stream
 }
 

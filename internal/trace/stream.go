@@ -314,10 +314,10 @@ func (p *payloadReader) streams() ([]Stream, [][]chunkRef, error) {
 // decodes everything except the stream chunk bytes, which later cursors
 // fetch on demand.
 func OpenBlob(src io.ReaderAt, size int64) (*Reader, error) {
-	if size < int64(len(blobMagic))+4 {
+	if size < int64(blobHeader) {
 		return nil, fmt.Errorf("trace: blob too short (%d bytes)", size)
 	}
-	hdr := make([]byte, len(blobMagic)+4)
+	hdr := make([]byte, blobHeader)
 	if err := readAtFull(src, hdr, 0); err != nil {
 		return nil, fmt.Errorf("trace: reading blob: %w", err)
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/sched"
@@ -160,6 +161,22 @@ func TestOpenBlobMatchesUnmarshal(t *testing.T) {
 	}
 	if StreamedBytes() == before {
 		t.Fatal("streaming cursors read no bytes")
+	}
+}
+
+// TestMarshalAllocatesTheBlobOnce pins Marshal's memory: the blob is
+// built in the buffer it is returned in, so one Marshal allocates about
+// len(blob) — not a payload buffer plus a framed copy of it.
+func TestMarshalAllocatesTheBlobOnce(t *testing.T) {
+	for name, tr := range map[string]*QueryTrace{"v1": testTrace(), "v2": testStreamTrace()} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		blob := tr.Marshal()
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := uint64(len(blob))*11/10 + 8<<10; got > limit {
+			t.Errorf("%s: Marshal of a %d-byte blob allocated %d bytes, want <= %d", name, len(blob), got, limit)
+		}
 	}
 }
 
