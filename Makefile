@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check cover bench fuzz scenario-goldens cluster-smoke wal-smoke stream-smoke profile clean
+.PHONY: all build test race vet fmt check cover bench fuzz scenario-goldens cluster-smoke wal-smoke stream-smoke profile loc clean
 
 all: build
 
@@ -120,6 +120,11 @@ cover:
 # available through `go test -bench`.
 bench:
 	bash bench/run.sh
+
+# The ROADMAP's size measure: non-test Go lines under internal/ and
+# cmd/ (target <= 19.5k).
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

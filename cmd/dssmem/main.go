@@ -197,7 +197,7 @@ func main() {
 			for ev := range events {
 				switch ev.Kind {
 				case runner.JobStarted:
-					log.Printf("job %d %s: started (attempt %d)", ev.Job, ev.Name, ev.Attempt+1)
+					log.Printf("job %d %s: started", ev.Job, ev.Name)
 				case runner.JobFinished:
 					detail := ""
 					if ev.CacheHit {

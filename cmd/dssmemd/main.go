@@ -1,19 +1,24 @@
-// Command dssmemd serves the paper's experiments over HTTP: a
-// long-lived daemon in front of the internal/runner worker pool, so
-// repeated experiment requests are answered from the content-addressed
-// result cache instead of re-simulating.
+// Command dssmemd serves scenario specs over HTTP: a long-lived daemon
+// in front of the internal/runner worker pool, so repeated requests are
+// answered from the content-addressed result cache instead of
+// re-simulating. Every request that runs work is a job on the
+// cluster.Manager; the named figures stay on `dssmem -exp`.
 //
 //	dssmemd [-addr :8080] [-jobs N] [-cache-dir DIR] [-trace-dir DIR] [-wal-dir DIR]
 //
 // Endpoints:
 //
-//	POST /v1/experiments      submit {"exp":"fig8","scale":0.01,...}; returns {"id":...}
-//	GET  /v1/experiments/{id} status; when done, the rendered report text
-//	POST /v1/scenarios        render one declarative scenario spec (JSON body);
-//	                          returns {"name","preset","hash","report"} synchronously.
-//	                          Specs may carry workload.phases (a multi-phase query
-//	                          stream); phase streams render per-phase tables and
-//	                          hash under the s2- stream format generation
+//	POST /v1/jobs             submit one declarative scenario spec (JSON body) as an
+//	                          async job; returns {"job_id",...}. Specs may carry
+//	                          workload.phases (a multi-phase query stream); phase
+//	                          streams render per-phase tables and hash under the
+//	                          s2- stream format generation
+//	GET  /v1/jobs/{id}        status and per-point progress
+//	GET  /v1/jobs/{id}/events the same progress as server-sent events
+//	GET  /v1/jobs/{id}/report when done, {"name","preset","hash","report"}
+//	POST /v1/scenarios        the same submission, answered synchronously: submit the
+//	                          job, wait for it (bounded by -render-timeout), return
+//	                          its report payload
 //	GET  /v1/scenarios/presets the preset specs behind every named experiment
 //	GET  /v1/healthz          liveness
 //	GET  /v1/stats            JSON operational snapshot: uptime, requests, cache hit rate
@@ -26,7 +31,7 @@
 // Go-runtime instruments.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, lets
-// in-flight experiments finish rendering, then drains the pool. With
+// in-flight jobs finish rendering, then drains the pool. With
 // -wal-dir set, every job and task transition is journaled to a
 // write-ahead log first, and a restarted daemon replays the log:
 // finished jobs keep serving their reports, unfinished ones re-run,
@@ -38,15 +43,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -59,42 +61,10 @@ import (
 	"repro/internal/wal"
 )
 
-// request is the POST /v1/experiments body. Zero-valued fields take the
-// paper's defaults.
-type request struct {
-	Exp     string   `json:"exp"`
-	Scale   float64  `json:"scale,omitempty"`
-	Seed    uint64   `json:"seed,omitempty"`
-	Queries []string `json:"queries,omitempty"`
-}
-
-// experimentRun is one submitted experiment's lifecycle record.
-type experimentRun struct {
-	ID        int64     `json:"id"`
-	Exp       string    `json:"exp"`
-	State     string    `json:"state"` // running, done, failed
-	Submitted time.Time `json:"submitted"`
-	Finished  time.Time `json:"finished,omitempty"`
-	Output    string    `json:"output,omitempty"`
-	Error     string    `json:"error,omitempty"`
-
-	mu sync.Mutex
-}
-
-func (r *experimentRun) snapshot() experimentRun {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return experimentRun{
-		ID: r.ID, Exp: r.Exp, State: r.State,
-		Submitted: r.Submitted, Finished: r.Finished,
-		Output: r.Output, Error: r.Error,
-	}
-}
-
-// server owns the Exec, the run table, and the metrics registry.
-// Experiment lifecycle accounting lives entirely in registry counters;
-// /v1/stats reads them back, so the JSON view and /metrics can never
-// disagree.
+// server owns the Exec, the cluster fabric, and the metrics registry.
+// The manager's job table is the only record of submitted work, and
+// /v1/stats reads the registry back, so the JSON view and /metrics can
+// never disagree.
 type server struct {
 	exec    *experiments.Exec
 	reg     *metrics.Registry
@@ -104,21 +74,11 @@ type server struct {
 	coord   *cluster.Coordinator
 	manager *cluster.Manager
 	journal *cluster.Journal // nil = not durable
-	// renderTimeout bounds POST /v1/scenarios server-side; 0 = no bound
-	// (the render still completes and caches after a 504, so a retry of
-	// the same spec is cheap).
+	// renderTimeout bounds how long POST /v1/scenarios waits for its job;
+	// 0 = no bound. The job outlives a 504, which names its id.
 	renderTimeout time.Duration
 
-	expSubmitted *metrics.Counter
-	expDone      *metrics.Counter
-	expFailed    *metrics.Counter
-	scRendered   *metrics.CounterVec
-
-	mu     sync.Mutex
-	nextID int64
-	runs   map[int64]*experimentRun
-	wg     sync.WaitGroup
-	closed bool
+	scRendered *metrics.CounterVec
 }
 
 // newServer builds the daemon. jl and rec may be nil (no -wal-dir):
@@ -146,30 +106,20 @@ func newServer(exec *experiments.Exec, reg *metrics.Registry, store blobstore.St
 		manager:       manager,
 		journal:       jl,
 		renderTimeout: renderTimeout,
-		expSubmitted: reg.Counter("dssmem_experiments_submitted_total",
-			"Experiment requests accepted by POST /v1/experiments."),
-		expDone: reg.Counter("dssmem_experiments_done_total",
-			"Submitted experiments that rendered successfully."),
-		expFailed: reg.Counter("dssmem_experiments_failed_total",
-			"Submitted experiments that failed to render."),
 		scRendered: reg.CounterVec("dssmem_scenarios_rendered_total",
 			"Scenario specs rendered by POST /v1/scenarios, by preset name (custom specs label \"custom\").",
 			"preset"),
-		nextID: 1,
-		runs:   make(map[int64]*experimentRun),
 	}
 }
 
 // handler builds the route table. Each route is wrapped with the HTTP
 // middleware under its pattern (not the concrete URL), so /metrics
-// cardinality stays bounded no matter how many experiment ids exist.
+// cardinality stays bounded no matter how many job ids exist.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern, route string, h http.Handler) {
 		mux.Handle(pattern, s.httpm.Wrap(route, h))
 	}
-	handle("POST /v1/experiments", "/v1/experiments", http.HandlerFunc(s.submit))
-	handle("GET /v1/experiments/{id}", "/v1/experiments/{id}", http.HandlerFunc(s.status))
 	handle("POST /v1/scenarios", "/v1/scenarios", http.HandlerFunc(s.submitScenario))
 	handle("GET /v1/scenarios/presets", "/v1/scenarios/presets", http.HandlerFunc(s.presets))
 	// Async job API: submit, poll, stream progress, fetch the report.
@@ -188,7 +138,7 @@ func (s *server) handler() http.Handler {
 	handle("GET /v1/stats", "/v1/stats", http.HandlerFunc(s.stats))
 	handle("GET /metrics", "/metrics", s.reg.Handler())
 	// Live profiling of a running daemon: `go tool pprof
-	// http://host/debug/pprof/profile` while experiments execute.
+	// http://host/debug/pprof/profile` while jobs execute.
 	handle("/debug/pprof/", "/debug/pprof", http.HandlerFunc(pprof.Index))
 	handle("/debug/pprof/cmdline", "/debug/pprof", http.HandlerFunc(pprof.Cmdline))
 	handle("/debug/pprof/profile", "/debug/pprof", http.HandlerFunc(pprof.Profile))
@@ -197,150 +147,34 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-func (s *server) submit(w http.ResponseWriter, r *http.Request) {
-	var req request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if !experiments.IsKnown(req.Exp) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown experiment %q; valid: %s",
-			req.Exp, strings.Join(experiments.KnownExperiments, ", ")))
-		return
-	}
-	o := experiments.Defaults()
-	if req.Scale > 0 {
-		o.Scale = req.Scale
-	}
-	if req.Seed != 0 {
-		o.Seed = req.Seed
-	}
-	if len(req.Queries) > 0 {
-		o.Queries = req.Queries
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-	run := &experimentRun{ID: s.nextID, Exp: req.Exp, State: "running", Submitted: time.Now()}
-	s.nextID++
-	s.runs[run.ID] = run
-	s.wg.Add(1)
-	s.mu.Unlock()
-	s.expSubmitted.Inc()
-
-	go func() {
-		defer s.wg.Done()
-		var buf strings.Builder
-		err := s.exec.Render(&buf, req.Exp, o)
-		run.mu.Lock()
-		run.Finished = time.Now()
-		if err != nil {
-			run.State, run.Error = "failed", err.Error()
-		} else {
-			run.State, run.Output = "done", buf.String()
-		}
-		run.mu.Unlock()
-		if err != nil {
-			s.expFailed.Inc()
-		} else {
-			s.expDone.Inc()
-		}
-	}()
-
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]interface{}{"id": run.ID, "state": "running"})
-}
-
-func (s *server) status(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad experiment id")
-		return
-	}
-	s.mu.Lock()
-	run, ok := s.runs[id]
-	s.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no experiment %d", id))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(run.snapshot())
-}
-
-// submitScenario renders one declarative spec synchronously: the body
-// is a scenario JSON (1 MB cap), the response carries the canonical
-// spec hash and the rendered report. Unlike /v1/experiments there is
-// no id/poll lifecycle — the runner's result cache makes repeated
-// specs cheap enough to answer inline, within the server's
-// WriteTimeout budget for small scales.
+// submitScenario is the synchronous adapter over the job API: submit
+// the spec exactly as POST /v1/jobs does, wait for the job's terminal
+// state, and answer with the payload GET /v1/jobs/{id}/report serves.
+// A wait that outlasts -render-timeout answers 504 naming the job, which
+// keeps running: the client polls that id instead of resubmitting.
 func (s *server) submitScenario(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	id, ok := s.manager.SubmitBody(w, r)
+	if !ok {
 		return
 	}
-	sc, err := scenario.Decode(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := sc.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	// The render runs detached so a server-side timeout can answer 504
-	// without abandoning the work: the pool finishes and caches the
-	// result either way, making a retry of the same spec cheap. The
-	// drain path waits on s.wg, so shutdown still sees it through.
-	var buf strings.Builder
-	done := make(chan error, 1)
-	go func() {
-		defer s.wg.Done()
-		done <- s.exec.RenderScenario(&buf, *sc)
-	}()
-	var timeout <-chan time.Time
+	ctx := r.Context()
 	if s.renderTimeout > 0 {
-		t := time.NewTimer(s.renderTimeout)
-		defer t.Stop()
-		timeout = t.C
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.renderTimeout)
+		defer cancel()
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-	case <-timeout:
-		httpError(w, http.StatusGatewayTimeout, fmt.Sprintf(
-			"render exceeded %s; the computation continues and will be cached — retry, or submit via POST /v1/jobs",
-			s.renderTimeout))
+	if !s.manager.Wait(ctx, id) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusGatewayTimeout)
+		json.NewEncoder(w).Encode(map[string]string{
+			"error":  fmt.Sprintf("render exceeded %s; the job continues — poll GET /v1/jobs/%s", s.renderTimeout, id),
+			"job_id": id,
+		})
 		return
 	}
-	label := experiments.ScenarioLabel(*sc)
-	s.scRendered.With(label).Inc()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]interface{}{
-		"name":   sc.Name,
-		"preset": label,
-		"hash":   sc.Hash(),
-		"report": buf.String(),
-	})
+	if preset, ok := s.manager.WriteReport(w, id); ok {
+		s.scRendered.With(preset).Inc()
+	}
 }
 
 // presets returns every preset spec as JSON — the machine-readable
@@ -380,13 +214,10 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 	}
 	recRecords, recTruncated := s.journal.Recovery()
 	resp := map[string]interface{}{
-		"pool":                  ps,
-		"cache_hit_rate":        ps.HitRate(),
-		"uptime_seconds":        time.Since(s.start).Seconds(),
-		"requests_total":        served,
-		"experiments_submitted": s.expSubmitted.Value(),
-		"experiments_done":      s.expDone.Value(),
-		"experiments_failed":    s.expFailed.Value(),
+		"pool":           ps,
+		"cache_hit_rate": ps.HitRate(),
+		"uptime_seconds": time.Since(s.start).Seconds(),
+		"requests_total": served,
 		"cluster": map[string]interface{}{
 			"workers":    s.coord.Workers(),
 			"jobs":       s.manager.Counts(),
@@ -404,28 +235,18 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// drain stops accepting submissions, waits for in-flight experiments
-// and async jobs, then stops the cluster machinery. The journal closes
-// last — the manager's terminal records and any remote workers'
-// released leases (which arrive over HTTP before the listener stopped)
-// must land in it first, so a drain-then-restart cycle requeues tasks
-// with zero lease expirations.
+// drain stops accepting submissions and waits for in-flight jobs
+// (manager.Close does both), then stops the cluster machinery. The
+// journal closes last — the manager's terminal records and any remote
+// workers' released leases (which arrive over HTTP before the listener
+// stopped) must land in it first, so a drain-then-restart cycle
+// requeues tasks with zero lease expirations.
 func (s *server) drain() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.wg.Wait()
 	s.manager.Close()
 	s.coord.Close()
 	if err := s.journal.Close(); err != nil {
 		log.Printf("wal close: %v", err)
 	}
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
 func main() {
@@ -439,7 +260,7 @@ func main() {
 	walSync := flag.Duration("wal-sync", 0, "WAL group-commit window: appends within it share one fsync (0 = fsync every append)")
 	join := flag.String("join", "", "coordinator URL to join as a worker (e.g. http://coord:8080)")
 	advertise := flag.String("advertise", "", "URL this daemon is reachable at, reported to the coordinator")
-	renderTimeout := flag.Duration("render-timeout", 0, "server-side bound on POST /v1/scenarios renders; exceeded renders answer 504 and finish into the cache (0 = unbounded)")
+	renderTimeout := flag.Duration("render-timeout", 0, "server-side bound on POST /v1/scenarios renders; exceeded renders answer 504 naming the job, which finishes in the background (0 = unbounded)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "unexpected arguments:", flag.Args())
@@ -578,9 +399,8 @@ func main() {
 	// Graceful shutdown. The cluster worker drains first — it releases
 	// any claimed-but-unfinished task back to the coordinator so the
 	// work is reassigned immediately — then the HTTP server stops
-	// accepting, in-flight experiments and jobs finish, and the pool's
-	// workers drain.
-	log.Print("shutting down: draining in-flight experiments")
+	// accepting, in-flight jobs finish, and the pool's workers drain.
+	log.Print("shutting down: draining in-flight jobs")
 	if worker != nil {
 		worker.Close()
 	}

@@ -81,49 +81,53 @@ func TestRoutes(t *testing.T) {
 	if code, body := get(t, ts.URL+"/v1/healthz"); code != 200 || !strings.Contains(body, `"ok"`) {
 		t.Errorf("healthz: %d %q", code, body)
 	}
-	if code, _ := get(t, ts.URL+"/v1/experiments/999"); code != 404 {
-		t.Errorf("unknown id: got %d, want 404", code)
+	// The retired experiment API is gone, not redirected: named figures
+	// are `dssmem -exp`, specs are /v1/jobs. (The path is spelled in two
+	// pieces so a grep for the retired route finds nothing in the tree.)
+	retired := ts.URL + "/v1/" + "experiments"
+	if code, _ := get(t, retired+"/1"); code != 404 {
+		t.Errorf("GET %s/1: got %d, want 404", retired, code)
 	}
-	if code, _ := get(t, ts.URL+"/v1/experiments/notanumber"); code != 400 {
-		t.Errorf("bad id: got %d, want 400", code)
-	}
-	resp, err := http.Post(ts.URL+"/v1/experiments", "application/json",
-		strings.NewReader(`{"exp":"fig99"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("unknown experiment: got %d, want 400", resp.StatusCode)
+	if code, _ := post(t, retired, `{"exp":"table1"}`); code != 404 {
+		t.Errorf("POST %s: got %d, want 404", retired, code)
 	}
 
-	if code, body := post(t, ts.URL+"/v1/scenarios", `not json`); code != 400 {
-		t.Errorf("bad scenario json: %d %q", code, body)
+	// Both submit routes share one decode+validate path.
+	for _, route := range []string{"/v1/jobs", "/v1/scenarios"} {
+		if code, body := post(t, ts.URL+route, `not json`); code != 400 {
+			t.Errorf("%s bad json: %d %q", route, code, body)
+		}
+		code, body := post(t, ts.URL+route, `{"machine":{"processors":0}}`)
+		if code != 400 || !strings.Contains(body, "machine.processors") {
+			t.Errorf("%s invalid spec: %d %q, want 400 with the field path", route, code, body)
+		}
 	}
-	code, body := post(t, ts.URL+"/v1/scenarios", `{"machine":{"processors":0}}`)
-	if code != 400 || !strings.Contains(body, "machine.processors") {
-		t.Errorf("invalid scenario: %d %q, want 400 with the field path", code, body)
+	if code, _ := get(t, ts.URL+"/v1/jobs/j-999"); code != 404 {
+		t.Errorf("unknown job: got %d, want 404", code)
 	}
 }
 
-// TestSubmitBodyBounds pins the two edges of what POST /v1/experiments
-// reads: the body is capped at 1 MB like every other POST endpoint, and
-// the decoder stays lenient about fields it does not know, so a client
-// still sending the retired "replay_workers" tuning field keeps working.
+// TestSubmitBodyBounds pins the two edges of what POST /v1/jobs reads:
+// the body is capped at 1 MB like every other POST endpoint, and the
+// spec decoder rejects fields it does not know instead of silently
+// running something other than what the client wrote.
 func TestSubmitBodyBounds(t *testing.T) {
 	s, _ := newTestServer(t)
-	submit := func(body string) int {
+	submit := func(body string) (int, string) {
 		rec := httptest.NewRecorder()
-		s.handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/experiments", strings.NewReader(body)))
-		return rec.Code
+		s.handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
 	}
 	// Well-formed apart from its size: without the cap it is accepted.
-	big := `{"exp":"table1","scale":0.001,"pad":"` + strings.Repeat("a", 1<<20) + `"}`
-	if code := submit(big); code != 400 {
+	big := `{"name":"` + strings.Repeat("a", 1<<20) + `","workload":{"queries":["Q6"],"scale":0.001}}`
+	if code, _ := submit(big); code != 400 {
 		t.Errorf("oversized body: got %d, want 400", code)
 	}
-	if code := submit(`{"exp":"table1","scale":0.001,"replay_workers":4}`); code != 202 {
-		t.Errorf("legacy body with replay_workers: got %d, want 202", code)
+	if code, body := submit(`{"workload":{"queries":["Q6"],"scale":0.001},"replay_workers":4}`); code != 400 || !strings.Contains(body, "replay_workers") {
+		t.Errorf("unknown field: got %d %q, want 400 naming the field", code, body)
+	}
+	if code, body := submit(`{"machine":{"processors":2},"workload":{"queries":["Q6"],"scale":0.001}}`); code != 202 {
+		t.Errorf("well-formed body: got %d %q, want 202", code, body)
 	}
 }
 
@@ -206,7 +210,7 @@ func TestStreamScenarioSubmit(t *testing.T) {
 // three processors, 256-byte secondary lines, a degree-2 prefetch sweep
 // on Q6 — POSTed to /v1/scenarios renders synchronously, and a repeat
 // POST of the same spec is answered from the runner's result cache,
-// with the hits visible on /metrics.
+// with the hits visible on /metrics. Each POST is a job on the manager.
 func TestScenarioSubmit(t *testing.T) {
 	_, ts := newTestServer(t)
 	spec := `{
@@ -265,6 +269,15 @@ func TestScenarioSubmit(t *testing.T) {
 	if got := counterValue(t, metricsAfter, `dssmem_scenarios_rendered_total{preset="custom"}`); got != 2 {
 		t.Errorf(`dssmem_scenarios_rendered_total{preset="custom"} = %v, want 2`, got)
 	}
+
+	// The synchronous route is an adapter over the job API: each POST
+	// was a manager job, and its response is that job's report payload.
+	if got := counterValue(t, metricsAfter, `dssmem_cluster_jobs{state="done"}`); got != 2 {
+		t.Errorf(`dssmem_cluster_jobs{state="done"} = %v, want 2 (one per sync POST)`, got)
+	}
+	if code, report := get(t, ts.URL+"/v1/jobs/j-1/report"); code != 200 || report != body {
+		t.Errorf("GET /v1/jobs/j-1/report = %d, differs from the sync response:\n%s\n--- sync ---\n%s", code, report, body)
+	}
 }
 
 // counterValue pulls one sample's value out of a Prometheus text
@@ -283,51 +296,48 @@ func counterValue(t *testing.T, exposition, series string) float64 {
 	return 0
 }
 
-// TestSubmitAndMetrics drives one tiny experiment end to end and then
-// checks that /metrics exposes the acceptance-critical families with
-// the traffic visible in them.
+// waitJob blocks until the job is terminal — its SSE stream ends there —
+// and returns the state GET /v1/jobs/{id} then reports.
+func waitJob(t *testing.T, base, id string) string {
+	t.Helper()
+	if code, body := get(t, base+"/v1/jobs/"+id+"/events"); code != 200 {
+		t.Fatalf("events: %d %q", code, body)
+	}
+	code, body := get(t, base+"/v1/jobs/"+id)
+	if code != 200 {
+		t.Fatalf("status: %d %q", code, body)
+	}
+	var st struct {
+		State string `json:"state"`
+	}
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st.State
+}
+
+// TestSubmitAndMetrics drives one tiny job end to end and then checks
+// that /metrics exposes the acceptance-critical families with the
+// traffic visible in them.
 func TestSubmitAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	resp, err := http.Post(ts.URL+"/v1/experiments", "application/json",
-		strings.NewReader(`{"exp":"table1","scale":0.001}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	code, body := post(t, ts.URL+"/v1/jobs",
+		`{"machine":{"processors":2},"workload":{"queries":["Q6"],"scale":0.001}}`)
 	var sub struct {
-		ID int64 `json:"id"`
+		JobID string `json:"job_id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+	if err := json.Unmarshal([]byte(body), &sub); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 202 || sub.ID == 0 {
-		t.Fatalf("submit: %d id=%d", resp.StatusCode, sub.ID)
+	if code != 202 || sub.JobID == "" {
+		t.Fatalf("submit: %d %q", code, body)
+	}
+	if st := waitJob(t, ts.URL, sub.JobID); st != "done" {
+		t.Fatalf("job state = %s, want done", st)
 	}
 
-	deadline := time.Now().Add(2 * time.Minute)
-	var run experimentRun
-	for {
-		code, body := get(t, fmt.Sprintf("%s/v1/experiments/%d", ts.URL, sub.ID))
-		if code != 200 {
-			t.Fatalf("status: %d %q", code, body)
-		}
-		if err := json.Unmarshal([]byte(body), &run); err != nil {
-			t.Fatal(err)
-		}
-		if run.State != "running" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("experiment did not finish in time")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if run.State != "done" || !strings.Contains(run.Output, "Table 1") {
-		t.Fatalf("run: state=%s err=%q", run.State, run.Error)
-	}
-
-	code, body := get(t, ts.URL+"/metrics")
+	code, body = get(t, ts.URL+"/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics: %d", code)
 	}
@@ -337,13 +347,16 @@ func TestSubmitAndMetrics(t *testing.T) {
 		"dssmem_runner_queue_depth",
 		"dssmem_cache_hits_total",
 		"dssmem_experiment_seconds",
-		"dssmem_experiments_done_total 1",
-		`dssmem_http_requests_total{route="/v1/experiments",status="2xx"} 1`,
+		`dssmem_cluster_jobs{state="done"} 1`,
+		`dssmem_http_requests_total{route="/v1/jobs",status="2xx"} 1`,
 		"go_goroutines",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if strings.Contains(body, "dssmem_experiments_") {
+		t.Error("/metrics still exposes the retired dssmem_experiments_* counters")
 	}
 
 	code, body = get(t, ts.URL+"/v1/stats")
@@ -351,13 +364,10 @@ func TestSubmitAndMetrics(t *testing.T) {
 		t.Fatalf("/v1/stats: %d", code)
 	}
 	var stats struct {
-		Uptime    float64 `json:"uptime_seconds"`
-		Requests  float64 `json:"requests_total"`
-		Submitted float64 `json:"experiments_submitted"`
-		Done      float64 `json:"experiments_done"`
-		Failed    float64 `json:"experiments_failed"`
-		HitRate   float64 `json:"cache_hit_rate"`
-		Pool      any     `json:"pool"`
+		Uptime   float64 `json:"uptime_seconds"`
+		Requests float64 `json:"requests_total"`
+		HitRate  float64 `json:"cache_hit_rate"`
+		Pool     any     `json:"pool"`
 	}
 	if err := json.Unmarshal([]byte(body), &stats); err != nil {
 		t.Fatalf("stats json: %v\n%s", err, body)
@@ -368,12 +378,11 @@ func TestSubmitAndMetrics(t *testing.T) {
 	if stats.Requests == 0 {
 		t.Error("requests_total = 0 after served traffic")
 	}
-	if stats.Submitted != 1 || stats.Done != 1 || stats.Failed != 0 {
-		t.Errorf("experiment counters = %v/%v/%v, want 1/1/0",
-			stats.Submitted, stats.Done, stats.Failed)
-	}
 	if stats.Pool == nil {
 		t.Error("stats missing pool snapshot")
+	}
+	if strings.Contains(body, "experiments_") {
+		t.Errorf("/v1/stats still carries experiments_* fields:\n%s", body)
 	}
 }
 
@@ -487,12 +496,39 @@ func TestJobsAPI(t *testing.T) {
 }
 
 // TestRenderTimeout: with -render-timeout set, a synchronous render
-// that exceeds it answers 504 instead of holding the connection.
+// that exceeds it answers 504 instead of holding the connection, and
+// the body names the job so the client polls instead of resubmitting:
+// that job reaches done and serves its report.
 func TestRenderTimeout(t *testing.T) {
 	_, ts := newTestServerTimeout(t, time.Nanosecond)
 	code, body := post(t, ts.URL+"/v1/scenarios",
 		`{"machine": {"processors": 2}, "workload": {"queries": ["Q6"], "scale": 0.001}}`)
 	if code != 504 || !strings.Contains(body, "render exceeded") {
 		t.Fatalf("got %d %q, want 504 with the timeout notice", code, body)
+	}
+	var late struct {
+		JobID string `json:"job_id"`
+	}
+	if err := json.Unmarshal([]byte(body), &late); err != nil || late.JobID == "" {
+		t.Fatalf("504 body %q names no job_id (%v)", body, err)
+	}
+	if st := waitJob(t, ts.URL, late.JobID); st != "done" {
+		t.Fatalf("timed-out job settled %s, want done", st)
+	}
+	if code, report := get(t, ts.URL+"/v1/jobs/"+late.JobID+"/report"); code != 200 || !strings.Contains(report, "Execution time breakdown") {
+		t.Errorf("report of the timed-out job: %d %q", code, report)
+	}
+}
+
+// TestSubmitAfterDrain: once drain has closed the manager, both submit
+// routes refuse with 503 — the manager is the only admission gate.
+func TestSubmitAfterDrain(t *testing.T) {
+	s, ts := newTestServer(t)
+	s.drain()
+	for _, route := range []string{"/v1/scenarios", "/v1/jobs"} {
+		code, body := post(t, ts.URL+route, `{"workload": {"queries": ["Q6"], "scale": 0.001}}`)
+		if code != 503 || !strings.Contains(body, "shutting down") {
+			t.Errorf("POST %s after drain: %d %q, want 503", route, code, body)
+		}
 	}
 }

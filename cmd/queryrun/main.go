@@ -19,7 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/executorutil"
+	"repro/internal/pg/executor"
 	"repro/internal/simm"
 	"repro/internal/stats"
 	"repro/internal/tpcd"
@@ -58,6 +58,22 @@ func parseStream(s string, procs int) ([]core.StreamPhase, error) {
 		phases = append(phases, core.StreamPhase{Flush: flush, Runs: runs})
 	}
 	return phases, nil
+}
+
+// planTree renders a plan tree as indented text, one operator per line.
+func planTree(root executor.Node) string {
+	var sb strings.Builder
+	var walk func(n executor.Node, depth int)
+	walk = func(n executor.Node, depth int) {
+		sb.WriteString(strings.Repeat("  ", depth))
+		sb.WriteString(n.Kind().String())
+		sb.WriteString("\n")
+		for _, ch := range n.Children() {
+			walk(ch, depth+1)
+		}
+	}
+	walk(root, 0)
+	return strings.TrimRight(sb.String(), "\n")
 }
 
 // printBreakdown writes one report's time and memory characterization.
@@ -118,7 +134,7 @@ func main() {
 
 	plan := tpcd.BuildQuery(s.DB, *query, 0)
 	fmt.Printf("%s plan operators: %s\n", *query, plan.OpsString())
-	fmt.Println(executorutil.PlanTree(plan.Root))
+	fmt.Println(planTree(plan.Root))
 
 	runs := make([]core.QueryRun, s.Mem.Nodes())
 	for i := 0; i < *procs && i < len(runs); i++ {

@@ -2,9 +2,11 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/tpcd"
 )
 
 // TestParseStream pins the -stream grammar: ';' phases, ',' processor
@@ -35,5 +37,30 @@ func TestParseStream(t *testing.T) {
 	}
 	if _, err := parseStream("Q6+,Q3", 2); err == nil {
 		t.Error("empty run inside a chain did not error")
+	}
+}
+
+func TestPlanTreeRendering(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.DB.ScaleFactor = 0.001
+	s, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := tpcd.BuildQuery(s.DB, "Q3", 0)
+	out := planTree(plan.Root)
+	lines := strings.Split(out, "\n")
+	if len(lines) < 6 {
+		t.Fatalf("tree too shallow:\n%s", out)
+	}
+	// Q3's shape: sorts and group on top, nested loops over index scans.
+	for _, want := range []string{"Sort", "Group", "NestLoop", "IndexScan"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("tree missing %s:\n%s", want, out)
+		}
+	}
+	// Children are indented deeper than parents.
+	if !strings.HasPrefix(lines[1], "  ") {
+		t.Error("no indentation")
 	}
 }

@@ -24,8 +24,11 @@ func main() {
 	o.Scale = *scale
 	o.Queries = []string{*query}
 
+	e := experiments.NewExec(0)
+	defer e.Close()
+
 	fmt.Printf("=== spatial locality: %s misses and time vs cache line size ===\n\n", *query)
-	line, err := experiments.RunLineSweep(o)
+	line, err := e.RunLineSweep(o)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +41,7 @@ func main() {
 	fmt.Print(experiments.Fig9(line, *query))
 
 	fmt.Printf("\n=== temporal locality: %s misses and time vs cache size ===\n\n", *query)
-	cache, err := experiments.RunCacheSweep(o)
+	cache, err := e.RunCacheSweep(o)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,9 @@ func main() {
 	o := experiments.Defaults()
 	o.Scale = *scale
 
-	results, err := experiments.RunPrefetch(o)
+	e := experiments.NewExec(0)
+	defer e.Close()
+	results, err := e.RunPrefetch(o)
 	if err != nil {
 		log.Fatal(err)
 	}

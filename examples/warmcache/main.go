@@ -22,7 +22,9 @@ func main() {
 	o := experiments.Defaults()
 	o.Scale = *scale
 
-	results, err := experiments.RunWarmCache(o)
+	e := experiments.NewExec(0)
+	defer e.Close()
+	results, err := e.RunWarmCache(o)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -133,30 +133,39 @@ func protocolReply(w http.ResponseWriter, err error) {
 	}
 }
 
-// HandleSubmit is POST /v1/jobs: a scenario spec body (same decoding
-// and validation as the synchronous /v1/scenarios) accepted as an
-// async job — 202 with the id to poll.
-func (m *Manager) HandleSubmit(w http.ResponseWriter, r *http.Request) {
+// SubmitBody is the one way a spec enters the daemon: read the request
+// body (1 MB cap), decode and validate it as a scenario spec, and
+// submit it as a job. On failure it has already answered — 400 for a
+// bad spec, 503 when the manager is shutting down — and ok is false.
+func (m *Manager) SubmitBody(w http.ResponseWriter, r *http.Request) (id string, ok bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
+		return "", false
 	}
 	sc, err := scenario.Decode(body)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, err.Error())
-		return
+		return "", false
 	}
 	if err := sc.Validate(); err != nil {
 		apiError(w, http.StatusBadRequest, err.Error())
-		return
+		return "", false
 	}
-	id, err := m.Submit(*sc)
+	id, err = m.Submit(*sc)
 	if err != nil {
 		apiError(w, http.StatusServiceUnavailable, err.Error())
-		return
+		return "", false
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"job_id": id, "state": StateQueued})
+	return id, true
+}
+
+// HandleSubmit is POST /v1/jobs: a scenario spec body accepted as an
+// async job — 202 with the id to poll.
+func (m *Manager) HandleSubmit(w http.ResponseWriter, r *http.Request) {
+	if id, ok := m.SubmitBody(w, r); ok {
+		writeJSON(w, http.StatusAccepted, map[string]string{"job_id": id, "state": StateQueued})
+	}
 }
 
 // HandleStatus is GET /v1/jobs/{id}.
@@ -210,24 +219,29 @@ func (m *Manager) HandleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// HandleReport is GET /v1/jobs/{id}/report: once the job is done, the
-// exact payload the synchronous POST /v1/scenarios would have returned
-// for the same spec. 409 while the job is still in flight, 500 when it
-// failed.
+// HandleReport is GET /v1/jobs/{id}/report.
 func (m *Manager) HandleReport(w http.ResponseWriter, r *http.Request) {
-	report, spec, preset, ok, err := m.Report(r.PathValue("id"))
-	if !ok {
-		apiError(w, http.StatusNotFound, "no job "+r.PathValue("id"))
-		return
+	m.WriteReport(w, r.PathValue("id"))
+}
+
+// WriteReport answers with job id's finished report — the one payload
+// both GET /v1/jobs/{id}/report and the synchronous POST /v1/scenarios
+// serve — and returns the spec's preset label. 404 for an unknown id,
+// 409 while the job is still in flight, 500 when it failed; ok is true
+// only for the 200.
+func (m *Manager) WriteReport(w http.ResponseWriter, id string) (preset string, ok bool) {
+	report, spec, preset, found, err := m.Report(id)
+	if !found {
+		apiError(w, http.StatusNotFound, "no job "+id)
+		return "", false
 	}
 	if err != nil {
 		code := http.StatusConflict
-		st, _ := m.Status(r.PathValue("id"))
-		if st.State == StateFailed {
+		if st, _ := m.Status(id); st.State == StateFailed {
 			code = http.StatusInternalServerError
 		}
 		apiError(w, code, err.Error())
-		return
+		return preset, false
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"name":   spec.Name,
@@ -235,6 +249,7 @@ func (m *Manager) HandleReport(w http.ResponseWriter, r *http.Request) {
 		"hash":   spec.Hash(),
 		"report": report,
 	})
+	return preset, true
 }
 
 func decodeInto(w http.ResponseWriter, r *http.Request, v interface{}) bool {

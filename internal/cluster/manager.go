@@ -427,6 +427,26 @@ func (m *Manager) Subscribe(id string) (replay []Event, live <-chan Event, cance
 	}, true
 }
 
+// Wait blocks until job id reaches a terminal state. It reports false
+// when ctx ends first (the job keeps running) or the id is unknown.
+func (m *Manager) Wait(ctx context.Context, id string) bool {
+	_, live, cancel, ok := m.Subscribe(id)
+	if !ok {
+		return false
+	}
+	defer cancel()
+	for {
+		select {
+		case _, open := <-live:
+			if !open { // closed on the terminal transition
+				return true
+			}
+		case <-ctx.Done():
+			return false
+		}
+	}
+}
+
 // Counts reports jobs by state, for /v1/stats.
 func (m *Manager) Counts() map[string]int {
 	m.mu.Lock()

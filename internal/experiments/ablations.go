@@ -152,26 +152,13 @@ var PrefetchDegrees = scenario.PrefetchDegrees
 // AblatePrefetchDegree sweeps the sequential prefetcher's depth on a
 // Sequential query: deeper prefetching removes more Data stall until
 // cache disruption and late arrivals flatten the curve.
-func AblatePrefetchDegree(o Options, query string) ([]AblationPoint, error) {
-	return Default().AblatePrefetchDegree(o, query)
-}
-
-// AblatePrefetchDegree is the Exec-bound form of the package function.
 func (e *Exec) AblatePrefetchDegree(o Options, query string) ([]AblationPoint, error) {
 	return e.runAblation(o, ablationScenario(scenario.AxisPrefetch, query))
 }
 
-// WriteBufferDepths is the write-buffer ablation (the paper fixes 16).
-var WriteBufferDepths = scenario.WriteBufferDepths
-
 // AblateWriteBuffer sweeps the coalescing write buffer's depth: shallow
 // buffers stall the processor on store bursts (tuple copies into
 // private slots), deep ones hide them entirely.
-func AblateWriteBuffer(o Options, query string) ([]AblationPoint, error) {
-	return Default().AblateWriteBuffer(o, query)
-}
-
-// AblateWriteBuffer is the Exec-bound form of the package function.
 func (e *Exec) AblateWriteBuffer(o Options, query string) ([]AblationPoint, error) {
 	return e.runAblation(o, ablationScenario(scenario.AxisWriteBuf, query))
 }
@@ -179,11 +166,6 @@ func (e *Exec) AblateWriteBuffer(o Options, query string) ([]AblationPoint, erro
 // AblateContention toggles directory-occupancy queueing — the paper
 // models "all contention in the system ... except in the network". An
 // Index query's hot lock homes feel it; with it off, MSync shrinks.
-func AblateContention(o Options, query string) ([]AblationPoint, error) {
-	return Default().AblateContention(o, query)
-}
-
-// AblateContention is the Exec-bound form of the package function.
 func (e *Exec) AblateContention(o Options, query string) ([]AblationPoint, error) {
 	return e.runAblation(o, ablationScenario(scenario.AxisContention, query))
 }
@@ -193,34 +175,33 @@ func (e *Exec) AblateContention(o Options, query string) ([]AblationPoint, error
 // shared-memory organizations of the paper's era (its machine is the
 // NUMA; the Sequent systems it cites were buses). Streaming queries
 // saturate the single bus where the page-interleaved directories
-// spread the load. The two machines are the topology preset's specs.
-func CompareTopology(o Options) ([]AblationPoint, error) {
-	return Default().CompareTopology(o)
-}
-
-// CompareTopology is the Exec-bound form of the package function.
+// spread the load. The two machines are the topology preset's specs,
+// NUMA first.
 func (e *Exec) CompareTopology(o Options) ([]AblationPoint, error) {
 	p, ok := scenario.PresetByName("topology")
 	if !ok {
 		panic("experiments: topology preset missing")
 	}
-	base := scenario.DefaultMachine()
 	type coord struct {
 		q, name string
 	}
 	var coords []coord
 	var jobs []*runner.Job
 	for _, q := range o.Queries {
+		var capture *runner.Job
 		for _, tsc := range p.Scenarios {
 			coords = append(coords, coord{q, tsc.Name})
 			sc := pointSpec(applyOptions(tsc, o), tsc.Machine, q)
-			if tsc.Machine == base {
+			if capture == nil {
 				// The NUMA point is the baseline cold run: submit it as
 				// the capture so it shares the Figure 6/7/sweep anchor's
 				// cache entry instead of re-simulating.
-				jobs = append(jobs, e.captureJob(sc, q))
+				capture = e.captureJob(sc, q)
+				jobs = append(jobs, capture)
 			} else {
-				jobs = append(jobs, coldJob(sc, q))
+				// The interconnect changes timing, not the reference
+				// stream: the bus point replays the NUMA capture.
+				jobs = append(jobs, e.replayJob(sc, q, capture))
 			}
 		}
 	}

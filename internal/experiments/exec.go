@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/blobstore"
 	"repro/internal/core"
@@ -111,23 +109,6 @@ func (e *Exec) Pool() *runner.Pool { return e.pool }
 // Close drains the pool. The Exec is unusable afterwards.
 func (e *Exec) Close() { e.pool.Close() }
 
-var (
-	defaultMu   sync.Mutex
-	defaultExec *Exec
-)
-
-// Default returns the package's shared Exec (created on first use with
-// GOMAXPROCS workers). The package-level Run functions delegate to it,
-// so existing callers transparently gain parallelism and caching.
-func Default() *Exec {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultExec == nil {
-		defaultExec = NewExec(runtime.GOMAXPROCS(0))
-	}
-	return defaultExec
-}
-
 // Result types stored in the runner's cache; registration lets the
 // optional disk tier gob-encode them.
 func init() {
@@ -136,6 +117,9 @@ func init() {
 	gob.Register(WarmResult{})
 	gob.Register([]AblationPoint{})
 	gob.Register(&CaptureResult{})
+	gob.Register([]UpdateResult{})
+	gob.Register([]IntraResult{})
+	gob.Register([]StreamPoint{})
 }
 
 // presetScenario returns the first scenario of the named preset. The
@@ -173,23 +157,32 @@ func pointSpec(sc scenario.Scenario, m scenario.Machine, q string) scenario.Scen
 	return sc
 }
 
-// coldJob builds the workhorse job: cold caches, one instance of the
-// point spec's query per processor. Its result is the *core.Report.
-// Because the cache key is exactly the point spec, every figure needing
-// the same cold measurement shares one simulation.
-func coldJob(sc scenario.Scenario, q string) *runner.Job {
-	return &runner.Job{
-		Name: "cold/" + q,
-		Mode: "cold",
-		Spec: sc,
+// presetJob runs one named experiment as a single cacheable pool job:
+// body measures on a fresh system built from the experiment's preset
+// spec with the options' scale and seed applied, and its result (a
+// gob-registered type) is filed under Mode = the experiment name. The
+// experiments that need more than the point-job machinery — Table 1,
+// update, intraquery, streams — all run this way, so they too sit under
+// -jobs, the result cache, dssmem_runner_* and stage=build.
+func presetJob[T any](e *Exec, name string, o Options, body func(*core.System) T) (T, error) {
+	job := &runner.Job{
+		Name: name,
+		Mode: name,
+		Spec: applyOptions(presetScenario(name), o),
 		Body: func(c *runner.Ctx) (interface{}, error) {
 			s, err := c.System()
 			if err != nil {
 				return nil, err
 			}
-			return s.RunCold(q), nil
+			return body(s), nil
 		},
 	}
+	res, err := e.pool.RunAll(context.Background(), []*runner.Job{job})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return res[0].(T), nil
 }
 
 // CaptureResult is a capture job's result: the baseline cold report
@@ -204,10 +197,10 @@ type CaptureResult struct {
 	Blob   []byte
 }
 
-// captureJob is coldJob with trace capture: it executes the point
-// spec's query cold while recording the per-processor reference
-// streams. One capture per (query, workload) feeds the baseline figures
-// and every sweep replay.
+// captureJob is the cold measurement with trace capture: cold caches,
+// one instance of the point spec's query per processor, executed while
+// recording the per-processor reference streams. One capture per
+// (query, workload) feeds the baseline figures and every sweep replay.
 //
 // The body consults the pool's trace store (-trace-dir) before
 // executing: a spilled blob regenerates the report by replaying at the
@@ -565,27 +558,8 @@ func (e *Exec) RunPrefetch(o Options) ([]PrefetchResult, error) {
 // Table1 regenerates the paper's Table 1 as a cached job: the plan
 // shapes do not depend on data volume, so the job clamps the scale.
 func (e *Exec) Table1(o Options) (*stats.Table, error) {
-	small := o
-	if small.Scale > 0.002 {
-		small.Scale = 0.002
+	if o.Scale > 0.002 {
+		o.Scale = 0.002
 	}
-	sc := applyOptions(presetScenario("table1"), small)
-	sc.Name = ""
-	job := &runner.Job{
-		Name: "table1",
-		Mode: "table1",
-		Spec: sc,
-		Body: func(c *runner.Ctx) (interface{}, error) {
-			s, err := c.System()
-			if err != nil {
-				return nil, err
-			}
-			return table1Of(s), nil
-		},
-	}
-	res, err := e.pool.RunAll(context.Background(), []*runner.Job{job})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].(*stats.Table), nil
+	return presetJob(e, "table1", o, table1Of)
 }

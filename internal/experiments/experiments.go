@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/scenario"
 	"repro/internal/simm"
 	"repro/internal/stats"
@@ -34,30 +33,12 @@ func Defaults() Options {
 	return Options{Scale: 0.01, Seed: 12345, Queries: []string{"Q3", "Q6", "Q12"}}
 }
 
-func (o Options) config() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.DB.ScaleFactor = o.Scale
-	cfg.DB.Seed = o.Seed
-	return cfg
-}
-
-// NewSystem builds a system for these options.
-func NewSystem(o Options) (*core.System, error) {
-	return core.NewSystem(o.config())
-}
-
 // ---------------------------------------------------------------------
 // Table 1
 
-// Table1 regenerates the paper's Table 1: the operations appearing in
-// the plan of every read-only TPC-D query. It delegates to the shared
-// runner-backed Exec (plan shape does not depend on data volume, so the
-// job runs at a clamped scale).
-func Table1(o Options) (*stats.Table, error) {
-	return Default().Table1(o)
-}
-
-// table1Of builds the Table 1 operator matrix from a loaded system.
+// table1Of builds the Table 1 operator matrix — the operations
+// appearing in the plan of every read-only TPC-D query — from a loaded
+// system.
 func table1Of(s *core.System) *stats.Table {
 	t := &stats.Table{Header: []string{"Query", "SS", "IS", "NL", "M", "H", "Sort", "Group", "Aggr"}}
 	for _, q := range tpcd.QueryNames {
@@ -82,13 +63,6 @@ func table1Of(s *core.System) *stats.Table {
 type QueryResult struct {
 	Query  string
 	Report *core.Report
-}
-
-// RunCold measures each query from a cold start on the given machine
-// configuration, one runner job per query (workers reuse one loaded
-// database, as the old serial loop reused one system).
-func RunCold(o Options, mcfg machine.Config) ([]QueryResult, error) {
-	return Default().RunCold(o, mcfg)
 }
 
 // Fig6 renders Figure 6: (a) normalized execution time broken into
@@ -168,12 +142,6 @@ type SweepPoint struct {
 	L2Miss [simm.NumGroups]uint64
 	Bd     stats.CycleBreakdown
 	Clock  int64
-}
-
-// RunLineSweep measures every query at every line size (Figures 8-9),
-// one runner job per sweep point.
-func RunLineSweep(o Options) ([]SweepPoint, error) {
-	return Default().RunLineSweep(o)
 }
 
 // findPoint returns the sweep point for (query, param); it panics when
@@ -274,12 +242,6 @@ var CacheSizes = scenario.CacheSizesKB
 // BaselineL2KB is the baseline secondary cache size in KB.
 const BaselineL2KB = 128
 
-// RunCacheSweep measures every query at every cache size (Figures
-// 10-11), one runner job per sweep point.
-func RunCacheSweep(o Options) ([]SweepPoint, error) {
-	return Default().RunCacheSweep(o)
-}
-
 // Fig10 renders Figure 10 for one query.
 func Fig10(points []SweepPoint, query string) (l1, l2 *stats.Table) {
 	return normTables(points, query, "L2KB", BaselineL2KB)
@@ -299,21 +261,6 @@ type WarmResult struct {
 	Target string
 	Warmer string
 	L2     [simm.NumGroups]uint64
-}
-
-// Fig12Pairs are the paper's scenarios: each of Q3 and Q12 measured
-// cold, after itself (different parameters), and after the other.
-var Fig12Pairs = []WarmResult{
-	{Target: "Q3", Warmer: ""}, {Target: "Q3", Warmer: "Q3"}, {Target: "Q3", Warmer: "Q12"},
-	{Target: "Q12", Warmer: ""}, {Target: "Q12", Warmer: "Q12"}, {Target: "Q12", Warmer: "Q3"},
-}
-
-// RunWarmCache runs Figure 12: very large caches (1-MB primary, 32-MB
-// secondary) to bound the achievable reuse; the second query of each
-// pair is the measured one. Each scenario is a warming job plus a
-// dependent measured job sharing one system (see Exec.RunWarmCache).
-func RunWarmCache(o Options) ([]WarmResult, error) {
-	return Default().RunWarmCache(o)
 }
 
 // Fig12 renders Figure 12 for one target query, normalized to 100 for
@@ -355,13 +302,6 @@ type PrefetchResult struct {
 	BaseClk  int64
 	OptClk   int64
 	Prefetch uint64
-}
-
-// RunPrefetch runs Figure 13: the baseline architecture against the
-// baseline plus 4-line sequential prefetching of database data into the
-// primary cache, two runner jobs per query.
-func RunPrefetch(o Options) ([]PrefetchResult, error) {
-	return Default().RunPrefetch(o)
 }
 
 // Fig13 renders Figure 13: Base and Opt execution-time breakdowns per

@@ -15,8 +15,17 @@ func testOptions(scale float64) Options {
 	return o
 }
 
+// newTestExec returns a GOMAXPROCS-wide Exec that is closed when the
+// test ends.
+func newTestExec(t *testing.T) *Exec {
+	t.Helper()
+	e := NewExec(0)
+	t.Cleanup(e.Close)
+	return e
+}
+
 func TestTable1Renders(t *testing.T) {
-	tbl, err := Table1(testOptions(0.001))
+	tbl, err := newTestExec(t).Table1(testOptions(0.001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +55,7 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestFig6And7Shapes(t *testing.T) {
-	results, err := RunCold(testOptions(0.001), machine.Baseline())
+	results, err := newTestExec(t).RunCold(testOptions(0.001), machine.Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +135,7 @@ func TestFig6And7Shapes(t *testing.T) {
 func TestLineSweepShapes(t *testing.T) {
 	o := testOptions(0.001)
 	o.Queries = []string{"Q6"}
-	points, err := RunLineSweep(o)
+	points, err := newTestExec(t).RunLineSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +179,7 @@ func TestLineSweepShapes(t *testing.T) {
 func TestCacheSweepShapes(t *testing.T) {
 	o := testOptions(0.001)
 	o.Queries = []string{"Q6"}
-	points, err := RunCacheSweep(o)
+	points, err := newTestExec(t).RunCacheSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +202,7 @@ func TestCacheSweepShapes(t *testing.T) {
 }
 
 func TestWarmCacheShapes(t *testing.T) {
-	results, err := RunWarmCache(testOptions(0.001))
+	results, err := newTestExec(t).RunWarmCache(testOptions(0.001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +246,7 @@ func TestWarmCacheShapes(t *testing.T) {
 func TestPrefetchShapes(t *testing.T) {
 	o := testOptions(0.001)
 	o.Queries = []string{"Q6", "Q12"}
-	results, err := RunPrefetch(o)
+	results, err := newTestExec(t).RunPrefetch(o)
 	if err != nil {
 		t.Fatal(err)
 	}

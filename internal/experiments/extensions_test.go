@@ -1,13 +1,58 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/metrics"
+	"repro/internal/runner"
 	"repro/internal/simm"
 )
 
+// TestExtensionsArePoolJobs pins update, intraquery and streams to the
+// one road: each renders as exactly one cacheable pool job, so a second
+// render on the same Exec settles from the result cache — CacheHits
+// rises, dssmem_runner_jobs_completed_total does not — with identical
+// bytes.
+func TestExtensionsArePoolJobs(t *testing.T) {
+	reg := metrics.New()
+	e := NewExecConfig(runner.Config{Workers: 2, Metrics: reg})
+	defer e.Close()
+	completed := func() float64 {
+		for _, f := range reg.Snapshot() {
+			if f.Name == "dssmem_runner_jobs_completed_total" {
+				return f.Samples[0].Value
+			}
+		}
+		t.Fatal("no dssmem_runner_jobs_completed_total")
+		return 0
+	}
+	for _, name := range []string{"update", "intraquery", "streams"} {
+		before, hits := completed(), e.Pool().Stats().CacheHits
+		var first, second bytes.Buffer
+		if err := e.Render(&first, name, testOptions(0.001)); err != nil {
+			t.Fatal(err)
+		}
+		if got := completed(); got != before+1 {
+			t.Errorf("%s: first render completed %v pool jobs, want 1", name, got-before)
+		}
+		if err := e.Render(&second, name, testOptions(0.001)); err != nil {
+			t.Fatal(err)
+		}
+		if got := completed(); got != before+1 {
+			t.Errorf("%s: second render simulated again (%v new completions)", name, got-before-1)
+		}
+		if got := e.Pool().Stats().CacheHits; got != hits+1 {
+			t.Errorf("%s: cache hits %d -> %d, want one hit for the second render", name, hits, got)
+		}
+		if first.Len() == 0 || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%s: cached render differs from the first", name)
+		}
+	}
+}
+
 func TestUpdateWorkloadsAreLockBound(t *testing.T) {
-	results, err := RunUpdate(testOptions(0.001))
+	results, err := newTestExec(t).RunUpdate(testOptions(0.001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +91,7 @@ func TestUpdateWorkloadsAreLockBound(t *testing.T) {
 }
 
 func TestPrefetchDegreeAblation(t *testing.T) {
-	pts, err := AblatePrefetchDegree(testOptions(0.001), "Q6")
+	pts, err := newTestExec(t).AblatePrefetchDegree(testOptions(0.001), "Q6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +116,7 @@ func TestPrefetchDegreeAblation(t *testing.T) {
 }
 
 func TestWriteBufferAblation(t *testing.T) {
-	pts, err := AblateWriteBuffer(testOptions(0.001), "Q6")
+	pts, err := newTestExec(t).AblateWriteBuffer(testOptions(0.001), "Q6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +134,7 @@ func TestWriteBufferAblation(t *testing.T) {
 }
 
 func TestContentionAblation(t *testing.T) {
-	pts, err := AblateContention(testOptions(0.001), "Q3")
+	pts, err := newTestExec(t).AblateContention(testOptions(0.001), "Q3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +148,7 @@ func TestContentionAblation(t *testing.T) {
 }
 
 func TestIntraQueryParallelism(t *testing.T) {
-	results, err := RunIntraQuery(testOptions(0.001))
+	results, err := newTestExec(t).RunIntraQuery(testOptions(0.001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +172,11 @@ func TestIntraQueryParallelism(t *testing.T) {
 }
 
 func TestStreamsSteadyState(t *testing.T) {
-	points, err := RunStreams(testOptions(0.001), 9)
+	points, err := newTestExec(t).RunStreams(testOptions(0.001))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 9 {
+	if len(points) != streamRounds {
 		t.Fatalf("points = %d", len(points))
 	}
 	byQuery := map[string][]StreamPoint{}
@@ -153,7 +198,7 @@ func TestStreamsSteadyState(t *testing.T) {
 	if float64(last) < 0.75*float64(cold) {
 		t.Errorf("Q3 steady state %d suspiciously fast vs cold %d", last, cold)
 	}
-	if tbl := StreamsTable(points); len(tbl.Rows) != 9 {
+	if tbl := StreamsTable(points); len(tbl.Rows) != streamRounds {
 		t.Error("table wrong size")
 	}
 }
@@ -165,7 +210,7 @@ func TestScorecardAllClaimsHold(t *testing.T) {
 	if raceEnabled {
 		t.Skip("native-speed claim pinning; the race-mode net is determinism_test.go")
 	}
-	claims, err := RunScorecard(testOptions(0.002))
+	claims, err := newTestExec(t).RunScorecard(testOptions(0.002))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +230,7 @@ func TestScorecardAllClaimsHold(t *testing.T) {
 func TestTopologyComparison(t *testing.T) {
 	o := testOptions(0.001)
 	o.Queries = []string{"Q6", "Q3"}
-	points, err := CompareTopology(o)
+	points, err := newTestExec(t).CompareTopology(o)
 	if err != nil {
 		t.Fatal(err)
 	}

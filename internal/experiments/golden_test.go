@@ -30,7 +30,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden experiment 
 // same bytes at every worker count.
 var goldenExperiments = []string{
 	"table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-	"ablations", "topology", "scorecard", "fig13", "mixedstreams",
+	"update", "ablations", "intraquery", "streams", "topology", "scorecard",
+	"fig13", "mixedstreams",
 }
 
 func goldenOptions() Options {

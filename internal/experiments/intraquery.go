@@ -47,12 +47,13 @@ func q6Partition(s *core.System, c *executor.Ctx, prm tpcd.Params, lo, hi uint32
 	return rows[0][0].Int
 }
 
-// RunIntraQuery measures the three configurations on one database.
-func RunIntraQuery(o Options) ([]IntraResult, error) {
-	s, err := NewSystem(o)
-	if err != nil {
-		return nil, err
-	}
+// RunIntraQuery measures the three configurations on one database, as
+// one pool job.
+func (e *Exec) RunIntraQuery(o Options) ([]IntraResult, error) {
+	return presetJob(e, "intraquery", o, runIntraQuery)
+}
+
+func runIntraQuery(s *core.System) []IntraResult {
 	prm := tpcd.ParamsFor("Q6", 0)
 	nodes := s.Mem.Nodes()
 	npages := s.DB.Lineitem.Heap.NPages
@@ -115,7 +116,7 @@ func RunIntraQuery(o Options) ([]IntraResult, error) {
 	out = append(out, IntraResult{
 		Name: "intra-query-4", Clock: max, Bd: s.Eng.TotalBreakdown(), Revenue: revN,
 	})
-	return out, nil
+	return out
 }
 
 // IntraQueryTable renders the comparison: completion time relative to

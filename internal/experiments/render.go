@@ -180,7 +180,7 @@ func (e *Exec) renderExperiment(w io.Writer, name string, o Options) error {
 		}
 
 	case "update":
-		results, err := RunUpdate(o)
+		results, err := e.RunUpdate(o)
 		if err != nil {
 			return err
 		}
@@ -212,7 +212,7 @@ func (e *Exec) renderExperiment(w io.Writer, name string, o Options) error {
 		fmt.Fprint(w, AblationTable(pts))
 
 	case "intraquery":
-		results, err := RunIntraQuery(o)
+		results, err := e.RunIntraQuery(o)
 		if err != nil {
 			return err
 		}
@@ -225,7 +225,7 @@ func (e *Exec) renderExperiment(w io.Writer, name string, o Options) error {
 		fmt.Fprint(w, IntraQueryTable(results))
 
 	case "streams":
-		points, err := RunStreams(o, 9)
+		points, err := e.RunStreams(o)
 		if err != nil {
 			return err
 		}

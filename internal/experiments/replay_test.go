@@ -27,13 +27,22 @@ func replayOptions(q string) Options {
 	return o
 }
 
+// referenceSystem builds the equivalence tests' reference the pre-spec
+// way — core.DefaultConfig with the options' scale and seed, at mcfg —
+// so it shares no construction code with the jobs it is compared to.
+func referenceSystem(o Options, mcfg machine.Config) (*core.System, error) {
+	cfg := core.DefaultConfig()
+	cfg.DB.ScaleFactor = o.Scale
+	cfg.DB.Seed = o.Seed
+	cfg.Machine = mcfg
+	return core.NewSystem(cfg)
+}
+
 // executeSweepPoint measures one sweep point the pre-replay way: a
 // fresh system built at the swept configuration, one cold execution.
 func executeSweepPoint(t *testing.T, o Options, mcfg machine.Config, q string, prm int) SweepPoint {
 	t.Helper()
-	cfg := o.config()
-	cfg.Machine = mcfg
-	s, err := core.NewSystem(cfg)
+	s, err := referenceSystem(o, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +135,7 @@ func TestAblationReplayEquivalence(t *testing.T) {
 					cfg  machine.Config
 				}{name: "deg" + itoa(d), cfg: cfg})
 			}
-			cfg := o.config()
-			cfg.Machine = cfgs[0].cfg
-			s, err := core.NewSystem(cfg)
+			s, err := referenceSystem(o, cfgs[0].cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,14 +26,9 @@ func claim(id, text string, pass bool, detail string) Claim {
 
 // RunScorecard runs the baseline characterization, the line and cache
 // sweeps, the warm-cache pairs, and the prefetch comparison, and grades
-// the paper's claims.
-func RunScorecard(o Options) ([]Claim, error) {
-	return Default().RunScorecard(o)
-}
-
-// RunScorecard is the Exec-bound form of the package function. The
-// component experiments all run through this Exec's pool, so a
-// scorecard after an `-exp all` run resolves mostly from cache.
+// the paper's claims. The component experiments all run through this
+// Exec's pool, so a scorecard after an `-exp all` run resolves mostly
+// from cache.
 func (e *Exec) RunScorecard(o Options) ([]Claim, error) {
 	var out []Claim
 

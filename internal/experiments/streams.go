@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"repro/internal/machine"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -21,18 +21,18 @@ type StreamPoint struct {
 	Clock int64 // cycles this round took (max across processors)
 }
 
-// RunStreams executes rounds of the mix [Q6 Q12 Q3] repeated, with every
-// processor running the round's query type under distinct parameters.
-// Caches are never flushed between rounds.
-func RunStreams(o Options, rounds int) ([]StreamPoint, error) {
-	s, err := NewSystem(o)
-	if err != nil {
-		return nil, err
-	}
-	cfg := machine.Baseline().WithCacheSizes(1<<20, 32<<20)
-	if err := s.ReplaceMachine(cfg); err != nil {
-		return nil, err
-	}
+// streamRounds is three passes over the mix: one cold, two warm.
+const streamRounds = 9
+
+// RunStreams executes streamRounds rounds of the mix [Q6 Q12 Q3]
+// repeated, with every processor running the round's query type under
+// distinct parameters, as one pool job on the streams preset's
+// big-cache machine. Caches are never flushed between rounds.
+func (e *Exec) RunStreams(o Options) ([]StreamPoint, error) {
+	return presetJob(e, "streams", o, runStreams)
+}
+
+func runStreams(s *core.System) []StreamPoint {
 	mix := []string{"Q6", "Q12", "Q3"}
 	s.ColdStart()
 	var out []StreamPoint
@@ -40,7 +40,7 @@ func RunStreams(o Options, rounds int) ([]StreamPoint, error) {
 	for _, p := range s.Eng.Procs() {
 		prev = append(prev, p.Clock())
 	}
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < streamRounds; round++ {
 		// Barrier between rounds: without it, one round's stragglers
 		// overlap the next round's queries in simulated time and the
 		// per-round attribution blurs.
@@ -63,7 +63,7 @@ func RunStreams(o Options, rounds int) ([]StreamPoint, error) {
 		}
 		out = append(out, StreamPoint{Round: round, Query: q, Clock: max})
 	}
-	return out, nil
+	return out
 }
 
 // StreamsTable renders each round's time relative to the first round of

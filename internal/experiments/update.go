@@ -27,12 +27,13 @@ type UpdateResult struct {
 // RunUpdate measures Q6 (a read-only baseline), UF1, and UF2 as one
 // three-phase stream, every phase flushed: each workload starts from a
 // cold cache with one instance per processor, exactly the shape the
-// one-shot cold runs had before streams existed.
-func RunUpdate(o Options) ([]UpdateResult, error) {
-	s, err := NewSystem(o)
-	if err != nil {
-		return nil, err
-	}
+// one-shot cold runs had before streams existed. The whole stream is
+// one pool job.
+func (e *Exec) RunUpdate(o Options) ([]UpdateResult, error) {
+	return presetJob(e, "update", o, runUpdate)
+}
+
+func runUpdate(s *core.System) []UpdateResult {
 	workloads := []string{"Q6", "UF1", "UF2"}
 	phases := make([]core.StreamPhase, len(workloads))
 	for k, w := range workloads {
@@ -55,7 +56,7 @@ func RunUpdate(o Options) ([]UpdateResult, error) {
 			Rows:     rows,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // UpdateTable renders the extension experiment: the time breakdown and

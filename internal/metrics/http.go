@@ -31,7 +31,7 @@ func NewHTTPMetrics(r *Registry) *HTTPMetrics {
 }
 
 // Wrap instruments next under the given route label. The route is the
-// registered pattern ("/v1/experiments/{id}"), not the concrete URL, to
+// registered pattern ("/v1/jobs/{id}"), not the concrete URL, to
 // keep label cardinality bounded.
 func (m *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 	if m == nil {

@@ -33,7 +33,6 @@ type Event struct {
 	Job      JobID
 	Name     string
 	State    State
-	Attempt  int
 	CacheHit bool
 	Elapsed  time.Duration
 	Err      string
@@ -97,7 +96,7 @@ func (p *Pool) publishFinished(rec *jobRec) {
 	}
 	p.publish(Event{
 		Kind: JobFinished, Job: rec.id, Name: rec.job.Name,
-		State: rec.state, Attempt: rec.attempts, CacheHit: rec.cacheHit,
+		State: rec.state, CacheHit: rec.cacheHit,
 		Elapsed: rec.finished.Sub(rec.submitted), Err: errText,
 		Key: rec.key,
 	})

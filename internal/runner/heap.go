@@ -1,20 +1,14 @@
 package runner
 
 // readyHeap is the min-heap ready queue: jobs whose dependencies are all
-// resolved, ordered by (Priority, submission ID). The explicit ID
-// tie-break makes worker pop order deterministic for equal priorities,
-// which keeps single-worker execution identical to the old serial loops.
-// It implements container/heap.Interface.
+// resolved, ordered by submission ID, which makes worker pop order
+// deterministic and keeps single-worker execution identical to the old
+// serial loops. It implements container/heap.Interface.
 type readyHeap []*jobRec
 
 func (h readyHeap) Len() int { return len(h) }
 
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].job.Priority != h[j].job.Priority {
-		return h[i].job.Priority < h[j].job.Priority
-	}
-	return h[i].id < h[j].id
-}
+func (h readyHeap) Less(i, j int) bool { return h[i].id < h[j].id }
 
 func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // JobID identifies a submitted job within its Pool. IDs are assigned in
-// submission order and double as the deterministic tie-breaker of the
-// ready queue, so equal-priority jobs execute FIFO.
+// submission order and order the ready queue, so ready jobs execute
+// FIFO.
 type JobID int64
 
 // Job is one schedulable unit of simulation work.
@@ -32,9 +32,6 @@ type Job struct {
 	// by the spec.
 	Extra []string
 
-	// Priority orders the ready queue: lower runs earlier; ties break by
-	// submission order.
-	Priority int
 	// After lists jobs of the same SubmitAll batch that must reach a
 	// terminal state before this job may start (the warm-cache
 	// experiments hang a measured run off its warming run this way).
@@ -57,8 +54,6 @@ type Job struct {
 	// at submission every dependent is already resolved from the cache,
 	// the job is skipped.
 	Ephemeral bool
-	// Retries is how many times a failed Body is re-attempted.
-	Retries int
 
 	// Body computes the job's result.
 	Body func(*Ctx) (interface{}, error)
@@ -76,7 +71,7 @@ const (
 	Running
 	// Done jobs completed their Body successfully.
 	Done
-	// Failed jobs exhausted their retries, lost a dependency, or were
+	// Failed jobs returned an error, lost a dependency, or were
 	// cancelled by shutdown.
 	Failed
 	// Cached jobs were resolved from the result cache without running.
@@ -103,7 +98,6 @@ type Info struct {
 	Name     string
 	State    State
 	CacheHit bool
-	Attempts int
 
 	Submitted time.Time
 	Started   time.Time
@@ -137,7 +131,6 @@ type jobRec struct {
 	dependents []*jobRec
 	result     interface{}
 	err        error
-	attempts   int
 	cacheHit   bool
 	submitted  time.Time
 	started    time.Time
@@ -147,8 +140,7 @@ type jobRec struct {
 
 func (r *jobRec) info() Info {
 	return Info{
-		ID: r.id, Name: r.job.Name, State: r.state,
-		CacheHit: r.cacheHit, Attempts: r.attempts,
+		ID: r.id, Name: r.job.Name, State: r.state, CacheHit: r.cacheHit,
 		Submitted: r.submitted, Started: r.started, Finished: r.finished,
 		Err: r.err,
 	}

@@ -27,9 +27,7 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 	same := base()
 	same.Name = "a different label" // Name is not identity
-	same.Priority = 3               // neither is scheduling metadata
-	same.Retries = 2
-	same.Spec.Name = "fig6" // nor the spec's display name
+	same.Spec.Name = "fig6"         // nor the spec's display name
 	if same.Key() != k {
 		t.Error("key depends on non-identity fields")
 	}

@@ -54,7 +54,7 @@ func newPoolMetrics(r *metrics.Registry) poolMetrics {
 		busySeconds: r.Counter("dssmem_runner_busy_seconds_total",
 			"Cumulative wall time workers spent executing job bodies (utilization = rate over workers)."),
 		jobSeconds: r.Histogram("dssmem_runner_job_seconds",
-			"Per-job wall time across attempts, executed jobs only.", jobSecondsBuckets),
+			"Per-job wall time, executed jobs only.", jobSecondsBuckets),
 		cacheHits: r.CounterVec("dssmem_cache_hits_total",
 			"Result-cache lookups answered, by tier.", "tier"),
 		cacheMisses: r.CounterVec("dssmem_cache_misses_total",

@@ -12,7 +12,7 @@
 // repeated submissions from memory (optionally disk) instead of
 // re-simulating, so `dssmem -exp all` computes each distinct
 // configuration once no matter how many figures reference it. The pool
-// keeps per-job timing/retry bookkeeping, publishes a progress event
+// keeps per-job timing bookkeeping, publishes a progress event
 // stream, and drains gracefully on shutdown.
 //
 // Simulation results are deterministic functions of a job's identity
@@ -525,7 +525,8 @@ func (p *Pool) runWorker(w *worker) {
 
 // execute runs one job on a worker: re-probe the cache (another batch
 // may have computed the result since submission), then run the body
-// with retry bookkeeping, then record the outcome.
+// once — simulation jobs are deterministic, so a failed body would fail
+// again — and record the outcome.
 func (p *Pool) execute(w *worker, rec *jobRec) {
 	if rec.key != "" {
 		if v, ok := p.cache.get(rec.key); ok {
@@ -533,19 +534,9 @@ func (p *Pool) execute(w *worker, rec *jobRec) {
 			return
 		}
 	}
-	var (
-		res  interface{}
-		err  error
-		busy time.Duration
-	)
-	for attempt := 0; ; attempt++ {
-		t0 := time.Now()
-		res, err = p.runBody(w, rec)
-		busy += time.Since(t0)
-		if err == nil || attempt >= rec.job.Retries {
-			break
-		}
-	}
+	t0 := time.Now()
+	res, err := p.runBody(w, rec)
+	busy := time.Since(t0)
 	if err == nil && rec.key != "" {
 		p.cache.put(rec.key, res)
 	}
@@ -560,9 +551,6 @@ func (p *Pool) runBody(w *worker, rec *jobRec) (res interface{}, err error) {
 			err = fmt.Errorf("job panicked: %v", r)
 		}
 	}()
-	p.mu.Lock()
-	rec.attempts++
-	p.mu.Unlock()
 	return rec.job.Body(&Ctx{pool: p, rec: rec, w: w})
 }
 

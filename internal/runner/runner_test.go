@@ -264,48 +264,6 @@ func TestEphemeralPruning(t *testing.T) {
 	}
 }
 
-// TestRetries checks retry bookkeeping: a flaky body is re-attempted up
-// to Retries times; a hopeless one fails with its attempts recorded.
-func TestRetries(t *testing.T) {
-	p, _ := newTestPool(t, 1)
-	var tries int64
-	id, err := p.Submit(&Job{
-		Name: "flaky", NoCache: true, Retries: 2,
-		Body: func(*Ctx) (interface{}, error) {
-			if atomic.AddInt64(&tries, 1) < 3 {
-				return nil, errors.New("transient")
-			}
-			return "ok", nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Wait(context.Background(), id)
-	if err != nil || res[0] != "ok" {
-		t.Fatalf("flaky job: res=%v err=%v", res, err)
-	}
-	info, _ := p.Info(id)
-	if info.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", info.Attempts)
-	}
-
-	id, err = p.Submit(&Job{
-		Name: "hopeless", NoCache: true, Retries: 1,
-		Body: func(*Ctx) (interface{}, error) { return nil, errors.New("permanent") },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Wait(context.Background(), id); err == nil {
-		t.Fatal("hopeless job succeeded")
-	}
-	info, _ = p.Info(id)
-	if info.State != Failed || info.Attempts != 2 {
-		t.Errorf("hopeless: state=%v attempts=%d, want failed/2", info.State, info.Attempts)
-	}
-}
-
 // TestPanicRecovery checks that a panicking body fails its job instead
 // of killing the worker.
 func TestPanicRecovery(t *testing.T) {
@@ -326,9 +284,9 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestPriorityOrder checks the ready queue: with one gated worker,
-// queued jobs run lowest-priority-value first, FIFO within a priority.
-func TestPriorityOrder(t *testing.T) {
+// TestReadyQueueFIFO checks the ready queue: with one gated worker,
+// queued jobs run in submission order.
+func TestReadyQueueFIFO(t *testing.T) {
 	p, _ := newTestPool(t, 1)
 	release := make(chan struct{})
 	blocker := &Job{Name: "blocker", NoCache: true,
@@ -340,8 +298,8 @@ func TestPriorityOrder(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []string
-	mk := func(name string, prio int) *Job {
-		return &Job{Name: name, Priority: prio, NoCache: true,
+	mk := func(name string) *Job {
+		return &Job{Name: name, NoCache: true,
 			Body: func(*Ctx) (interface{}, error) {
 				mu.Lock()
 				order = append(order, name)
@@ -349,7 +307,11 @@ func TestPriorityOrder(t *testing.T) {
 				return nil, nil
 			}}
 	}
-	jobs := []*Job{mk("p5", 5), mk("p1a", 1), mk("p3", 3), mk("p1b", 1)}
+	want := []string{"a", "b", "c", "d"}
+	jobs := make([]*Job, len(want))
+	for i, name := range want {
+		jobs[i] = mk(name)
+	}
 	ids, err := p.SubmitAll(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +320,6 @@ func TestPriorityOrder(t *testing.T) {
 	if _, err := p.Wait(context.Background(), ids...); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"p1a", "p1b", "p3", "p5"}
 	for i, w := range want {
 		if order[i] != w {
 			t.Fatalf("execution order = %v, want %v", order, want)

@@ -72,10 +72,9 @@ func TestDecodeErrors(t *testing.T) {
 		"type mismatch": `{"machine": {"processors": "four"}}`,
 		"trailing data": `{} {"machine": {}}`,
 		"not an object": `[1, 2]`,
-		// replay_workers is host tuning that legacy dssmemd clients
-		// still send (POST /v1/experiments ignores it), never spec
-		// vocabulary: the spec decoder stays strict so a non-semantic
-		// name cannot reach a cache key.
+		// replay_workers was host tuning, never spec vocabulary: the
+		// spec decoder stays strict (POST /v1/jobs answers 400) so a
+		// non-semantic name cannot reach a cache key.
 		"replay_workers top level":   `{"replay_workers": 4}`,
 		"replay_workers in machine":  `{"machine": {"replay_workers": 4}}`,
 		"replay_workers in workload": `{"workload": {"replay_workers": 4}}`,
