@@ -17,9 +17,11 @@ test:
 # Race-check every internal package. The scheduler's baton-pass handoff
 # and the runner's worker pool are the concurrency hot spots, but the
 # determinism tests in internal/experiments only mean something if they
-# also hold under the race detector, so the whole tree runs.
+# also hold under the race detector, so the whole tree runs. The
+# experiments package alone takes ~10 minutes under -race on a 2-core
+# host, past go test's default per-package timeout.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race -timeout 30m ./internal/...
 
 vet:
 	$(GO) vet ./...
@@ -61,13 +63,15 @@ wal-smoke:
 # The stream gate: multi-phase query streams must be equivalent to
 # direct execution everywhere. Runs the core equivalence suite (direct
 # vs recorded vs per-segment replay, including live-recorded update
-# phases and the legacy warm-pair lowering), the experiments job-chain
-# equivalence at 1 and 4 workers, the capture-per-stream trace-store
-# round trip, the no-store run that must record nothing, and the
-# mixedstreams golden at -jobs 1 vs parallel. Blocking in CI.
+# phases and the legacy warm-pair lowering), the experiments
+# one-job-per-stream equivalence at 1 and 4 workers, the
+# capture-per-stream trace-store round trip (streams and fig12's warm
+# pairs), the no-store run that must record nothing, progress keys
+# matching what a render settles, and the mixedstreams golden at
+# -jobs 1 vs parallel. Blocking in CI.
 stream-smoke:
 	$(GO) test -count=1 -run 'TestStreamReplayMatchesExecution|TestStreamReplaySweeps|TestLegacyPhasesEquivalence|TestReplayStreamUnsegmented|TestRunStreamAnswers' -v ./internal/core
-	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestStreamWithoutStoreRecordsNothing|TestGoldenOutput' ./internal/experiments
+	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestFig12TraceStoreServesPairs|TestStreamWithoutStoreRecordsNothing|TestProgressKeysMatchRender|TestGoldenOutput' ./internal/experiments
 
 # Profile a named preset (default fig6) under the CPU and heap
 # profilers. The pipeline stages run under pprof labels ("stage" =

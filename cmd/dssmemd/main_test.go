@@ -174,9 +174,10 @@ func TestPresetsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStreamScenarioSubmit POSTs a multi-phase stream spec: it must
-// render synchronously like any other spec, hash under the stream
-// format generation, and report per-phase tables.
+// TestStreamScenarioSubmit submits a multi-phase stream spec: as an
+// async job it is one phases job, so its progress settles at 1/1; and
+// it must render synchronously like any other spec, hash under the
+// stream format generation, and report per-phase tables.
 func TestStreamScenarioSubmit(t *testing.T) {
 	_, ts := newTestServer(t)
 	spec := `{
@@ -186,7 +187,31 @@ func TestStreamScenarioSubmit(t *testing.T) {
 			{"runs": [[{"query": "Q3", "variant": 10}], [{"query": "Q12", "variant": 11}]]}
 		]}
 	}`
-	code, body := post(t, ts.URL+"/v1/scenarios", spec)
+	code, body := post(t, ts.URL+"/v1/jobs", spec)
+	var sub struct {
+		JobID string `json:"job_id"`
+	}
+	if err := json.Unmarshal([]byte(body), &sub); err != nil || code != 202 {
+		t.Fatalf("stream job submit: %d %q (%v)", code, body, err)
+	}
+	if st := waitJob(t, ts.URL, sub.JobID); st != "done" {
+		t.Fatalf("stream job state = %s, want done", st)
+	}
+	_, body = get(t, ts.URL+"/v1/jobs/"+sub.JobID)
+	var st struct {
+		Progress struct {
+			Done  int `json:"done"`
+			Total int `json:"total"`
+		} `json:"progress"`
+	}
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Progress.Done != 1 || st.Progress.Total != 1 {
+		t.Errorf("stream job progress = %d/%d, want 1/1", st.Progress.Done, st.Progress.Total)
+	}
+
+	code, body = post(t, ts.URL+"/v1/scenarios", spec)
 	if code != 200 {
 		t.Fatalf("stream POST: %d %q", code, body)
 	}

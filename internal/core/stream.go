@@ -202,12 +202,5 @@ func (s *System) RunStreamAnswers(phases []StreamPhase) [][]StreamRunAnswer {
 // its boundary. Unsegmented traces replay as their own single flushed
 // segment, so ReplayStream(tr, cfg) generalizes ReplayTrace.
 func ReplayStream(src trace.StreamSource, mcfg machine.Config) ([]*Report, error) {
-	return replaySkeleton(src, mcfg, src.NumSegments(), nil)
-}
-
-// ReplayStreamPrefix replays only the stream's first n segments — a
-// phase-granular job needs the warm state of every earlier segment but
-// nothing after its own.
-func ReplayStreamPrefix(src trace.StreamSource, mcfg machine.Config, n int) ([]*Report, error) {
-	return replaySkeleton(src, mcfg, n, nil)
+	return replaySkeleton(src, mcfg, nil)
 }

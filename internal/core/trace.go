@@ -44,17 +44,12 @@ func (t lockTracer) BeginOp(p *sched.Proc, acquire bool, tag lockmgr.Tag, mode l
 
 func (t lockTracer) EndOp(p *sched.Proc) { t.rec.EndLockOp(p.ID()) }
 
-// replayable reports whether runs can take the record-pure capture +
-// flat-replay path: every non-empty run must be a read-only query
-// (updates mutate shared state, so their reference streams depend on
-// the interleaving), and no external observer may be attached (a
-// Tracer or Recorder expects to see the live run).
-func (s *System) replayable(runs []QueryRun) bool {
-	return s.phaseReplayable(singleRunLists(runs))
-}
-
-// phaseReplayable is replayable over one phase's per-processor run
-// lists.
+// phaseReplayable reports whether one phase's per-processor run lists
+// can take the record-pure capture + flat-replay path: every non-empty
+// run must be a read-only query (updates mutate shared state, so their
+// reference streams depend on the interleaving), and no external
+// observer may be attached (a Tracer or Recorder expects to see the
+// live run).
 func (s *System) phaseReplayable(runLists [][]QueryRun) bool {
 	if s.Eng.Tracer != nil || s.Eng.Recorder != nil || s.LockMgr.Tracer != nil {
 		return false
@@ -276,7 +271,7 @@ func replayOn(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source, bufs *de
 	return rep, nil
 }
 
-// replaySkeleton replays the first n segments of src under mcfg on a
+// replaySkeleton replays every segment of src under mcfg on a
 // reconstructed skeleton system — the layout's regions and page
 // categories without any data contents, arena-pooled and reset between
 // replays of the same layout — and returns one report per segment.
@@ -284,9 +279,10 @@ func replayOn(eng *sched.Engine, lm *lockmgr.Manager, src trace.Source, bufs *de
 // across phases: flushed segments start cold, and every segment's
 // counters and clocks reset at its boundary. attach, when non-nil, runs
 // once the skeleton is assembled and before the first segment replays.
-func replaySkeleton(src trace.StreamSource, mcfg machine.Config, n int, attach func(*sched.Engine, *simm.Memory)) ([]*Report, error) {
-	if n < 1 || n > src.NumSegments() {
-		return nil, fmt.Errorf("core: replay prefix %d of a %d-segment stream", n, src.NumSegments())
+func replaySkeleton(src trace.StreamSource, mcfg machine.Config, attach func(*sched.Engine, *simm.Memory)) ([]*Report, error) {
+	n := src.NumSegments()
+	if n < 1 {
+		return nil, fmt.Errorf("core: replay of a %d-segment stream", n)
 	}
 	meta := src.Meta()
 	if err := mcfg.Validate(); err != nil {
@@ -352,7 +348,7 @@ func ReplayTraceWith(src trace.StreamSource, mcfg machine.Config, attach func(*s
 	if n := src.NumSegments(); n != 1 {
 		return nil, fmt.Errorf("core: ReplayTrace of a %d-segment stream", n)
 	}
-	reps, err := replaySkeleton(src, mcfg, 1, attach)
+	reps, err := replaySkeleton(src, mcfg, attach)
 	if err != nil {
 		return nil, err
 	}

@@ -113,8 +113,8 @@ func (e *Exec) Close() { e.pool.Close() }
 // optional disk tier gob-encode them.
 func init() {
 	gob.Register(&core.Report{})
+	gob.Register([]*core.Report{})
 	gob.Register(&stats.Table{})
-	gob.Register(WarmResult{})
 	gob.Register([]AblationPoint{})
 	gob.Register(&CaptureResult{})
 	gob.Register([]UpdateResult{})
@@ -214,8 +214,8 @@ func (e *Exec) captureJob(sc scenario.Scenario, q string) *runner.Job {
 		Spec: sc,
 		Body: func(c *runner.Ctx) (interface{}, error) {
 			if rd, ok := c.TraceReader(); ok {
-				if rep, err := e.replayStored(rd, mcfg, 0, 1); err == nil {
-					return &CaptureResult{Report: rep}, nil
+				if reps, err := e.replayStored(rd, mcfg, 1); err == nil {
+					return &CaptureResult{Report: reps[0]}, nil
 				}
 				// Damaged or unreadable blob: fall through to executing,
 				// which re-records and re-spills a good one.
@@ -282,8 +282,8 @@ func (e *Exec) replayJob(sc scenario.Scenario, q string, capture *runner.Job) *r
 				rd = r
 			}
 			if rd != nil {
-				if rep, err := e.replayStored(rd, mcfg, 0, 1); err == nil {
-					return rep, nil
+				if reps, err := e.replayStored(rd, mcfg, 1); err == nil {
+					return reps[0], nil
 				}
 			}
 			// The blob vanished or went bad between capture and replay:
@@ -298,12 +298,12 @@ func (e *Exec) replayJob(sc scenario.Scenario, q string, capture *runner.Job) *r
 	}
 }
 
-// replayStored derives segment k's report from a stored blob that must
-// hold want segments (a single-query capture is segment 0 of 1): header
-// and CRC verified up front, chunks read on demand while segments 0..k
-// replay. It closes rd and counts a successful replay; on any error the
-// caller falls back to executing.
-func (e *Exec) replayStored(rd blobstore.Reader, mcfg machine.Config, k, want int) (*core.Report, error) {
+// replayStored derives one report per segment from a stored blob that
+// must hold want segments (a single-query capture is one): header and
+// CRC verified up front, chunks read on demand while the segments
+// replay. It closes rd and counts one replay per report; on any error
+// the caller falls back to executing.
+func (e *Exec) replayStored(rd blobstore.Reader, mcfg machine.Config, want int) ([]*core.Report, error) {
 	defer rd.Close()
 	src, err := trace.OpenBlob(rd, rd.Size())
 	if err != nil {
@@ -312,12 +312,12 @@ func (e *Exec) replayStored(rd blobstore.Reader, mcfg machine.Config, k, want in
 	if src.NumSegments() != want {
 		return nil, fmt.Errorf("experiments: stored trace has %d segments, want %d", src.NumSegments(), want)
 	}
-	reps, err := core.ReplayStreamPrefix(src, mcfg, k+1)
+	reps, err := core.ReplayStream(src, mcfg)
 	if err != nil {
 		return nil, err
 	}
-	e.met.replays.Inc()
-	return reps[k], nil
+	e.met.replays.Add(float64(len(reps)))
+	return reps, nil
 }
 
 // asReport unwraps a job result that is a report either way.
@@ -441,87 +441,69 @@ func (e *Exec) RunCacheSweep(o Options) ([]SweepPoint, error) {
 	return e.sweepFromPreset("fig10", o)
 }
 
-// runWarmPair submits one warm-cache spec (target query, optional
-// warmer, shared system) and returns the index of its measured job in
-// jobs. The spec lowers to a stream via scenario.LegacyPhases — a
-// flushed warm-up phase of the warmer and an unflushed measured phase
-// of the target (or a single flushed phase when there is no warmer) —
-// and each phase becomes a job on the shared system. Warming jobs are
-// ephemeral and uncached — their effect is cache state — so a
-// resubmission whose measured results are already cached skips the
-// warming entirely. The measured job's identity is the spec itself: the
-// warmer rides in the spec's workload.warm field.
-func (e *Exec) runWarmPair(sc scenario.Scenario, jobs []*runner.Job) ([]*runner.Job, int) {
-	target, warmer := sc.Workload.Queries[0], sc.Workload.Warm
-	sc.Name = ""
-	phases := core.StreamPhasesFromSpec(scenario.LegacyPhases(target, warmer, sc.Machine.Processors))
-	sk := "fig12/" + target + "<-" + warmer
-	var deps []*runner.Job
-	if warmer != "" {
-		warmup := phases[0]
-		warm := &runner.Job{
-			Name:      "warm/" + target + "<-" + warmer,
-			Spec:      sc,
-			StateKey:  sk,
-			NoCache:   true,
-			Ephemeral: true,
-			Body: func(c *runner.Ctx) (interface{}, error) {
-				s, err := c.System()
-				if err != nil {
-					return nil, err
-				}
-				s.RunStream([]core.StreamPhase{warmup})
-				return nil, nil
-			},
+// warmPairs splits a validated warm spec into its warm pairs, in
+// RunScenario's order: per query, the pair measured cold, then the pair
+// warmed by the spec's warmer.
+func warmPairs(sc scenario.Scenario) []scenario.Scenario {
+	var pairs []scenario.Scenario
+	for _, q := range sc.Workload.Queries {
+		warmed := sc
+		warmed.Workload.Queries = []string{q}
+		cold := warmed
+		cold.Workload.Warm = ""
+		pairs = append(pairs, cold, warmed)
+	}
+	return pairs
+}
+
+// lowerWarmPair lowers a warm pair — its one query measured after
+// workload.warm ("" = cold) — into the stream it is, through
+// scenario.LegacyPhases: a flushed warm-up phase of the warmer and an
+// unflushed measured phase of the target, or one flushed phase when
+// cold. An explicit phase spec equal to the lowering is the same job.
+func lowerWarmPair(sc scenario.Scenario) scenario.Scenario {
+	sc.Workload.Phases = scenario.LegacyPhases(sc.Workload.Queries[0], sc.Workload.Warm, sc.Machine.Processors)
+	sc.Workload.Queries = nil
+	sc.Workload.Warm = ""
+	return sc
+}
+
+// measureWarmPairs runs each warm pair as one phases job and reads Figure
+// 12's secondary-cache misses off its measured (last) phase.
+func (e *Exec) measureWarmPairs(pairs []scenario.Scenario) ([]WarmResult, error) {
+	jobs := make([]*runner.Job, len(pairs))
+	for i, sc := range pairs {
+		jobs[i] = e.phasesJob("warm/"+sc.Workload.Queries[0]+"<-"+sc.Workload.Warm, lowerWarmPair(sc))
+	}
+	raw, err := e.pool.RunAll(context.Background(), jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]WarmResult, len(pairs))
+	for i, sc := range pairs {
+		reps := raw[i].([]*core.Report)
+		out[i] = WarmResult{
+			Target: sc.Workload.Queries[0],
+			Warmer: sc.Workload.Warm,
+			L2:     reps[len(reps)-1].Machine.L2Misses.ByGroup(),
 		}
-		jobs = append(jobs, warm)
-		deps = append(deps, warm)
 	}
-	measured := phases[len(phases)-1]
-	measure := &runner.Job{
-		Name:     "measure/" + target + "<-" + warmer,
-		Mode:     "warm",
-		Spec:     sc,
-		StateKey: sk,
-		After:    deps,
-		Body: func(c *runner.Ctx) (interface{}, error) {
-			s, err := c.System()
-			if err != nil {
-				return nil, err
-			}
-			s.RunStream([]core.StreamPhase{measured})
-			res := WarmResult{Target: target, Warmer: warmer}
-			res.L2 = s.Mach.Stats().L2Misses.ByGroup()
-			return res, nil
-		},
-	}
-	return append(jobs, measure), len(jobs)
+	return out, nil
 }
 
 // RunWarmCache runs Figure 12 through the runner: every spec of the
 // fig12 preset (each of Q3 and Q12 measured cold, after itself, and
-// after the other, on very large caches) becomes a warm pair.
+// after the other, on very large caches) is one warm pair.
 func (e *Exec) RunWarmCache(o Options) ([]WarmResult, error) {
 	p, ok := scenario.PresetByName("fig12")
 	if !ok {
 		panic("experiments: fig12 preset missing")
 	}
-	var jobs []*runner.Job
-	targetIdx := make([]int, 0, len(p.Scenarios))
-	for _, sc := range p.Scenarios {
-		var idx int
-		jobs, idx = e.runWarmPair(applyOptions(sc, o), jobs)
-		targetIdx = append(targetIdx, idx)
+	pairs := make([]scenario.Scenario, len(p.Scenarios))
+	for i, sc := range p.Scenarios {
+		pairs[i] = applyOptions(sc, o)
 	}
-	res, err := e.pool.RunAll(context.Background(), jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WarmResult, len(targetIdx))
-	for i, idx := range targetIdx {
-		out[i] = res[idx].(WarmResult)
-	}
-	return out, nil
+	return e.measureWarmPairs(pairs)
 }
 
 // RunPrefetch runs Figure 13 from its preset spec: per query, the

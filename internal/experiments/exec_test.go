@@ -31,8 +31,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Fatalf("line sweep differs between 1 and 3 workers:\nserial:   %+v\nparallel: %+v", s, p)
 	}
 
-	// The warm-cache pairs exercise the dependency-ordered shared-state
-	// path; they must be invariant too.
+	// The warm-cache pairs carry state across a phase boundary inside
+	// one job; they must be invariant too.
 	sw, err := serial.RunWarmCache(o)
 	if err != nil {
 		t.Fatal(err)

@@ -26,8 +26,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden experiment 
 // they are the byte-level proof that replay equals execution), and the
 // scorecard, which transitively runs the sweeps, warm-cache pairs, and
 // prefetch comparison. mixedstreams pins the multi-phase stream
-// executor: phase-chained jobs on a shared warm system must print the
-// same bytes at every worker count.
+// executor: one job per stream, its phases on one warm system, must
+// print the same bytes at every worker count.
 var goldenExperiments = []string{
 	"table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 	"update", "ablations", "intraquery", "streams", "topology", "scorecard",

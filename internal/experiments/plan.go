@@ -38,13 +38,13 @@ type PointPlan struct {
 
 // PlanScenario decomposes a validated spec into independent point
 // plans, ok=false when the spec is not distributable: invalid specs,
-// and warm-cache specs, whose warming and measured runs share one
-// simulated system's mutable cache state and therefore cannot split
+// and warm-cache and phase specs, each of whose streams is one job on
+// one simulated system's mutable cache state and therefore cannot split
 // across processes. Replay plans for duplicate sweep points and for
 // the capture's own configuration are folded away — each plan is a
 // distinct cache key, so len(plans) is the spec's real job count.
 func PlanScenario(sc scenario.Scenario) ([]PointPlan, bool) {
-	if sc.Validate() != nil || sc.Workload.Warm != "" {
+	if sc.Validate() != nil || sc.Workload.Warm != "" || len(sc.Workload.Phases) > 0 {
 		return nil, false
 	}
 	var plans []PointPlan
@@ -114,39 +114,34 @@ func (e *Exec) ComputePoint(p PointPlan) error {
 // settles for the spec, in plan order — the denominator of a progress
 // bar. Matching them against runner events (Event.Key) attributes
 // per-point progress to a scenario no matter which submission computes
-// each point. Warm specs, though not distributable, still report their
-// measured jobs' keys; invalid specs return nil.
+// each point. Phase and warm specs, though not distributable, report
+// the keys of their phases jobs — one per stream, two per warm query
+// (cold and warmed) — computed through the same lowering the jobs run
+// under; invalid specs return nil.
 func ProgressKeys(sc scenario.Scenario) []string {
 	if sc.Validate() != nil {
 		return nil
 	}
-	if sc.Workload.Warm != "" {
-		// Mirrors RunScenario's warm shape: each query measured cold
-		// and warmed. The warming jobs are NoCache (keyless) and do not
-		// count.
-		var keys []string
-		for _, q := range sc.Workload.Queries {
-			cold := sc
-			cold.Workload.Queries = []string{q}
-			cold.Workload.Warm = ""
-			warmed := sc
-			warmed.Workload.Queries = []string{q}
-			keys = append(keys,
-				(&runner.Job{Mode: "warm", Spec: cold}).Key(),
-				(&runner.Job{Mode: "warm", Spec: warmed}).Key())
+	var all []string
+	switch {
+	case len(sc.Workload.Phases) > 0:
+		all = []string{phasesIdentity(sc).Key()}
+	case sc.Workload.Warm != "":
+		for _, pair := range warmPairs(sc) {
+			all = append(all, phasesIdentity(lowerWarmPair(pair)).Key())
 		}
-		return keys
-	}
-	plans, ok := PlanScenario(sc)
-	if !ok {
-		return nil
+	default:
+		plans, _ := PlanScenario(sc)
+		for _, p := range plans {
+			all = append(all, p.ResultKey())
+		}
 	}
 	// Distinct keys only: a workload listing one query twice plans the
-	// same points twice, but the pool settles each key once.
-	seen := make(map[string]bool, len(plans))
-	keys := make([]string, 0, len(plans))
-	for _, p := range plans {
-		if k := p.ResultKey(); !seen[k] {
+	// same jobs twice, but the pool settles each key once.
+	seen := make(map[string]bool, len(all))
+	keys := make([]string, 0, len(all))
+	for _, k := range all {
+		if !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)
 		}

@@ -61,43 +61,60 @@ func TestPlanScenario(t *testing.T) {
 	if keys := ProgressKeys(warm); len(keys) != 2 {
 		t.Fatalf("warm progress keys = %d, want 2 (cold + warmed)", len(keys))
 	}
+	if _, ok := PlanScenario(streamSpec()); ok {
+		t.Fatal("phase spec claimed to be distributable")
+	}
 }
 
 // TestProgressKeysMatchRender is the progress-attribution contract:
-// the keys ProgressKeys predicts are exactly the cacheable keys the
-// pool settles while RenderScenario runs the spec.
+// for every spec shape, the keys ProgressKeys predicts are exactly the
+// cacheable keys the pool settles while RenderScenario runs the spec.
 func TestProgressKeysMatchRender(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders a real sweep")
+		t.Skip("renders real specs")
 	}
-	sc := sweepSpec()
-	want := ProgressKeys(sc)
-	if len(want) != 3 {
-		t.Fatalf("progress keys = %d, want 3", len(want))
-	}
-
-	e := NewExec(2)
-	defer e.Close()
-	ch, cancel := e.Pool().Subscribe(256)
-	defer cancel()
-	if err := e.RenderScenario(io.Discard, sc); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-
-	settled := make(map[string]bool)
-	for ev := range ch {
-		if ev.Kind == runner.JobFinished && ev.Key != "" {
-			settled[ev.Key] = true
+	warm := sweepSpec()
+	warm.Sweep = scenario.Sweep{}
+	warm.Workload.Warm = "Q12"
+	phases := streamSpec()
+	phases.Workload.Scale = 0.001
+	for _, tc := range []struct {
+		name string
+		sc   scenario.Scenario
+		want int
+	}{
+		{"sweep", sweepSpec(), 3}, // one capture, replays at 2 and 4
+		{"warm", warm, 2},         // Q6 cold, Q6 after Q12
+		{"phases", phases, 1},     // the whole stream is one job
+	} {
+		want := ProgressKeys(tc.sc)
+		if len(want) != tc.want {
+			t.Fatalf("%s: progress keys = %d, want %d", tc.name, len(want), tc.want)
 		}
-	}
-	for _, k := range want {
-		if !settled[k] {
-			t.Errorf("planned key %s never settled", k)
+
+		e := NewExec(2)
+		ch, cancel := e.Pool().Subscribe(256)
+		err := e.RenderScenario(io.Discard, tc.sc)
+		cancel()
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(settled) != len(want) {
-		t.Errorf("settled %d distinct keys, planned %d", len(settled), len(want))
+
+		settled := make(map[string]bool)
+		for ev := range ch {
+			if ev.Kind == runner.JobFinished && ev.Key != "" {
+				settled[ev.Key] = true
+			}
+		}
+		for _, k := range want {
+			if !settled[k] {
+				t.Errorf("%s: planned key %s never settled", tc.name, k)
+			}
+		}
+		if len(settled) != len(want) {
+			t.Errorf("%s: settled %d distinct keys, planned %d", tc.name, len(settled), len(want))
+		}
 	}
 }
 

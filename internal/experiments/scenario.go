@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -33,9 +32,9 @@ type ScenarioResult struct {
 // RunScenario validates and executes one spec. Swept specs expand into
 // capture+replay jobs exactly like the figure sweeps; specs with a
 // warmer become warm pairs (each query measured cold and after the
-// warmer, so the rendering can normalize); phase specs become one job
-// chain per stream, measured phase by phase; plain specs run each
-// query cold.
+// warmer, so the rendering can normalize), each the two-phase stream it
+// lowers to; phase specs become one job per stream, measured phase by
+// phase; plain specs run each query cold.
 func (e *Exec) RunScenario(sc scenario.Scenario) (*ScenarioResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -57,27 +56,11 @@ func (e *Exec) RunScenario(sc scenario.Scenario) (*ScenarioResult, error) {
 		res.Points = pts
 
 	case sc.Workload.Warm != "":
-		var jobs []*runner.Job
-		var idx []int
-		for _, q := range sc.Workload.Queries {
-			cold := sc
-			cold.Workload.Queries = []string{q}
-			cold.Workload.Warm = ""
-			warmed := sc
-			warmed.Workload.Queries = []string{q}
-			var i int
-			jobs, i = e.runWarmPair(cold, jobs)
-			idx = append(idx, i)
-			jobs, i = e.runWarmPair(warmed, jobs)
-			idx = append(idx, i)
-		}
-		raw, err := e.pool.RunAll(context.Background(), jobs)
+		warm, err := e.measureWarmPairs(warmPairs(sc))
 		if err != nil {
 			return nil, err
 		}
-		for _, i := range idx {
-			res.Warm = append(res.Warm, raw[i].(WarmResult))
-		}
+		res.Warm = warm
 
 	default:
 		jobs := make([]*runner.Job, len(sc.Workload.Queries))

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"repro/internal/core"
@@ -10,20 +9,19 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/simm"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
-// Stream workloads through the runner. A multi-phase spec expands into
-// one job per phase, chained by After edges on a shared live system:
-// phase k's cache identity is the spec narrowed to phases[:k+1], so two
-// streams sharing a warm prefix share the prefix's cache entries, and a
-// cached prefix is never re-simulated. When the pool has a trace store
-// the phases are recorded as they run, and the last phase's job
-// assembles the whole stream's segmented trace and spills it there; a
-// later submission that misses the result cache but finds the blob
-// derives any phase by replaying segments 0..k — no executor work.
-// Without a store nothing could read the recording back, so the phases
-// run unrecorded.
+// Phase workloads through the runner. A stream runs as one job on one
+// system, start to finish: its phases share warm cache, buffer-pool and
+// lock state, which no cache entry can hold, so splitting a stream into
+// per-phase jobs would only re-execute earlier phases whenever a later
+// one missed. A legacy warm pair (Figure 12) is the two-phase stream
+// scenario.LegacyPhases lowers it to, and runs the same way. When the
+// pool has a trace store the job records its phases as they run and
+// spills the segmented trace under its own key; a later submission that
+// misses the result cache but finds the blob replays every segment —
+// no executor work. Without a store nothing could read the recording
+// back, so the phases run unrecorded.
 
 // StreamPhaseResult is one phase of a stream workload's measurement.
 type StreamPhaseResult struct {
@@ -33,92 +31,57 @@ type StreamPhaseResult struct {
 	Report  *core.Report
 }
 
-// streamState is the bookkeeping one stream's phase-job chain shares
-// through its closures: how many phases the live system has executed
-// (cache hits skip their jobs entirely, so the first miss catches up
-// from here) and the trace segments recorded so far.
-type streamState struct {
-	next int
-	segs []trace.Segment
+// phasesIdentity is a phase spec's job identity: Mode "phases" and the
+// spec without its display name or sweep. phasesJob runs under it and
+// ProgressKeys predicts keys from it, so the two cannot drift.
+func phasesIdentity(sc scenario.Scenario) *runner.Job {
+	sc.Name = ""
+	sc.Sweep = scenario.Sweep{}
+	return &runner.Job{Mode: "phases", Spec: sc}
 }
 
-// streamJobs builds the capture-per-stream job chain for a validated
-// phase workload. Jobs must run in order on one warm system, so each
-// depends on its predecessor and all name one batch-scoped StateKey.
-func (e *Exec) streamJobs(sc scenario.Scenario) []*runner.Job {
-	full := sc
-	full.Name = ""
-	full.Sweep = scenario.Sweep{}
-	phases := core.StreamPhasesFromSpec(full.Workload.Phases)
-	mcfg := full.Machine.MachineConfig()
-	st := &streamState{}
-	sk := "stream/" + full.Hash()
-	jobs := make([]*runner.Job, len(phases))
-	captureKey := "" // the last job's key, assigned once the chain exists
-	for k := range phases {
-		k := k
-		spec := full
-		spec.Workload.Phases = full.Workload.Phases[:k+1]
-		last := k == len(phases)-1
-		job := &runner.Job{
-			Name:     fmt.Sprintf("stream/phase%d", k),
-			Mode:     "stream",
-			Spec:     spec,
-			StateKey: sk,
+// phasesJob runs a validated phase workload as one job whose result is
+// one report per phase ([]*core.Report). The body replays a blob filed
+// under its own key when one is there; otherwise it executes the stream
+// on a fresh system, recording it for the trace store when the pool has
+// one.
+func (e *Exec) phasesJob(name string, sc scenario.Scenario) *runner.Job {
+	job := phasesIdentity(sc)
+	job.Name = name
+	phases := core.StreamPhasesFromSpec(sc.Workload.Phases)
+	mcfg := sc.Machine.MachineConfig()
+	job.Body = func(c *runner.Ctx) (interface{}, error) {
+		if rd, ok := c.TraceReader(); ok {
+			if reps, err := e.replayStored(rd, mcfg, len(phases)); err == nil {
+				return reps, nil
+			}
+			// Damaged or mismatched blob: fall through to executing,
+			// which re-records and re-spills a good one.
 		}
-		if k > 0 {
-			job.After = []*runner.Job{jobs[k-1]}
+		s, err := c.System()
+		if err != nil {
+			return nil, err
 		}
-		job.Body = func(c *runner.Ctx) (interface{}, error) {
-			// A spilled capture of the whole stream serves this phase by
-			// replaying segments 0..k — but only while the live system is
-			// still untouched, or the replayed state would diverge from it.
-			if st.next == 0 && captureKey != "" {
-				if rd, ok := c.TraceReaderFor(captureKey); ok {
-					if rep, err := e.replayStored(rd, mcfg, k, len(phases)); err == nil {
-						return rep, nil
-					}
-					// Damaged or mismatched blob: fall through to executing.
-				}
-			}
-			s, err := c.System()
-			if err != nil {
-				return nil, err
-			}
-			run := phases[st.next : k+1]
-			st.next = k + 1
-			if !c.HasTraceStore() {
-				reps := s.RunStream(run)
-				return reps[len(reps)-1], nil
-			}
-			reps, segs := s.RunStreamRecorded(run)
-			st.segs = append(st.segs, segs...)
-			if last && len(st.segs) == len(phases) {
-				c.PutTraceBlob(e.encodeCapture(s.StreamTrace(st.segs)))
-				// Every job body of the chain closes over st: without this
-				// the (now released) segments would stay reachable for as
-				// long as the runner keeps the jobs.
-				st.segs = nil
-			}
-			return reps[len(reps)-1], nil
+		if !c.HasTraceStore() {
+			return s.RunStream(phases), nil
 		}
-		jobs[k] = job
+		reps, segs := s.RunStreamRecorded(phases)
+		c.PutTraceBlob(e.encodeCapture(s.StreamTrace(segs)))
+		return reps, nil
 	}
-	captureKey = jobs[len(jobs)-1].Key()
-	return jobs
+	return job
 }
 
 // runStreamSpec executes a phase workload and collects one result per
 // phase, in phase order.
 func (e *Exec) runStreamSpec(sc scenario.Scenario) ([]StreamPhaseResult, error) {
-	jobs := e.streamJobs(sc)
-	raw, err := e.pool.RunAll(context.Background(), jobs)
+	raw, err := e.pool.RunAll(context.Background(), []*runner.Job{e.phasesJob("stream", sc)})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]StreamPhaseResult, len(raw))
-	for k, r := range raw {
-		rep := asReport(r)
+	reps := raw[0].([]*core.Report)
+	out := make([]StreamPhaseResult, len(reps))
+	for k, rep := range reps {
 		out[k] = StreamPhaseResult{
 			Phase:   k,
 			Flush:   sc.Workload.Phases[k].Flush,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -22,9 +23,10 @@ func streamSpec() scenario.Scenario {
 	return sc
 }
 
-// TestStreamSpecMatchesDirectExecution proves the job chain adds
-// nothing: phase-chained jobs on the runner produce exactly the reports
-// of one System running the stream directly, at one worker and several.
+// TestStreamSpecMatchesDirectExecution proves the phases job adds
+// nothing: the stream's one job on the runner produces exactly the
+// reports of one System running the stream directly, at one worker and
+// several.
 func TestStreamSpecMatchesDirectExecution(t *testing.T) {
 	sc := streamSpec()
 	s, err := core.NewScenarioSystem(sc)
@@ -45,7 +47,7 @@ func TestStreamSpecMatchesDirectExecution(t *testing.T) {
 		}
 		for k, pr := range res.Stream {
 			if !reflect.DeepEqual(pr.Report, want[k]) {
-				t.Errorf("workers=%d phase %d: job-chain report diverges from direct execution", workers, k)
+				t.Errorf("workers=%d phase %d: job report diverges from direct execution", workers, k)
 			}
 			if pr.Phase != k || pr.Flush != sc.Workload.Phases[k].Flush {
 				t.Errorf("workers=%d phase %d: result carries phase=%d flush=%v", workers, k, pr.Phase, pr.Flush)
@@ -85,8 +87,8 @@ func runStream(t *testing.T, cfg runner.Config) ([]StreamPhaseResult, string, *m
 // blob, files it, and lets go of the recorded segments (their chunk
 // buffers return to the pool the next recording draws from); a second
 // process (fresh result cache, same -trace-dir) must derive every phase
-// by replaying the blob's segment prefix — no executor work — with
-// identical reports and identical rendered bytes.
+// by replaying the blob's segments — no executor work — with identical
+// reports and identical rendered bytes.
 func TestStreamTraceStoreServesPhases(t *testing.T) {
 	dir := t.TempDir()
 	cfg := runner.Config{Workers: 2, TraceDir: dir}
@@ -113,7 +115,85 @@ func TestStreamTraceStoreServesPhases(t *testing.T) {
 		t.Errorf("served run recorded again: dssmem_trace_captures_total = %v", n)
 	}
 	if n := counterValue(t, reg2, "dssmem_cache_hits_total", map[string]string{"tier": "trace"}); n == 0 {
-		t.Error("phase jobs did not consult the trace store")
+		t.Error("the stream's job did not consult the trace store")
+	}
+}
+
+// TestPhaseWorkloadsAreOneJobEach: a stream is one job, and so is a
+// warm pair — on a fresh Exec mixedstreams completes 1 job and fig12 6,
+// one per pair.
+func TestPhaseWorkloadsAreOneJobEach(t *testing.T) {
+	if raceEnabled {
+		t.Skip("job accounting, not concurrency: runs at native speed")
+	}
+	for _, tc := range []struct {
+		name string
+		want int64
+	}{{"mixedstreams", 1}, {"fig12", 6}} {
+		e := NewExec(2)
+		err := e.Render(io.Discard, tc.name, testOptions(0.001))
+		got := e.Pool().Stats().Completed
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s completed %d jobs, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFig12TraceStoreServesPairs: warm pairs take the same trace-store
+// road as streams. A second process over the same -trace-dir renders
+// fig12's bytes by replay alone — no capture, one replay per phase (2
+// cold pairs x 1 + 4 warmed pairs x 2 = 10) — and an explicit phase
+// spec equal to a pair's lowering is that pair's cache entry.
+func TestFig12TraceStoreServesPairs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte-pinning replay gate: runs at native speed")
+	}
+	dir := t.TempDir()
+	o := goldenOptions()
+	render := func() (string, *Exec, *metrics.Registry) {
+		t.Helper()
+		reg := metrics.New()
+		e := NewExecConfig(runner.Config{Workers: 2, TraceDir: dir, Metrics: reg})
+		var out bytes.Buffer
+		if err := e.Render(&out, "fig12", o); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), e, reg
+	}
+
+	want, e1, reg1 := render()
+	if got := counterValue(t, reg1, "dssmem_trace_captures_total", nil); got != 6 {
+		t.Errorf("recording run: dssmem_trace_captures_total = %v, want 6 (one per pair)", got)
+	}
+	explicit := applyOptions(presetScenario("fig12"), o)
+	explicit.Name = "q3-after-q12"
+	explicit.Workload.Queries = nil
+	explicit.Workload.Phases = scenario.LegacyPhases("Q3", "Q12", 4)
+	before := e1.Pool().Stats()
+	if _, err := e1.RunScenario(explicit); err != nil {
+		t.Fatal(err)
+	}
+	after := e1.Pool().Stats()
+	if after.CacheHits != before.CacheHits+1 || after.Completed != before.Completed {
+		t.Errorf("explicit phase spec of a fig12 pair: hits %d -> %d, completed %d -> %d; want one hit, no run",
+			before.CacheHits, after.CacheHits, before.Completed, after.Completed)
+	}
+	e1.Close()
+
+	got, e2, reg2 := render()
+	defer e2.Close()
+	if got != want {
+		t.Error("trace-store-served fig12 differs from the executed render")
+	}
+	if n := counterValue(t, reg2, "dssmem_trace_captures_total", nil); n != 0 {
+		t.Errorf("served run recorded again: dssmem_trace_captures_total = %v", n)
+	}
+	if n := counterValue(t, reg2, "dssmem_trace_replays_total", nil); n != 10 {
+		t.Errorf("dssmem_trace_replays_total = %v, want 10 (one per phase)", n)
 	}
 }
 

@@ -14,7 +14,7 @@ const (
 	// JobStarted: a worker began executing the job.
 	JobStarted
 	// JobFinished: the job reached a terminal state (see Event.State for
-	// which: Done, Failed, Cached, or Skipped).
+	// which: Done, Failed, or Cached).
 	JobFinished
 )
 

@@ -22,7 +22,7 @@ type Job struct {
 	// Name labels the job in events, errors, and bookkeeping.
 	Name string
 	// Mode discriminates otherwise-identical cache keys between job
-	// families ("cold", "warm", "table1", ...).
+	// families ("capture", "cold", "phases", "table1", ...).
 	Mode string
 	// Spec is the scenario the job measures: machine, workload (scale,
 	// seed, query list), and — for sweep-expanding callers — the axis.
@@ -33,27 +33,15 @@ type Job struct {
 	Extra []string
 
 	// After lists jobs of the same SubmitAll batch that must reach a
-	// terminal state before this job may start (the warm-cache
-	// experiments hang a measured run off its warming run this way).
+	// terminal state before this job may start, and whose results the
+	// body reads through Ctx.After (a sweep's replays hang off the
+	// capture whose recorded trace they replay). Dependencies share
+	// results, never systems: history a measurement needs runs inside
+	// one body.
 	After []*Job
-	// StateKey names a shared mutable system. All jobs of one SubmitAll
-	// batch with the same non-empty StateKey run on one *core.System
-	// instance, created from the first job's Spec and never
-	// reconfigured, so cache contents survive from job to job. Callers
-	// must serialize such jobs through After edges; the pool frees the
-	// system when the last job naming it settles. Keys are scoped to
-	// their batch — equal keys in different batches never share state,
-	// so concurrent submissions of the same experiment cannot corrupt
-	// each other.
-	StateKey string
 
-	// NoCache exempts the job from result caching (for jobs run for
-	// their side effect on a shared system, whose "result" is state).
+	// NoCache exempts the job from result caching.
 	NoCache bool
-	// Ephemeral marks a job that exists only to feed its dependents: if
-	// at submission every dependent is already resolved from the cache,
-	// the job is skipped.
-	Ephemeral bool
 
 	// Body computes the job's result.
 	Body func(*Ctx) (interface{}, error)
@@ -76,11 +64,9 @@ const (
 	Failed
 	// Cached jobs were resolved from the result cache without running.
 	Cached
-	// Skipped jobs were ephemeral and no longer needed.
-	Skipped
 )
 
-var stateNames = [...]string{"pending", "ready", "running", "done", "failed", "cached", "skipped"}
+var stateNames = [...]string{"pending", "ready", "running", "done", "failed", "cached"}
 
 func (s State) String() string {
 	if s < 0 || int(s) >= len(stateNames) {
@@ -90,7 +76,7 @@ func (s State) String() string {
 }
 
 // terminal reports whether the state is final.
-func (s State) terminal() bool { return s == Done || s == Failed || s == Cached || s == Skipped }
+func (s State) terminal() bool { return s == Done || s == Failed || s == Cached }
 
 // Info is the pool's bookkeeping snapshot for one job.
 type Info struct {
@@ -116,10 +102,9 @@ func (i Info) Duration() time.Duration {
 
 // jobRec is the pool-internal record of a submitted job.
 type jobRec struct {
-	job      *Job
-	id       JobID
-	key      string // cache key, "" when NoCache
-	stateKey string // batch-scoped shared-system key, "" when stateless
+	job *Job
+	id  JobID
+	key string // cache key, "" when NoCache
 
 	// deps mirrors Job.After in order (wired at submission, then
 	// read-only); Ctx.After serves dependency results from it.

@@ -60,8 +60,10 @@ func TestKeyCanonicalization(t *testing.T) {
 
 // TestStreamKeyGeneration checks that stream-workload jobs key under the
 // stream format generation — so no stream result can ever be addressed
-// by (or collide with) a legacy-format cache entry — and that every
-// phase prefix of a stream is its own cache identity.
+// by (or collide with) a legacy-format cache entry — that streams of
+// different lengths are different identities, and that a "phases" job
+// (one job per stream, its result one report per phase) never answers
+// to the key an older build filed a "stream" or "warm" result under.
 func TestStreamKeyGeneration(t *testing.T) {
 	stream := func(n int) *Job {
 		sc := specQ("Q6")
@@ -72,17 +74,24 @@ func TestStreamKeyGeneration(t *testing.T) {
 				Runs:  [][]scenario.PhaseRun{{{Query: "Q6", Variant: uint64(i)}}},
 			})
 		}
-		return &Job{Name: "stream", Mode: "stream", Spec: sc}
+		return &Job{Name: "stream", Mode: "phases", Spec: sc}
 	}
 	k2 := stream(2).Key()
 	if want := fmt.Sprintf("s%d-", scenario.StreamFormatVersion); !strings.HasPrefix(k2, want) {
 		t.Fatalf("stream key %q lacks the %q generation prefix", k2, want)
 	}
 	if k1 := stream(1).Key(); k1 == k2 {
-		t.Error("phase prefixes of different lengths share a key")
+		t.Error("streams of different lengths share a key")
 	}
-	if legacy := (&Job{Name: "x", Mode: "stream", Spec: specQ("Q6")}).Key(); strings.HasPrefix(legacy, fmt.Sprintf("s%d-", scenario.StreamFormatVersion)) {
+	if legacy := (&Job{Name: "x", Mode: "phases", Spec: specQ("Q6")}).Key(); strings.HasPrefix(legacy, fmt.Sprintf("s%d-", scenario.StreamFormatVersion)) {
 		t.Error("legacy spec keyed under the stream generation")
+	}
+	for _, old := range []string{"stream", "warm"} {
+		j := stream(2)
+		j.Mode = old
+		if j.Key() == k2 {
+			t.Errorf("a phases key equals the %q key of the same spec", old)
+		}
 	}
 }
 

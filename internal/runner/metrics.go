@@ -16,7 +16,6 @@ type poolMetrics struct {
 	jobsStarted   *metrics.Counter
 	jobsCompleted *metrics.Counter
 	jobsFailed    *metrics.Counter
-	jobsSkipped   *metrics.Counter
 
 	queueDepth *metrics.Gauge // ready + dependency-blocked jobs
 	running    *metrics.Gauge
@@ -43,8 +42,6 @@ func newPoolMetrics(r *metrics.Registry) poolMetrics {
 			"Jobs whose body completed successfully."),
 		jobsFailed: r.Counter("dssmem_runner_jobs_failed_total",
 			"Jobs that failed, lost a dependency, or were cancelled by shutdown."),
-		jobsSkipped: r.Counter("dssmem_runner_jobs_skipped_total",
-			"Ephemeral jobs skipped because every dependent was already resolved."),
 		queueDepth: r.Gauge("dssmem_runner_queue_depth",
 			"Jobs waiting to run (ready plus dependency-blocked)."),
 		running: r.Gauge("dssmem_runner_running",

@@ -5,9 +5,11 @@
 // Every sweep point of the evaluation (Figures 8-13) constructs its own
 // simulated system and is embarrassingly parallel; the runner exploits
 // that with a pool of workers (sized by GOMAXPROCS by default) fed from
-// a min-heap ready queue with dependency tracking — a warm-cache
-// measurement depends on, and shares a system with, its warming run. A
-// content-addressed result cache keyed by the canonical hash of (mode,
+// a min-heap ready queue with dependency tracking — a sweep's replays
+// depend on the capture whose trace they replay. One job, one system:
+// every job that simulates builds its own, and history a measurement
+// needs (a warmed cache, a stream's earlier phases) runs inside that one
+// job's body. A content-addressed result cache keyed by the canonical hash of (mode,
 // database options, machine configuration, query list) satisfies
 // repeated submissions from memory (optionally disk) instead of
 // re-simulating, so `dssmem -exp all` computes each distinct
@@ -31,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/blobstore"
-	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -80,10 +81,6 @@ type Pool struct {
 	start   time.Time
 	met     poolMetrics
 
-	sharedMu  sync.Mutex
-	shared    map[string]*core.System
-	stateRefs map[string]int
-
 	mu       sync.Mutex
 	cond     *sync.Cond
 	jobs     map[JobID]*jobRec
@@ -97,7 +94,6 @@ type Pool struct {
 	submitted   int64
 	completed   int64
 	failed      int64
-	skipped     int64
 	cacheHits   int64
 	cacheMisses int64
 	running     int
@@ -136,16 +132,14 @@ func New(cfg Config) *Pool {
 		}
 	}
 	p := &Pool{
-		factory:   factory,
-		cache:     newResultCache(rstore, met.cacheMetrics()),
-		traces:    newTraceStore(tstore, met.traceMetrics()),
-		start:     time.Now(),
-		met:       met,
-		shared:    make(map[string]*core.System),
-		stateRefs: make(map[string]int),
-		jobs:      make(map[JobID]*jobRec),
-		nextID:    1,
-		nworkers:  n,
+		factory:  factory,
+		cache:    newResultCache(rstore, met.cacheMetrics()),
+		traces:   newTraceStore(tstore, met.traceMetrics()),
+		start:    time.Now(),
+		met:      met,
+		jobs:     make(map[JobID]*jobRec),
+		nextID:   1,
+		nworkers: n,
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.met.workers.Set(float64(n))
@@ -165,8 +159,7 @@ func New(cfg Config) *Pool {
 // SubmitAll submits a batch of jobs and returns their IDs in batch
 // order. Dependencies (Job.After) must point at jobs of the same batch.
 // Cacheable jobs whose key is already in the result cache resolve
-// immediately without running; Ephemeral jobs whose dependents all
-// resolved that way are skipped.
+// immediately without running.
 func (p *Pool) SubmitAll(jobs []*Job) ([]JobID, error) {
 	now := time.Now()
 	p.mu.Lock()
@@ -178,7 +171,6 @@ func (p *Pool) SubmitAll(jobs []*Job) ([]JobID, error) {
 	recs := make([]*jobRec, len(jobs))
 	byJob := make(map[*Job]*jobRec, len(jobs))
 	ids := make([]JobID, len(jobs))
-	batch := p.nextID // scopes StateKeys to this submission
 	for i, j := range jobs {
 		if j == nil || j.Body == nil {
 			return nil, fmt.Errorf("runner: job %d (%q) has no body", i, jobName(j))
@@ -189,9 +181,6 @@ func (p *Pool) SubmitAll(jobs []*Job) ([]JobID, error) {
 		rec := &jobRec{
 			job: j, id: p.nextID, key: j.Key(),
 			state: Pending, submitted: now, done: make(chan struct{}),
-		}
-		if j.StateKey != "" {
-			rec.stateKey = fmt.Sprintf("%s#%d", j.StateKey, batch)
 		}
 		p.nextID++
 		recs[i], byJob[j], ids[i] = rec, rec, rec.id
@@ -213,19 +202,13 @@ func (p *Pool) SubmitAll(jobs []*Job) ([]JobID, error) {
 		}
 	}
 
-	// The batch is now structurally valid; account every job, and pin
-	// shared-state systems until their last job settles.
+	// The batch is now structurally valid; account every job.
 	p.submitted += int64(len(recs))
 	p.met.jobsSubmitted.Add(float64(len(recs)))
 	p.met.queueDepth.Add(float64(len(recs)))
-	for _, rec := range recs {
-		if rec.stateKey != "" {
-			p.stateRef(rec.stateKey)
-		}
-	}
 
 	// Resolve cache hits before anything runs: a hit short-circuits the
-	// job and may render its warming predecessors unnecessary.
+	// job.
 	for _, rec := range recs {
 		if rec.key == "" {
 			continue
@@ -236,30 +219,8 @@ func (p *Pool) SubmitAll(jobs []*Job) ([]JobID, error) {
 		}
 	}
 
-	// Prune ephemeral jobs whose dependents are all settled. Iterate to
-	// a fixpoint so chains of ephemeral jobs collapse together.
-	for changed := true; changed; {
-		changed = false
-		for _, rec := range recs {
-			if rec.state != Pending || !rec.job.Ephemeral || len(rec.dependents) == 0 {
-				continue
-			}
-			needed := false
-			for _, d := range rec.dependents {
-				if !d.state.terminal() {
-					needed = true
-					break
-				}
-			}
-			if !needed {
-				p.settleLocked(rec, Skipped)
-				changed = true
-			}
-		}
-	}
-
 	// Count unresolved dependencies and queue the ready ones. Counts are
-	// recomputed from scratch: the settle cascades above already ran
+	// recomputed from scratch: the cache-hit settles above already ran
 	// releaseDependentsLocked, whose decrements predate any count.
 	for i, rec := range recs {
 		if rec.state != Pending {
@@ -383,7 +344,6 @@ type Stats struct {
 	Submitted int64 `json:"submitted"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
-	Skipped   int64 `json:"skipped"`
 
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
@@ -426,7 +386,7 @@ func (p *Pool) Stats() Stats {
 	s := Stats{
 		Workers:   p.nworkers,
 		Submitted: p.submitted, Completed: p.completed,
-		Failed: p.failed, Skipped: p.skipped,
+		Failed:    p.failed,
 		CacheHits: p.cacheHits, CacheMisses: p.cacheMisses,
 		CacheEntries: p.cache.size(),
 		TraceHits:    ts.Hits, TraceMisses: ts.Misses,
@@ -452,8 +412,13 @@ func (p *Pool) enqueueLocked(rec *jobRec) {
 }
 
 // settleLocked moves a job to a terminal state reached without running
-// (Cached, Skipped, or Failed-before-start), releases its dependents,
-// and closes its done channel. Caller holds p.mu.
+// (Cached or Failed-before-start), releases its dependents, publishes
+// its finished event and closes its done channel. Caller holds p.mu.
+//
+// The event goes out before done closes (here and in finish), so a
+// caller whose Wait returned has already been sent every finished
+// event of the jobs it waited on: a progress listener that cancels its
+// subscription after Wait and then drains the channel counts them all.
 func (p *Pool) settleLocked(rec *jobRec, st State) {
 	rec.state = st
 	rec.finished = time.Now()
@@ -461,19 +426,13 @@ func (p *Pool) settleLocked(rec *jobRec, st State) {
 	switch st {
 	case Cached:
 		p.cacheHits++
-	case Skipped:
-		p.skipped++
-		p.met.jobsSkipped.Inc()
 	case Failed:
 		p.failed++
 		p.met.jobsFailed.Inc()
 	}
-	if rec.stateKey != "" {
-		p.stateUnref(rec.stateKey)
-	}
 	p.releaseDependentsLocked(rec)
-	close(rec.done)
 	p.publishFinished(rec)
+	close(rec.done)
 }
 
 // releaseDependentsLocked propagates a terminal transition: successful
@@ -583,14 +542,11 @@ func (p *Pool) finish(rec *jobRec, res interface{}, err error, fromCache bool, b
 			p.cacheMisses++
 		}
 	}
-	if rec.stateKey != "" {
-		p.stateUnref(rec.stateKey)
-	}
 	p.releaseDependentsLocked(rec)
+	p.publishFinished(rec)
 	close(rec.done)
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.publishFinished(rec)
 }
 
 func jobName(j *Job) string {

@@ -52,9 +52,9 @@ func waitRunning(t *testing.T, p *Pool, n int) {
 	}
 }
 
-// TestDependencyOrdering checks the warm-cache invariant: a measured
-// job never starts before its warming predecessor finished, no matter
-// how many workers compete for the queue.
+// TestDependencyOrdering checks the After invariant: a dependent job
+// never starts before its predecessor finished, no matter how many
+// workers compete for the queue.
 func TestDependencyOrdering(t *testing.T) {
 	p, _ := newTestPool(t, 4)
 	const pairs = 8
@@ -211,59 +211,6 @@ func TestShutdownDrain(t *testing.T) {
 	}
 }
 
-// TestEphemeralPruning checks that a warming job is skipped when every
-// dependent resolves from the cache at submission.
-func TestEphemeralPruning(t *testing.T) {
-	p, _ := newTestPool(t, 2)
-	var warms, measures int64
-	mk := func() []*Job {
-		warm := &Job{
-			Name: "warm", NoCache: true, Ephemeral: true, StateKey: "pair",
-			Body: func(*Ctx) (interface{}, error) {
-				atomic.AddInt64(&warms, 1)
-				return nil, nil
-			},
-		}
-		measure := &Job{
-			Name: "measure", Mode: "warm", Spec: specQ("Q12"),
-			StateKey: "pair", After: []*Job{warm},
-			Body: func(*Ctx) (interface{}, error) {
-				atomic.AddInt64(&measures, 1)
-				return "warm-result", nil
-			},
-		}
-		return []*Job{warm, measure}
-	}
-	if _, err := p.RunAll(context.Background(), mk()); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := p.SubmitAll(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Wait(context.Background(), ids[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] != "warm-result" {
-		t.Fatalf("cached measure = %v", res[0])
-	}
-	if warms != 1 || measures != 1 {
-		t.Errorf("warm ran %d times, measure %d times, want 1/1", warms, measures)
-	}
-	winfo, _ := p.Info(ids[0])
-	if winfo.State != Skipped {
-		t.Errorf("resubmitted warm state = %v, want skipped", winfo.State)
-	}
-	minfo, _ := p.Info(ids[1])
-	if minfo.State != Cached || !minfo.CacheHit {
-		t.Errorf("resubmitted measure state = %v hit=%v, want cached/true", minfo.State, minfo.CacheHit)
-	}
-	if s := p.Stats(); s.Skipped != 1 {
-		t.Errorf("skipped = %d, want 1", s.Skipped)
-	}
-}
-
 // TestPanicRecovery checks that a panicking body fails its job instead
 // of killing the worker.
 func TestPanicRecovery(t *testing.T) {
@@ -327,37 +274,29 @@ func TestReadyQueueFIFO(t *testing.T) {
 	}
 }
 
-// TestBatchScopedStateKeys checks that equal StateKeys in different
-// batches get distinct shared systems (concurrent submissions of the
-// same experiment must not share mutable state), while jobs within one
-// batch share a single build.
-func TestBatchScopedStateKeys(t *testing.T) {
+// TestEveryJobBuildsItsOwnSystem checks the one-job-one-system rule:
+// two dependent jobs of one batch that both ask for a system get two
+// builds — a dependency shares its result, never its system.
+func TestEveryJobBuildsItsOwnSystem(t *testing.T) {
 	p, f := newTestPool(t, 2)
-	mkBatch := func() []*Job {
-		a := &Job{Name: "a", NoCache: true, StateKey: "shared",
-			Body: func(c *Ctx) (interface{}, error) { _, err := c.System(); return nil, err }}
-		b := &Job{Name: "b", NoCache: true, StateKey: "shared", After: []*Job{a},
-			Body: func(c *Ctx) (interface{}, error) { _, err := c.System(); return nil, err }}
-		return []*Job{a, b}
+	var systems [2]*core.System
+	build := func(i int) func(c *Ctx) (interface{}, error) {
+		return func(c *Ctx) (interface{}, error) {
+			s, err := c.System()
+			systems[i] = s
+			return nil, err
+		}
 	}
-	if _, err := p.RunAll(context.Background(), mkBatch()); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt64(&f.calls); got != 1 {
-		t.Fatalf("first batch built %d systems, want 1", got)
-	}
-	if _, err := p.RunAll(context.Background(), mkBatch()); err != nil {
+	a := &Job{Name: "a", NoCache: true, Body: build(0)}
+	b := &Job{Name: "b", NoCache: true, After: []*Job{a}, Body: build(1)}
+	if _, err := p.RunAll(context.Background(), []*Job{a, b}); err != nil {
 		t.Fatal(err)
 	}
 	if got := atomic.LoadInt64(&f.calls); got != 2 {
-		t.Errorf("second batch reused the first batch's system (builds=%d, want 2)", got)
+		t.Errorf("two dependent jobs built %d systems, want 2", got)
 	}
-	// Both batches settled, so the shared map must be empty.
-	p.sharedMu.Lock()
-	leftover := len(p.shared) + len(p.stateRefs)
-	p.sharedMu.Unlock()
-	if leftover != 0 {
-		t.Errorf("%d shared-system entries leaked", leftover)
+	if systems[0] == systems[1] {
+		t.Error("dependent job received its predecessor's system")
 	}
 }
 
@@ -442,6 +381,33 @@ func TestEvents(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("timed out waiting for %v event", k)
+		}
+	}
+}
+
+// TestFinishedEventPrecedesWait: by the time Wait returns, the job's
+// finished event has been sent, so a listener that cancels right after
+// Wait and drains its channel still counts it — the contract progress
+// tracking (ProgressKeys against Event.Key) relies on for the last job
+// of a render.
+func TestFinishedEventPrecedesWait(t *testing.T) {
+	p, _ := newTestPool(t, 2)
+	for i := 0; i < 3000; i++ { // the lost event is a narrow race: try often
+		events, cancel := p.Subscribe(8)
+		_, err := p.RunAll(context.Background(), []*Job{{Name: "last", NoCache: true,
+			Body: func(*Ctx) (interface{}, error) { return nil, nil }}})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		finished := 0
+		for ev := range events {
+			if ev.Kind == JobFinished {
+				finished++
+			}
+		}
+		if finished != 1 {
+			t.Fatalf("run %d: %d finished events drained after Wait, want 1", i, finished)
 		}
 	}
 }

@@ -39,22 +39,15 @@ func (c *Ctx) Key() string { return c.rec.key }
 // After returns the result of the job's i-th After dependency. By the
 // time a body runs every dependency has settled successfully (a failed
 // dependency fails the job before it starts), so this only errors on a
-// bad index or a dependency that finished without a result (an
-// Ephemeral job skipped because its other dependents were cached).
+// bad index.
 func (c *Ctx) After(i int) (interface{}, error) {
 	if i < 0 || i >= len(c.rec.deps) {
 		return nil, fmt.Errorf("runner: job %q has %d dependencies, not %d",
 			c.rec.job.Name, len(c.rec.deps), i+1)
 	}
-	d := c.rec.deps[i]
 	c.pool.mu.Lock()
-	res, st := d.result, d.state
-	c.pool.mu.Unlock()
-	if st != Done && st != Cached {
-		return nil, fmt.Errorf("runner: dependency %q of %q settled %s with no result",
-			d.job.Name, c.rec.job.Name, st)
-	}
-	return res, nil
+	defer c.pool.mu.Unlock()
+	return c.rec.deps[i].result, nil
 }
 
 // TraceReader opens the trace-store blob filed under this job's key for
@@ -85,69 +78,21 @@ func (c *Ctx) PutTraceBlob(b []byte) bool {
 	return c.pool.traces.put(c.rec.key, b)
 }
 
-// System returns the simulated system for this job.
-//
-// Stateless jobs (empty StateKey) receive a freshly constructed system:
-// a simulation's timing depends on the system's entire run history (a
-// previous query leaves the database's buffer pool and lock tables in a
-// different state), so sharing systems between unrelated jobs would
-// make results depend on which worker ran what first. Building each
-// measurement from a pristine system makes every result a pure function
-// of the job's identity fields — the property that lets the cache
-// deduplicate and lets any worker count produce byte-identical output.
-//
-// StateKey jobs receive the shared system registered under that key,
-// creating it from this job's Spec on first use; its caches and
-// measurement state carry over between the jobs that share it, which
-// are serialized by their dependency edges.
+// System builds a fresh simulated system from the job's Spec; every
+// call builds another. A simulation's timing depends on the system's
+// entire run history (a previous query leaves the database's buffer
+// pool and lock tables in a different state), so sharing systems
+// between jobs would make results depend on which worker ran what
+// first. Building each measurement from a pristine system makes every
+// result a pure function of the job's identity fields — the property
+// that lets the cache deduplicate and lets any worker count produce
+// byte-identical output. A measurement that needs history (a warmed
+// cache, a stream's earlier phases) runs all of it in its one body.
 func (c *Ctx) System() (*core.System, error) {
-	if c.rec.stateKey != "" {
-		return c.pool.sharedSystem(c.rec)
-	}
 	return c.pool.factory(c.rec.job.Spec)
 }
 
 // worker is one pool worker.
 type worker struct {
 	id int
-}
-
-// sharedSystem returns (creating on first use) the system registered
-// under the record's batch-scoped state key. Jobs sharing a key are
-// serialized by their dependency edges, so at most one of them executes
-// at a time; the map lock guards only the lookup and insert, never the
-// (slow) factory call, so a system build cannot stall unrelated
-// workers.
-func (p *Pool) sharedSystem(rec *jobRec) (*core.System, error) {
-	p.sharedMu.Lock()
-	s, ok := p.shared[rec.stateKey]
-	p.sharedMu.Unlock()
-	if ok {
-		return s, nil
-	}
-	s, err := p.factory(rec.job.Spec)
-	if err != nil {
-		return nil, err
-	}
-	p.sharedMu.Lock()
-	p.shared[rec.stateKey] = s
-	p.sharedMu.Unlock()
-	return s, nil
-}
-
-// stateRef / stateUnref track how many live jobs name each StateKey so
-// the shared system can be freed as soon as the last one finishes.
-func (p *Pool) stateRef(key string) {
-	p.sharedMu.Lock()
-	p.stateRefs[key]++
-	p.sharedMu.Unlock()
-}
-
-func (p *Pool) stateUnref(key string) {
-	p.sharedMu.Lock()
-	if p.stateRefs[key]--; p.stateRefs[key] <= 0 {
-		delete(p.stateRefs, key)
-		delete(p.shared, key)
-	}
-	p.sharedMu.Unlock()
 }
