@@ -14,7 +14,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check every internal package. The scheduler's baton-pass handoff
+# Race-check every internal package. The scheduler's coroutine switches
 # and the runner's worker pool are the concurrency hot spots, but the
 # determinism tests in internal/experiments only mean something if they
 # also hold under the race detector, so the whole tree runs. The
@@ -68,8 +68,12 @@ wal-smoke:
 # capture-per-stream trace-store round trip (streams and fig12's warm
 # pairs), the no-store run that must record nothing, progress keys
 # matching what a render settles, and the mixedstreams golden at
-# -jobs 1 vs parallel. Blocking in CI.
+# -jobs 1 vs parallel. The scheduler's coroutine driver rides along:
+# live and replayed interleavings, lock-op coroutine reuse and
+# leak-free panics, 20 times each under the race detector. Blocking in
+# CI.
 stream-smoke:
+	$(GO) test -race -count=20 -run 'TestDeterminism|TestInterleavingIsTimeOrdered|TestRunReplayMatchesRun|TestRunPanicLeaksNoGoroutine|TestRunReplayOpPanicLeaksNoGoroutine|TestRunReplayOpsReuseProcCoroutine' ./internal/sched
 	$(GO) test -count=1 -run 'TestStreamReplayMatchesExecution|TestStreamReplaySweeps|TestLegacyPhasesEquivalence|TestReplayStreamUnsegmented|TestRunStreamAnswers' -v ./internal/core
 	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestFig12TraceStoreServesPairs|TestStreamWithoutStoreRecordsNothing|TestProgressKeysMatchRender|TestGoldenOutput' ./internal/experiments
 

@@ -3,7 +3,10 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // TestWorkerCountInvariance is the subsystem's central promise: the
@@ -109,5 +112,46 @@ func TestRenderValidation(t *testing.T) {
 	}
 	if a.Len() == 0 || a.String() != b.String() {
 		t.Error("table1 render not reproducible")
+	}
+}
+
+// TestSweepStartsCapturesFirst: on one worker, a multi-query line sweep
+// starts every capture before any replay, since the ready queue runs
+// jobs that others wait on first. Replays then end the sweep, where a
+// wider pool can spread them over every worker.
+func TestSweepStartsCapturesFirst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real sweep")
+	}
+	o := testOptions(0.001)
+	o.Queries = []string{"Q6", "Q12", "Q3"}
+	e := NewExec(1)
+	defer e.Close()
+	ch, cancel := e.Pool().Subscribe(256)
+	_, err := e.RunLineSweep(o)
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started []string
+	for ev := range ch {
+		if ev.Kind == runner.JobStarted {
+			started = append(started, ev.Name)
+		}
+	}
+	captures, replays := 0, 0
+	for _, name := range started {
+		switch {
+		case strings.HasPrefix(name, "capture/"):
+			if replays > 0 {
+				t.Fatalf("capture started after a replay: %v", started)
+			}
+			captures++
+		case strings.HasPrefix(name, "replay/"):
+			replays++
+		}
+	}
+	if captures != len(o.Queries) || replays == 0 {
+		t.Fatalf("started %d captures and %d replays, want %d and some: %v", captures, replays, len(o.Queries), started)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // JobID identifies a submitted job within its Pool. IDs are assigned in
-// submission order and order the ready queue, so ready jobs execute
-// FIFO.
+// submission order and break ties in the ready queue, so ready jobs with
+// equally many dependents execute FIFO.
 type JobID int64
 
 // Job is one schedulable unit of simulation work.

@@ -5,12 +5,13 @@
 // Every sweep point of the evaluation (Figures 8-13) constructs its own
 // simulated system and is embarrassingly parallel; the runner exploits
 // that with a pool of workers (sized by GOMAXPROCS by default) fed from
-// a min-heap ready queue with dependency tracking — a sweep's replays
-// depend on the capture whose trace they replay. One job, one system:
-// every job that simulates builds its own, and history a measurement
-// needs (a warmed cache, a stream's earlier phases) runs inside that one
-// job's body. A content-addressed result cache keyed by the canonical hash of (mode,
-// database options, machine configuration, query list) satisfies
+// a dependents-first ready queue with dependency tracking — a sweep's
+// replays depend on the capture whose trace they replay, so captures run
+// first. One job, one system: every job that simulates builds its own,
+// and history a measurement needs (a warmed cache, a stream's earlier
+// phases) runs inside that one job's body. A content-addressed result
+// cache keyed by the canonical hash of (mode, database options, machine
+// configuration, query list) satisfies
 // repeated submissions from memory (optionally disk) instead of
 // re-simulating, so `dssmem -exp all` computes each distinct
 // configuration once no matter how many figures reference it. The pool
@@ -455,7 +456,7 @@ func (p *Pool) releaseDependentsLocked(rec *jobRec) {
 	}
 }
 
-// runWorker is the worker loop: pop the cheapest ready job, execute it,
+// runWorker is the worker loop: pop the first ready job, execute it,
 // publish the outcome, repeat until shutdown empties the queue.
 func (p *Pool) runWorker(w *worker) {
 	defer p.wg.Done()

@@ -274,6 +274,45 @@ func TestReadyQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestReadyQueueDependentsFirst checks that jobs others wait on run
+// first: with one gated worker, the batch [r1←c1, c1, r2←c2, c2, leaf]
+// starts both captures before either replay, and ties keep submission
+// order. FIFO alone would run c1, r1, c2, r2, leaf.
+func TestReadyQueueDependentsFirst(t *testing.T) {
+	p, _ := newTestPool(t, 1)
+	release := make(chan struct{})
+	blocker := &Job{Name: "blocker", NoCache: true,
+		Body: func(*Ctx) (interface{}, error) { <-release; return nil, nil }}
+	if _, err := p.Submit(blocker); err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, p, 1)
+
+	var mu sync.Mutex
+	var order []string
+	mk := func(name string, after ...*Job) *Job {
+		return &Job{Name: name, NoCache: true, After: after,
+			Body: func(*Ctx) (interface{}, error) {
+				mu.Lock()
+				order = append(order, name)
+				mu.Unlock()
+				return nil, nil
+			}}
+	}
+	c1, c2 := mk("c1"), mk("c2")
+	ids, err := p.SubmitAll([]*Job{mk("r1", c1), c1, mk("r2", c2), c2, mk("leaf")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if _, err := p.Wait(context.Background(), ids...); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[c1 c2 r1 r2 leaf]"; got != want {
+		t.Fatalf("execution order = %s, want %s", got, want)
+	}
+}
+
 // TestEveryJobBuildsItsOwnSystem checks the one-job-one-system rule:
 // two dependent jobs of one batch that both ask for a system get two
 // builds — a dependency shares its result, never its system.

@@ -8,7 +8,9 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 
 	"repro/internal/machine"
 	"repro/internal/simm"
@@ -35,18 +37,16 @@ func DefaultConfig() Config {
 
 // Engine coordinates the simulated processors.
 //
-// Scheduling is a direct baton pass rather than a central scheduler
-// goroutine: the running processor owns the baton, and when its clock
-// passes the runnable horizon it repositions itself in a small ring of
-// runnable processors sorted by (clock, id). If it is still the
-// minimum it just refreshes its horizon and keeps running — no channel
-// operation, no goroutine switch. Only when it actually loses the
-// min-clock race does it wake the new minimum and park, which costs a
-// single handoff instead of the two channel operations per yield (and
-// two goroutine switches) of a scheduler-in-the-middle design. Exactly
-// one goroutine runs at a time and every handoff synchronizes through
-// a channel, so the interleaving is identical to the old engine's and
-// race-detector clean.
+// Each processor body runs as a coroutine (iter.Pull) driven by one loop
+// on the caller's goroutine. The running processor keeps a small ring of
+// runnable processors sorted by (clock, id); when its clock passes the
+// runnable horizon it repositions itself in the ring. If it is still
+// the minimum it just refreshes its horizon and keeps running — no
+// switch at all. Only when it actually loses the min-clock race does it
+// yield to the driver, which resumes the new minimum: a coroutine
+// switch, not a channel handoff through the Go scheduler. Exactly one
+// goroutine runs at a time, so the interleaving is fixed by the (clock,
+// id) rule alone and is race-detector clean.
 type Engine struct {
 	cfg   Config
 	mem   *simm.Memory
@@ -54,16 +54,8 @@ type Engine struct {
 	procs []*Proc
 	// ring is the runnable set, sorted ascending by (clock, id); the
 	// running processor is always ring[0]. Only the running processor
-	// (or, between runs, the caller of Run) touches it.
+	// (or, between turns, the driver) touches it.
 	ring []*Proc
-	// finished receives every processor that completes its body; Run
-	// counts completions and re-raises panics.
-	finished chan *Proc
-	// flat is set while RunReplay's single-goroutine driver owns the
-	// ring; flatCh is how a lock-op goroutine yields the baton back to
-	// it (see RunReplay).
-	flat   bool
-	flatCh chan *Proc
 
 	// Tracer, when set, observes every traced reference in issue order
 	// (the address-trace methodology of the paper's Section 4). It runs
@@ -84,7 +76,7 @@ type Engine struct {
 	// before touching the timing model — no busy charge, no machine
 	// access, no clock advance, no yield. With clocks frozen the sorted
 	// ring degenerates to sequential execution (the head never passes
-	// its horizon), so a record-pure Run costs zero goroutine handoffs;
+	// its horizon), so a record-pure Run resumes each body once;
 	// spinlocks reduce to their uncontended store (correct because
 	// execution is serial) and lock-manager operations still execute
 	// their real code. The captured streams equal a live recording's —
@@ -120,11 +112,7 @@ func New(cfg Config, mem *simm.Memory, mach *machine.Machine) *Engine {
 		mach: mach,
 	}
 	for i := 0; i < mach.Config().Nodes; i++ {
-		e.procs = append(e.procs, &Proc{
-			id:   i,
-			eng:  e,
-			park: make(chan struct{}, 1),
-		})
+		e.procs = append(e.procs, &Proc{id: i, eng: e})
 	}
 	return e
 }
@@ -144,44 +132,61 @@ const horizonMax = int64(1<<63 - 1)
 // in simulated-time order. Bodies may be nil for idle processors.
 // Clocks and per-processor breakdowns accumulate across calls, so a
 // sequence of Runs models back-to-back queries (the warm-cache setups).
+// A body's panic is re-raised in the caller after every other body's
+// coroutine is unwound.
 func (e *Engine) Run(bodies []func(*Proc)) {
 	if len(bodies) != len(e.procs) {
 		panic(fmt.Sprintf("sched: %d bodies for %d processors", len(bodies), len(e.procs)))
 	}
 	e.ring = e.ring[:0]
+	defer e.stopCoroutines()
 	for i, body := range bodies {
 		if body == nil {
 			continue
 		}
 		p := e.procs[i]
-		p.done = false
-		p.started = true
-		p.panicVal = nil
+		p.spawn(func() { body(p) })
 		e.ringInsert(p)
-		go func(p *Proc, body func(*Proc)) {
-			defer func() {
-				p.panicVal = recover()
-				p.done = true
-				p.complete()
-			}()
-			<-p.park
-			body(p)
-		}(p, body)
 	}
-	active := len(e.ring)
-	if active == 0 {
-		return
+	for len(e.ring) > 0 {
+		p := e.ring[0]
+		e.refreshHorizon(p)
+		if _, running := p.resume(); !running {
+			// The body returned while holding the baton: p is still
+			// ring[0].
+			e.popHead()
+		}
 	}
-	e.finished = make(chan *Proc, active)
-	e.wakeHead()
-	for active > 0 {
-		q := <-e.finished
-		active--
-		if q.panicVal != nil {
-			// Re-raise a simulated processor's panic in the caller.
-			// Sibling processors stay parked; a panic is a fatal
-			// configuration or engine bug.
-			panic(q.panicVal)
+}
+
+// errStopped unwinds a coroutine parked in reschedule when its driver
+// stops it (see stopCoroutines).
+var errStopped = errors.New("sched: coroutine stopped")
+
+// spawn makes p's coroutine: body runs on it from the first resume, and
+// every reschedule that loses the min-clock race yields back to the
+// resumer.
+func (p *Proc) spawn(body func()) {
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil && r != errStopped {
+				panic(r)
+			}
+		}()
+		body()
+	})
+}
+
+// stopCoroutines ends every processor's coroutine. A coroutine parked
+// mid-body unwinds through errStopped, so a run that exits early — a
+// panic, a replay source error — leaks no goroutine. Stopping a
+// finished coroutine is a no-op.
+func (e *Engine) stopCoroutines() {
+	for _, p := range e.procs {
+		if stop := p.stop; stop != nil {
+			p.resume, p.stop, p.yield = nil, nil, nil
+			stop()
 		}
 	}
 }
@@ -198,74 +203,55 @@ func (e *Engine) ringInsert(p *Proc) {
 	e.ring[i] = p
 }
 
+// popHead retires ring[0] from the runnable ring.
+func (e *Engine) popHead() {
+	copy(e.ring, e.ring[1:])
+	e.ring = e.ring[:len(e.ring)-1]
+}
+
 // less orders runnable processors by (clock, id): the global simulated-
 // time order, with processor id as the deterministic tie-break.
 func less(a, b *Proc) bool {
 	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
 }
 
-// wakeHead hands the baton to the ring minimum after refreshing its
-// horizon (the second-smallest runnable clock: it may run ahead until
-// its clock passes that without violating global order).
-func (e *Engine) wakeHead() {
-	h := e.ring[0]
+// refreshHorizon sets the ring minimum's horizon to the second-smallest
+// runnable clock: it may run ahead until its clock passes that without
+// violating global order.
+func (e *Engine) refreshHorizon(h *Proc) {
 	if len(e.ring) > 1 {
 		h.horizon = e.ring[1].clock
 	} else {
 		h.horizon = horizonMax
 	}
-	h.park <- struct{}{}
 }
 
-// reschedule is called by the running processor (ring[0]) once its
-// clock has passed its horizon: it re-sorts itself into the ring and
-// either keeps running with a refreshed horizon — the common case,
-// costing no synchronization at all — or wakes the new minimum and
-// parks until it wins the clock race again.
-func (p *Proc) reschedule() {
-	e := p.eng
-	// Bubble p (at ring[0]) right to its sorted position.
+// bubble moves the running processor (ring[0]) right to its sorted
+// position and reports whether it is still the minimum.
+func (e *Engine) bubble(p *Proc) bool {
 	i := 0
 	for i+1 < len(e.ring) && less(e.ring[i+1], p) {
 		e.ring[i] = e.ring[i+1]
 		i++
 	}
 	e.ring[i] = p
-	if i == 0 {
-		if len(e.ring) > 1 {
-			p.horizon = e.ring[1].clock
-		} else {
-			p.horizon = horizonMax
-		}
-		return
-	}
-	if e.flat {
-		// Flat replay: the driver owns scheduling. Hand it the baton;
-		// it resumes this processor once it is the minimum again.
-		e.flatCh <- p
-		<-p.park
-		return
-	}
-	e.wakeHead()
-	<-p.park
+	return i == 0
 }
 
-// complete retires the running processor from the ring and notifies
-// Run; on normal completion it passes the baton to the next minimum.
-// After a panic the baton is deliberately dropped — Run re-raises in
-// the caller and the siblings stay parked, exactly the fatal-error
-// semantics the engine has always had.
-func (p *Proc) complete() {
+// reschedule is called by the running processor (ring[0]) once its
+// clock has passed its horizon: it re-sorts itself into the ring and
+// either keeps running with a refreshed horizon — the common case,
+// costing no synchronization at all — or yields to the driver, which
+// resumes it once it wins the clock race again.
+func (p *Proc) reschedule() {
 	e := p.eng
-	// p is ring[0]: it held the baton. All ring accesses must precede
-	// the finished send — once Run observes the last completion it may
-	// rebuild the ring for a subsequent Run.
-	copy(e.ring, e.ring[1:])
-	e.ring = e.ring[:len(e.ring)-1]
-	if p.panicVal == nil && len(e.ring) > 0 {
-		e.wakeHead()
+	if e.bubble(p) {
+		e.refreshHorizon(p)
+		return
 	}
-	e.finished <- p
+	if !p.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // AlignClocks advances every processor's clock to the current maximum
@@ -306,22 +292,26 @@ func (e *Engine) TotalBreakdown() stats.CycleBreakdown {
 // traffic flows through its Read/Write methods, which both move the
 // bytes and charge simulated time.
 type Proc struct {
-	id       int
-	eng      *Engine
-	clock    int64
-	horizon  int64
-	bd       stats.CycleBreakdown
-	park     chan struct{} // baton: buffered(1), one token per wake
-	started  bool
-	done     bool
-	inSync   bool
-	panicVal interface{}
+	id      int
+	eng     *Engine
+	clock   int64
+	horizon int64
+	bd      stats.CycleBreakdown
+	inSync  bool
 
-	// Flat-replay driver state: mid-spin acquire progress and whether a
-	// lock-op goroutine is executing on this processor's behalf.
+	// The processor's coroutine: resume runs it until it yields or
+	// ends, yield hands control back from inside it, stop unwinds it.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
+
+	// Flat-replay driver state: mid-spin acquire progress, and the
+	// lock-manager op the coroutine is executing (inOp) or will pick up
+	// on its next resume (op).
 	spinAddr simm.Addr
 	spinning bool
 	inOp     bool
+	op       func(*Proc)
 }
 
 // ID returns the processor (node) number.
@@ -447,8 +437,8 @@ const (
 	// ReplaySpinRelease re-executes a spinlock release at Addr.
 	ReplaySpinRelease
 	// ReplayOp runs Op — arbitrary recorded synchronization (a
-	// lock-manager call) — on the processor via a real goroutine, since
-	// it may need to interleave with other processors mid-operation.
+	// lock-manager call) — on the processor's coroutine, since it may
+	// need to interleave with other processors mid-operation.
 	ReplayOp
 )
 
@@ -471,24 +461,25 @@ type ReplayEvent struct {
 type ReplaySource func() ([]ReplayEvent, error)
 
 // RunReplay drives one recorded event source per processor through the
-// unchanged timing model on a single goroutine. Sources may be nil for
+// unchanged timing model from one driver loop. Sources may be nil for
 // idle processors.
 //
 // Execution needs a coroutine per processor because the database code's
-// control flow lives on real stacks, and every baton pass is a channel
-// handoff plus two goroutine switches. A recorded stream has no stack:
-// the driver below applies events from whichever processor is the
-// (clock, id) minimum, replicating the traced accessors' exact charge
-// sequences inline, so the handoff cost disappears. The scheduling rule
-// is identical — the running processor keeps the baton until its clock
-// strictly passes the second-smallest (reschedule's bubble, tie to the
-// holder), so every machine access happens at the same global timestamp
-// as under Run. The two live-synchronization cases keep their recorded
-// yield boundaries: a spin acquire advances one test-and-test-and-set
-// iteration per turn (Acquire's per-iteration yield point), and a
-// lock-manager op runs real code on a goroutine that hands the baton
-// back to the driver whenever it must yield mid-operation. Recorders
-// are not consulted during replay.
+// control flow lives on real stacks, and every lost clock race is two
+// coroutine switches. A recorded stream has no stack: the driver below
+// applies events from whichever processor is the (clock, id) minimum,
+// replicating the traced accessors' exact charge sequences inline, so
+// the switch cost disappears. The scheduling rule is identical — the
+// running processor keeps the baton until its clock strictly passes the
+// second-smallest (reschedule's bubble, tie to the holder), so every
+// machine access happens at the same global timestamp as under Run. The
+// two live-synchronization cases keep their recorded yield boundaries:
+// a spin acquire advances one test-and-test-and-set iteration per turn
+// (Acquire's per-iteration yield point), and a lock-manager op runs real
+// code on its processor's coroutine — made at that processor's first op
+// and reused for every later one — which yields to the driver whenever
+// it must yield mid-operation. Recorders are not consulted during
+// replay.
 func (e *Engine) RunReplay(srcs []ReplaySource) error {
 	if len(srcs) != len(e.procs) {
 		panic(fmt.Sprintf("sched: %d replay sources for %d processors", len(srcs), len(e.procs)))
@@ -500,46 +491,28 @@ func (e *Engine) RunReplay(srcs []ReplaySource) error {
 	}
 	batches := make([]batchState, len(e.procs))
 	e.ring = e.ring[:0]
+	defer e.stopCoroutines()
 	for i, src := range srcs {
 		if src == nil {
 			continue
 		}
 		p := e.procs[i]
-		p.done = false
-		p.started = true
-		p.panicVal = nil
-		p.spinning = false
-		p.inOp = false
+		p.spinning, p.inOp, p.op = false, false, nil
 		e.ringInsert(p)
 	}
-	if len(e.ring) == 0 {
-		return nil
-	}
-	if e.flatCh == nil {
-		e.flatCh = make(chan *Proc)
-	}
-	e.flat = true
-	defer func() { e.flat = false }()
 outer:
 	for len(e.ring) > 0 {
 		p := e.ring[0]
 		// The horizon is the second-smallest runnable clock; it cannot
 		// change while p runs (only the head advances), so refreshing it
 		// every turn is equivalent to Run's refresh-on-reschedule.
-		if len(e.ring) > 1 {
-			p.horizon = e.ring[1].clock
-		} else {
-			p.horizon = horizonMax
-		}
+		e.refreshHorizon(p)
 		switch {
 		case p.inOp:
-			// Resume the lock-op goroutine with the baton and wait for
-			// it to yield again (mid-op, via reschedule) or finish.
-			p.park <- struct{}{}
-			q := <-e.flatCh
-			if q.panicVal != nil {
-				panic(q.panicVal)
-			}
+			// Resume the lock-op coroutine until it yields again
+			// (mid-op, via reschedule) or finishes the op. A panicking
+			// op re-raises here.
+			p.resume()
 			continue
 		case p.spinning:
 			if p.flatSpinStep() {
@@ -559,8 +532,7 @@ outer:
 						return err
 					}
 					if len(evs) == 0 {
-						copy(e.ring, e.ring[1:])
-						e.ring = e.ring[:len(e.ring)-1]
+						e.popHead()
 						continue outer
 					}
 					bs.evs, bs.idx = evs, 0
@@ -581,16 +553,10 @@ outer:
 				case ReplaySpinRelease:
 					p.flatSpinRelease(ev.Addr)
 				case ReplayOp:
-					p.inOp = true
-					go func(p *Proc, op func(*Proc)) {
-						defer func() {
-							p.panicVal = recover()
-							p.inOp = false
-							e.flatCh <- p
-						}()
-						<-p.park
-						op(p)
-					}(p, ev.Op)
+					if p.resume == nil {
+						p.spawn(p.runOps)
+					}
+					p.inOp, p.op = true, ev.Op
 					// Next turn dispatches the inOp branch: p is still
 					// the head, so the op starts before anyone else
 					// runs.
@@ -602,18 +568,28 @@ outer:
 			}
 		}
 		// The traced accessors end in maybeYield; mirror it (reschedule's
-		// bubble, minus the parking — the driver simply picks the new
-		// head next turn).
+		// bubble, minus the yield — the driver simply picks the new head
+		// next turn).
 		if p.clock > p.horizon {
-			i := 0
-			for i+1 < len(e.ring) && less(e.ring[i+1], p) {
-				e.ring[i] = e.ring[i+1]
-				i++
-			}
-			e.ring[i] = p
+			e.bubble(p)
 		}
 	}
 	return nil
+}
+
+// runOps is the body of a processor's lock-op coroutine in RunReplay:
+// run the pending op, hand the baton back, wait for the next one. It
+// returns only when the driver stops the coroutine.
+func (p *Proc) runOps() {
+	for {
+		op := p.op
+		p.op = nil
+		op(p)
+		p.inOp = false
+		if !p.yield(struct{}{}) {
+			return
+		}
+	}
 }
 
 // flatRef re-issues one recorded data reference on the driver's

@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 	"repro/internal/simm"
@@ -264,5 +267,116 @@ func TestTracerObservesAccesses(t *testing.T) {
 	}})
 	if reads != 2 || writes != 1 {
 		t.Errorf("tracer saw %d reads, %d writes", reads, writes)
+	}
+}
+
+// expectNoLeak fails t unless the goroutine count falls back to before
+// within a second. Leaked goroutines never exit; the wait only covers a
+// goroutine from an earlier test that is still on its way out.
+func expectNoLeak(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Errorf("goroutines: %d before, %d after", before, runtime.NumGoroutine())
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunPanicLeaksNoGoroutine: when one body panics, Run re-raises in
+// the caller and unwinds every sibling body, parked mid-run or never
+// started.
+func TestRunPanicLeaksNoGoroutine(t *testing.T) {
+	e, data, _ := rig(t, 4)
+	before := runtime.NumGoroutine()
+	bodies := make([]func(*Proc), 4)
+	for i := range bodies {
+		bodies[i] = func(p *Proc) {
+			for k := 0; k < 100; k++ {
+				p.Read64(data + simm.Addr(8*k))
+				if p.ID() == 2 && k == 50 {
+					panic("boom")
+				}
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want boom", r)
+			}
+		}()
+		e.Run(bodies)
+	}()
+	expectNoLeak(t, before)
+}
+
+// TestRunReplayOpPanicLeaksNoGoroutine: a panicking lock-manager op
+// re-raises in RunReplay's caller and leaves no coroutine behind.
+func TestRunReplayOpPanicLeaksNoGoroutine(t *testing.T) {
+	e, data, _ := rig(t, 4)
+	before := runtime.NumGoroutine()
+	srcs := make([]ReplaySource, 4)
+	for i := range srcs {
+		i := i
+		var evs []ReplayEvent
+		for k := 0; k < 50; k++ {
+			evs = append(evs, ReplayEvent{Kind: ReplayOp, Op: func(p *Proc) {
+				p.Read64(data)
+				p.Busy(500)
+				if i == 2 && k == 30 {
+					panic("boom")
+				}
+				p.Read64(data + 8)
+			}})
+		}
+		srcs[i] = sliceSource(evs, 7)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want boom", r)
+			}
+		}()
+		e.RunReplay(srcs)
+	}()
+	expectNoLeak(t, before)
+}
+
+// goroutineID parses the running goroutine's ID from its stack header
+// ("goroutine 42 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1]
+}
+
+// TestRunReplayOpsReuseProcCoroutine: a processor's lock-manager ops
+// all run on one coroutine, so a replay of 1,000 ops on 4 processors
+// touches at most 4 goroutines besides the driver's.
+func TestRunReplayOpsReuseProcCoroutine(t *testing.T) {
+	const nodes, ops = 4, 1000
+	e, data, _ := rig(t, nodes)
+	ids := map[string]bool{}
+	srcs := make([]ReplaySource, nodes)
+	for i := range srcs {
+		var evs []ReplayEvent
+		for k := 0; k < ops/nodes; k++ {
+			evs = append(evs, ReplayEvent{Kind: ReplayOp, Op: func(p *Proc) {
+				ids[goroutineID()] = true
+				p.Read64(data)
+				p.Busy(int64(100 + 37*p.ID()))
+				p.Write64(data+8, 1)
+			}})
+		}
+		srcs[i] = sliceSource(evs, 7)
+	}
+	if err := e.RunReplay(srcs); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) > nodes {
+		t.Errorf("%d lock ops ran on %d goroutines, want <= %d", ops, len(ids), nodes)
 	}
 }
