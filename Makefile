@@ -50,12 +50,14 @@ cluster-smoke:
 	$(GO) test -run 'TestClusterEndToEnd|TestWorkerDrainReleases' -count=1 -v ./internal/cluster
 
 # The durability gate: the crash-point matrix. A sweep job's journal is
-# killed mid-flight at several append counts (submission-only durable,
+# killed mid-flight at appends 2, 4 and 14 (submission-only durable,
 # task graph + one claim durable, deep mid-sweep), a successor boots
 # over the same WAL dir, and every recovered run must finish with a
-# report byte-identical to a serial render. The wal package's own
-# fault-injection tests (every-prefix recovery, short writes, torn
-# tails) ride along.
+# report byte-identical to a serial render. The journal tests ride
+# along, among them the warm-job count (exactly 2 appends and 2 fsyncs
+# per job) and the wal package's own fault-injection tests
+# (every-prefix recovery, short writes, failed syncs and rotations,
+# torn tails).
 wal-smoke:
 	$(GO) test -run 'TestCrashRestartEndToEnd|TestJournal' -count=1 -v ./internal/cluster
 	$(GO) test -count=1 ./internal/wal
@@ -104,13 +106,14 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzTraceChunkDecode -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run NONE -fuzz FuzzWALRecord -fuzztime $(FUZZTIME) ./internal/wal
 
-# Coverage gate for the two packages every other layer leans on:
-# internal/metrics is the one package every layer reports through, and
+# Coverage gate for the packages every other layer leans on:
+# internal/metrics is the one package every layer reports through,
 # internal/trace holds the one decoder that takes bytes from outside the
-# process (trace-store blobs, peer fetches, -replay files). Fails when
-# either package's statement coverage drops below 85%.
+# process (trace-store blobs, peer fetches, -replay files), and
+# internal/wal is the fabric's durability promise. Fails when any
+# package's statement coverage drops below 85%.
 COVER_MIN ?= 85
-COVER_PKGS = internal/metrics internal/trace
+COVER_PKGS = internal/metrics internal/trace internal/wal
 cover:
 	@for pkg in $(COVER_PKGS); do \
 		$(GO) test -coverprofile=cover.out ./$$pkg || exit 1; \

@@ -191,25 +191,22 @@ func main() {
 	defer e.Close()
 
 	if *verbose {
-		events, cancel := e.Pool().Subscribe(1024)
-		defer cancel()
-		go func() {
-			for ev := range events {
-				switch ev.Kind {
-				case runner.JobStarted:
-					log.Printf("job %d %s: started", ev.Job, ev.Name)
-				case runner.JobFinished:
-					detail := ""
-					if ev.CacheHit {
-						detail = ", cache hit"
-					}
-					if ev.Err != "" {
-						detail += ", error: " + ev.Err
-					}
-					log.Printf("job %d %s: %s in %v%s", ev.Job, ev.Name, ev.State, ev.Elapsed.Round(time.Millisecond), detail)
+		cancel := e.Pool().Subscribe(func(ev runner.Event) {
+			switch ev.Kind {
+			case runner.JobStarted:
+				log.Printf("job %d %s: started", ev.Job, ev.Name)
+			case runner.JobFinished:
+				detail := ""
+				if ev.CacheHit {
+					detail = ", cache hit"
 				}
+				if ev.Err != "" {
+					detail += ", error: " + ev.Err
+				}
+				log.Printf("job %d %s: %s in %v%s", ev.Job, ev.Name, ev.State, ev.Elapsed.Round(time.Millisecond), detail)
 			}
-		}()
+		})
+		defer cancel()
 	}
 
 	if spec != nil {

@@ -199,6 +199,8 @@ func (m *Manager) HandleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, b)
+	}
+	flush := func() {
 		if fl != nil {
 			fl.Flush()
 		}
@@ -206,13 +208,23 @@ func (m *Manager) HandleEvents(w http.ResponseWriter, r *http.Request) {
 	for _, ev := range replay {
 		send(ev)
 	}
+	flush()
 	for {
 		select {
 		case ev, open := <-live:
+			// One flush per burst: write every event already queued,
+			// then flush once.
+			for open {
+				send(ev)
+				if len(live) == 0 {
+					break
+				}
+				ev, open = <-live
+			}
+			flush()
 			if !open {
 				return
 			}
-			send(ev)
 		case <-r.Context().Done():
 			return
 		}

@@ -337,6 +337,43 @@ func TestManagerStandalone(t *testing.T) {
 	}
 }
 
+// TestManagerOverlappingJobs: two jobs whose plans share keys render
+// at once on one pool; each job's listener sees every settled key it
+// planned, whichever render settled it, so both finish with all points
+// counted.
+func TestManagerOverlappingJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders real scenarios")
+	}
+	exec := experiments.NewExec(2)
+	defer exec.Close()
+	m := NewManager(exec, nil, nil)
+	defer m.Close()
+
+	a, b := coldSpec(), coldSpec()
+	a.Sweep = scenario.Sweep{Axis: scenario.AxisPrefetch, Points: []int{0, 1, 2}}
+	b.Sweep = scenario.Sweep{Axis: scenario.AxisPrefetch, Points: []int{1, 2, 4}}
+	specs := []scenario.Scenario{a, b}
+	var ids []string
+	for _, sc := range specs {
+		id, err := m.Submit(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for i, id := range ids {
+		if !m.Wait(context.Background(), id) {
+			t.Fatalf("job %s never finished", id)
+		}
+		st, _ := m.Status(id)
+		want := len(experiments.ProgressKeys(specs[i]))
+		if st.State != StateDone || st.Progress.Done != want || st.Progress.Total != want {
+			t.Fatalf("job %s = %s %+v (%s), want done %d/%d", id, st.State, st.Progress, st.Error, want, want)
+		}
+	}
+}
+
 // TestClusterEndToEnd: one coordinator + two workers over HTTP, one
 // sweep job. The report must be byte-identical to a serial render, at
 // least one blob must cross peers (a capture computed on one worker,

@@ -17,14 +17,18 @@ import (
 // both halves — a single fsync stream keeps the job and task histories
 // mutually ordered (task ids embed job ids).
 //
-// What is persisted: job submissions (canonical scenario text), job
-// lifecycle transitions (including the finished report text, so
+// What is persisted: job submissions (canonical scenario text), terminal
+// job transitions (including the finished report text, so
 // GET /v1/jobs/{id}/report survives a restart), task batches, and
-// every claim/renew/complete/fail/requeue. What is not: worker
-// registrations (ephemeral — workers re-register on reconnect and
-// recovered leases expire on the usual TTL clock), per-point progress
-// of running jobs (a resumed job re-renders; content-addressed caches
-// make the replay cheap), and job event history.
+// every claim/renew/complete/fail/requeue — so a job costs two appends
+// and two fsyncs of its own. What is not: the running transition
+// (recovery re-runs a running job exactly like a queued one, and its
+// total comes from the spec; replay still accepts running records
+// from older logs), worker registrations (ephemeral — workers
+// re-register on reconnect and recovered leases expire on the usual
+// TTL clock), per-point progress of running jobs (a resumed job
+// re-renders; content-addressed caches make the replay cheap), and
+// job event history.
 //
 // A journal append failure is logged once and then the journal goes
 // inert: the fabric keeps serving (availability over durability once

@@ -268,3 +268,83 @@ func TestJournalManagerRestart(t *testing.T) {
 		t.Fatalf("post-restart submission reused pre-crash id %s", id)
 	}
 }
+
+// TestJournalWarmJobAppends pins the warm path's journal cost: once a
+// spec is cached, each resubmission appends and fsyncs exactly two
+// records — the submission before its id escapes, the terminal
+// transition before the state flip — and nothing for going running.
+func TestJournalWarmJobAppends(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders a real scenario")
+	}
+	reg := metrics.New()
+	jl, _, err := OpenJournal(wal.Options{Dir: "j", FS: wal.NewMemFS(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	exec := experiments.NewExec(2)
+	defer exec.Close()
+	m := NewManager(exec, nil, nil)
+	m.UseJournal(jl)
+	defer m.Close()
+
+	run := func() {
+		t.Helper()
+		id, err := m.Submit(coldSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Wait(context.Background(), id) {
+			t.Fatalf("job %s never finished", id)
+		}
+		if st, _ := m.Status(id); st.State != StateDone {
+			t.Fatalf("job %s = %s (%s), want done", id, st.State, st.Error)
+		}
+	}
+	run() // prime the cache
+	appends := metricValue(t, reg, "dssmem_wal_appends_total", "", "")
+	fsyncs := metricValue(t, reg, "dssmem_wal_fsyncs_total", "", "")
+	const jobs = 20
+	for i := 0; i < jobs; i++ {
+		run()
+	}
+	if got := metricValue(t, reg, "dssmem_wal_appends_total", "", "") - appends; got != 2*jobs {
+		t.Errorf("%d warm jobs appended %v records, want %d", jobs, got, 2*jobs)
+	}
+	if got := metricValue(t, reg, "dssmem_wal_fsyncs_total", "", "") - fsyncs; got != 2*jobs {
+		t.Errorf("%d warm jobs issued %v fsyncs, want %d", jobs, got, 2*jobs)
+	}
+}
+
+// TestJournalRestoreUnfinishedTotal: a job recovered from a log that
+// holds only its submission reads 0 of its planned total before Resume
+// re-runs it — the total comes from the spec, not from a record.
+func TestJournalRestoreUnfinishedTotal(t *testing.T) {
+	fs := wal.NewMemFS()
+	jl, _ := openTestJournal(t, fs)
+	sc := sweepSpec()
+	jl.append(journalRecord{Kind: recJobSubmit, Job: "j-1", Name: sc.Name,
+		Spec: string(sc.Canonical()), Submitted: time.Now()})
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jl2, rec := openTestJournal(t, fs)
+	defer jl2.Close()
+	exec := experiments.NewExec(1)
+	defer exec.Close()
+	m := NewManager(exec, nil, nil)
+	m.UseJournal(jl2)
+	m.Restore(rec)
+	defer m.Close()
+
+	st, ok := m.Status("j-1")
+	if !ok {
+		t.Fatal("restored job unknown")
+	}
+	want := len(experiments.ProgressKeys(sc))
+	if st.State != StateQueued || st.Progress.Done != 0 || st.Progress.Total != want || want == 0 {
+		t.Fatalf("restored status = %s %+v, want queued 0/%d", st.State, st.Progress, want)
+	}
+}

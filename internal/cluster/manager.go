@@ -106,8 +106,9 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-// UseJournal makes the manager durable: submissions and job lifecycle
-// transitions append to jl, and Restore replays them after a restart.
+// UseJournal makes the manager durable: each job appends two records
+// to jl — its submission and its terminal transition — and Restore
+// replays them after a restart.
 // Call before the first Submit or Restore.
 func (m *Manager) UseJournal(jl *Journal) { m.jl = jl }
 
@@ -116,8 +117,9 @@ func (m *Manager) UseJournal(jl *Journal) { m.jl = jl }
 // report reads; anything that had not finished is re-queued for Resume
 // to re-run from scratch (the content-addressed caches make the replay
 // cheap, and the coordinator hands back whatever its recovered tasks
-// already settled). Event history is not persisted; terminal jobs get
-// one synthetic state event so late subscribers still see an ending.
+// already settled); its progress reads 0 of the spec's planned total
+// until then. Event history is not persisted; terminal jobs get one
+// synthetic state event so late subscribers still see an ending.
 func (m *Manager) Restore(rec *Recovered) {
 	if rec == nil {
 		return
@@ -134,9 +136,8 @@ func (m *Manager) Restore(rec *Recovered) {
 		}
 		j := &jobRec{
 			id: rj.ID, state: StateQueued, submitted: rj.Submitted,
-			total: rj.Total,
-			seen:  make(map[string]bool),
-			subs:  make(map[int]chan Event),
+			seen: make(map[string]bool),
+			subs: make(map[int]chan Event),
 		}
 		if sc, err := scenario.Decode([]byte(rj.Spec)); err != nil {
 			// The WAL's CRC vouches for these bytes, so a decode failure
@@ -152,8 +153,12 @@ func (m *Manager) Restore(rec *Recovered) {
 				j.state = rj.State
 				j.errText = rj.Error
 				j.report = rj.Report
-				j.done = rj.Done
+				j.done, j.total = rj.Done, rj.Total
 				j.finished = rj.Finished
+			} else {
+				// No record carries an unfinished job's total; the
+				// spec's plan does.
+				j.total = len(experiments.ProgressKeys(j.spec))
 			}
 		}
 		if j.state == StateDone || j.state == StateFailed {
@@ -220,19 +225,19 @@ func (m *Manager) Submit(sc scenario.Scenario) (string, error) {
 
 func (m *Manager) run(j *jobRec) {
 	defer m.wg.Done()
-	m.mu.Lock()
-	j.state = StateRunning
 	keys := experiments.ProgressKeys(j.spec)
-	j.total = len(keys)
-	m.mu.Unlock()
-	m.met.moveJob(StateQueued, StateRunning)
-	m.jl.append(journalRecord{Kind: recJobState, Job: j.id,
-		State: StateRunning, Total: j.total})
-
 	keySet := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		keySet[k] = true
 	}
+	// The running transition is not journaled: recovery re-runs a
+	// running job exactly like a queued one, and the total it would
+	// carry is recomputed from the spec.
+	m.mu.Lock()
+	j.state = StateRunning
+	j.total = len(keys)
+	m.mu.Unlock()
+	m.met.moveJob(StateQueued, StateRunning)
 
 	// Cluster phase: fan the point plans out to workers when any are
 	// live. Task failures are advisory — the local render below is the
@@ -244,24 +249,20 @@ func (m *Manager) run(j *jobRec) {
 	}
 
 	// Local render: resolves worker-pushed blobs from the shared store,
-	// computes the rest, and produces the report. The pool subscription
-	// attributes each settled planned key to this job's progress.
-	ch, cancel := m.exec.Pool().Subscribe(1024)
-	var fwd sync.WaitGroup
-	fwd.Add(1)
-	go func() {
-		defer fwd.Done()
-		for ev := range ch {
-			if ev.Kind == runner.JobFinished && keySet[ev.Key] &&
-				(ev.State == runner.Done || ev.State == runner.Cached) {
-				m.progress(j, ev.Key, "local")
-			}
+	// computes the rest, and produces the report. The pool listener
+	// attributes each settled planned key to this job's progress; it
+	// runs under the pool's locks and takes only m.mu (lock order pool →
+	// hub → manager), and every finished event of the render has been
+	// delivered by the time RenderScenario returns.
+	cancel := m.exec.Pool().Subscribe(func(ev runner.Event) {
+		if ev.Kind == runner.JobFinished && keySet[ev.Key] &&
+			(ev.State == runner.Done || ev.State == runner.Cached) {
+			m.progress(j, ev.Key, "local")
 		}
-	}()
+	})
 	var buf strings.Builder
 	err := m.exec.RenderScenario(&buf, j.spec)
 	cancel()
-	fwd.Wait()
 
 	finished := time.Now()
 	final := StateDone
@@ -276,8 +277,8 @@ func (m *Manager) run(j *jobRec) {
 	// so a restarted daemon serves pre-crash reports straight from the
 	// journal) must be durable before the state flip is observable — a
 	// crash in between must resurrect the job, never lose a finish the
-	// client already saw. j.done is stable here: the progress forwarder
-	// above has drained.
+	// client already saw. j.done is stable here: the pool listener is
+	// cancelled, and cancel returns only once no call is in flight.
 	m.jl.append(journalRecord{Kind: recJobState, Job: j.id, State: final,
 		Error: errText, Report: report, Done: j.done, Total: j.total,
 		Finished: finished})

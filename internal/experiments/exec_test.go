@@ -127,17 +127,16 @@ func TestSweepStartsCapturesFirst(t *testing.T) {
 	o.Queries = []string{"Q6", "Q12", "Q3"}
 	e := NewExec(1)
 	defer e.Close()
-	ch, cancel := e.Pool().Subscribe(256)
+	var started []string
+	cancel := e.Pool().Subscribe(func(ev runner.Event) {
+		if ev.Kind == runner.JobStarted {
+			started = append(started, ev.Name)
+		}
+	})
 	_, err := e.RunLineSweep(o)
 	cancel()
 	if err != nil {
 		t.Fatal(err)
-	}
-	var started []string
-	for ev := range ch {
-		if ev.Kind == runner.JobStarted {
-			started = append(started, ev.Name)
-		}
 	}
 	captures, replays := 0, 0
 	for _, name := range started {

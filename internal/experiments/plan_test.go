@@ -93,7 +93,12 @@ func TestProgressKeysMatchRender(t *testing.T) {
 		}
 
 		e := NewExec(2)
-		ch, cancel := e.Pool().Subscribe(256)
+		settled := make(map[string]bool)
+		cancel := e.Pool().Subscribe(func(ev runner.Event) {
+			if ev.Kind == runner.JobFinished && ev.Key != "" {
+				settled[ev.Key] = true
+			}
+		})
 		err := e.RenderScenario(io.Discard, tc.sc)
 		cancel()
 		e.Close()
@@ -101,12 +106,6 @@ func TestProgressKeysMatchRender(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		settled := make(map[string]bool)
-		for ev := range ch {
-			if ev.Kind == runner.JobFinished && ev.Key != "" {
-				settled[ev.Key] = true
-			}
-		}
 		for _, k := range want {
 			if !settled[k] {
 				t.Errorf("%s: planned key %s never settled", tc.name, k)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/runner"
@@ -78,10 +79,20 @@ func (e *Exec) RunScenario(sc scenario.Scenario) (*ScenarioResult, error) {
 	return res, nil
 }
 
+// presetNames is the set of preset names, built once: ScenarioLabel
+// runs per submitted job and needs only membership, not the specs.
+var presetNames = sync.OnceValue(func() map[string]bool {
+	names := make(map[string]bool)
+	for _, n := range scenario.PresetNames() {
+		names[n] = true
+	}
+	return names
+})
+
 // ScenarioLabel is the metrics/report label for a spec: its name when
 // that names a preset, "custom" otherwise.
 func ScenarioLabel(sc scenario.Scenario) string {
-	if _, ok := scenario.PresetByName(sc.Name); ok {
+	if presetNames()[sc.Name] {
 		return sc.Name
 	}
 	return "custom"

@@ -44,47 +44,41 @@ type Event struct {
 	Key string
 }
 
-// progressHub fans events out to subscribers. Sends never block: a
-// subscriber that falls behind its buffer loses events rather than
-// stalling the workers.
+// progressHub fans events out to listeners.
 type progressHub struct {
 	mu   sync.Mutex
 	next int
-	subs map[int]chan Event
+	subs map[int]func(Event)
 }
 
-// Subscribe registers a progress listener with the given channel buffer
-// and returns the channel plus a cancel function that closes it.
-func (p *Pool) Subscribe(buf int) (<-chan Event, func()) {
-	if buf < 1 {
-		buf = 1
-	}
-	ch := make(chan Event, buf)
+// Subscribe registers a progress listener and returns a cancel function
+// that removes it. publish calls every listener synchronously, in
+// publish order, so a listener sees every event — and a job's finished
+// event has been delivered before any Wait on that job returns. Calls
+// hold the pool's event lock, and for all but started events its job
+// lock too: a listener must be quick, must not block, and must not call
+// back into the pool. Once cancel returns, fn is not running and is
+// never called again.
+func (p *Pool) Subscribe(fn func(Event)) (cancel func()) {
 	p.hub.mu.Lock()
 	if p.hub.subs == nil {
-		p.hub.subs = make(map[int]chan Event)
+		p.hub.subs = make(map[int]func(Event))
 	}
 	id := p.hub.next
 	p.hub.next++
-	p.hub.subs[id] = ch
+	p.hub.subs[id] = fn
 	p.hub.mu.Unlock()
-	return ch, func() {
+	return func() {
 		p.hub.mu.Lock()
-		if c, ok := p.hub.subs[id]; ok {
-			delete(p.hub.subs, id)
-			close(c)
-		}
+		delete(p.hub.subs, id)
 		p.hub.mu.Unlock()
 	}
 }
 
 func (p *Pool) publish(ev Event) {
 	p.hub.mu.Lock()
-	for _, ch := range p.hub.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
+	for _, fn := range p.hub.subs {
+		fn(ev)
 	}
 	p.hub.mu.Unlock()
 }

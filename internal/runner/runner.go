@@ -417,9 +417,8 @@ func (p *Pool) enqueueLocked(rec *jobRec) {
 // its finished event and closes its done channel. Caller holds p.mu.
 //
 // The event goes out before done closes (here and in finish), so a
-// caller whose Wait returned has already been sent every finished
-// event of the jobs it waited on: a progress listener that cancels its
-// subscription after Wait and then drains the channel counts them all.
+// caller whose Wait returned has already had every finished event of
+// the jobs it waited on delivered to each progress listener.
 func (p *Pool) settleLocked(rec *jobRec, st State) {
 	rec.state = st
 	rec.finished = time.Now()

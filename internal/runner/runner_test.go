@@ -394,11 +394,30 @@ func TestDiskCache(t *testing.T) {
 	}
 }
 
+// recorder is a progress listener that keeps every event it is handed.
+type recorder struct {
+	mu     sync.Mutex
+	events []Event
+}
+
+func (r *recorder) listen(ev Event) {
+	r.mu.Lock()
+	r.events = append(r.events, ev)
+	r.mu.Unlock()
+}
+
+func (r *recorder) snapshot() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]Event(nil), r.events...)
+}
+
 // TestEvents checks the progress stream: a job's lifecycle publishes
 // queued, started, and finished events in order.
 func TestEvents(t *testing.T) {
 	p, _ := newTestPool(t, 1)
-	events, cancel := p.Subscribe(16)
+	var rec recorder
+	cancel := p.Subscribe(rec.listen)
 	defer cancel()
 	id, err := p.Submit(&Job{Name: "observed", NoCache: true,
 		Body: func(*Ctx) (interface{}, error) { return nil, nil }})
@@ -408,31 +427,31 @@ func TestEvents(t *testing.T) {
 	if _, err := p.Wait(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
+	got := rec.snapshot()
 	want := []EventKind{JobQueued, JobStarted, JobFinished}
-	for _, k := range want {
-		select {
-		case ev := <-events:
-			if ev.Kind != k || ev.Job != id {
-				t.Fatalf("event = %v/%v, want kind %v for job %d", ev.Kind, ev.Job, k, id)
-			}
-			if k == JobFinished && ev.State != Done {
-				t.Errorf("finished state = %v, want done", ev.State)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for %v event", k)
+	if len(got) != len(want) {
+		t.Fatalf("got %d events, want %d: %+v", len(got), len(want), got)
+	}
+	for i, k := range want {
+		if ev := got[i]; ev.Kind != k || ev.Job != id {
+			t.Fatalf("event %d = %v/%v, want kind %v for job %d", i, ev.Kind, ev.Job, k, id)
 		}
+	}
+	if got[2].State != Done {
+		t.Errorf("finished state = %v, want done", got[2].State)
 	}
 }
 
 // TestFinishedEventPrecedesWait: by the time Wait returns, the job's
-// finished event has been sent, so a listener that cancels right after
-// Wait and drains its channel still counts it — the contract progress
-// tracking (ProgressKeys against Event.Key) relies on for the last job
-// of a render.
+// finished event has been delivered, so a listener cancelled right
+// after Wait still counted it — the contract progress tracking
+// (ProgressKeys against Event.Key) relies on for the last job of a
+// render.
 func TestFinishedEventPrecedesWait(t *testing.T) {
 	p, _ := newTestPool(t, 2)
 	for i := 0; i < 3000; i++ { // the lost event is a narrow race: try often
-		events, cancel := p.Subscribe(8)
+		var rec recorder
+		cancel := p.Subscribe(rec.listen)
 		_, err := p.RunAll(context.Background(), []*Job{{Name: "last", NoCache: true,
 			Body: func(*Ctx) (interface{}, error) { return nil, nil }}})
 		cancel()
@@ -440,13 +459,56 @@ func TestFinishedEventPrecedesWait(t *testing.T) {
 			t.Fatal(err)
 		}
 		finished := 0
-		for ev := range events {
+		for _, ev := range rec.snapshot() {
 			if ev.Kind == JobFinished {
 				finished++
 			}
 		}
 		if finished != 1 {
-			t.Fatalf("run %d: %d finished events drained after Wait, want 1", i, finished)
+			t.Fatalf("run %d: %d finished events seen by Wait's return, want 1", i, finished)
+		}
+	}
+}
+
+// TestListenerSeesEveryEvent: a listener is lossless and ordered. Two
+// listeners over a 2,000-job batch each see all 6,000 events (queued,
+// started, finished per job), in the same order, with every job's
+// lifecycle in sequence — no buffer to overflow, no event dropped.
+func TestListenerSeesEveryEvent(t *testing.T) {
+	p, _ := newTestPool(t, 4)
+	var a, b recorder
+	cancelA := p.Subscribe(a.listen)
+	cancelB := p.Subscribe(b.listen)
+	const n = 2000
+	jobs := make([]*Job, n)
+	for i := range jobs {
+		jobs[i] = &Job{Name: fmt.Sprintf("j%d", i), NoCache: true,
+			Body: func(*Ctx) (interface{}, error) { return nil, nil }}
+	}
+	_, err := p.RunAll(context.Background(), jobs)
+	cancelA()
+	cancelB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, other := a.snapshot(), b.snapshot()
+	if len(got) != 3*n || len(other) != 3*n {
+		t.Fatalf("listeners saw %d and %d events, want %d each", len(got), len(other), 3*n)
+	}
+	next := make(map[JobID]EventKind, n)
+	for i, ev := range got {
+		if other[i].Job != ev.Job || other[i].Kind != ev.Kind {
+			t.Fatalf("event %d differs between listeners: %v/%v vs %v/%v",
+				i, ev.Job, ev.Kind, other[i].Job, other[i].Kind)
+		}
+		if ev.Kind != next[ev.Job] {
+			t.Fatalf("event %d: job %d published %v, want %v next", i, ev.Job, ev.Kind, next[ev.Job])
+		}
+		next[ev.Job]++
+	}
+	for id, k := range next {
+		if k != JobFinished+1 {
+			t.Fatalf("job %d stopped at %v", id, k)
 		}
 	}
 }

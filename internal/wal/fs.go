@@ -19,8 +19,6 @@ type FS interface {
 	// Create opens name for appending, creating it empty when absent.
 	// The returned file's write position is its current size.
 	Create(name string) (File, error)
-	// Open opens name read-only.
-	Open(name string) (File, error)
 	// List returns the base names of the files under dir, sorted.
 	// A missing dir is created empty.
 	List(dir string) ([]string, error)
@@ -60,14 +58,6 @@ func (DirFS) Create(name string) (File, error) {
 		return nil, err
 	}
 	f, err := os.OpenFile(name, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return osFile{f}, nil
-}
-
-func (DirFS) Open(name string) (File, error) {
-	f, err := os.Open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -163,15 +153,6 @@ func (m *MemFS) Create(name string) (File, error) {
 	defer m.mu.Unlock()
 	if m.files[name] == nil {
 		m.files[name] = &memFile{}
-	}
-	return &memHandle{fs: m, name: name}, nil
-}
-
-func (m *MemFS) Open(name string) (File, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.files[name] == nil {
-		return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrNotExist}
 	}
 	return &memHandle{fs: m, name: name}, nil
 }
