@@ -49,13 +49,16 @@ check: build fmt vet race test scenario-goldens
 cluster-smoke:
 	$(GO) test -run 'TestClusterEndToEnd|TestWorkerDrainReleases' -count=1 -v ./internal/cluster
 
-# The durability gate: the crash-point matrix. A sweep job's journal is
-# killed mid-flight at appends 2, 4 and 14 (submission-only durable,
-# task graph + one claim durable, deep mid-sweep), a successor boots
-# over the same WAL dir, and every recovered run must finish with a
-# report byte-identical to a serial render. The journal tests ride
-# along, among them the warm-job count (exactly 2 appends and 2 fsyncs
-# per job) and the wal package's own fault-injection tests
+# The durability gate: the crash matrix. A sweep job's journal is
+# killed at three points of progress read off the coordinator
+# (submission only, tasks dispatched with one claimed, at least half the
+# points done in the shared store), a successor boots over the same WAL
+# dir and the store as it stood at the kill, and every recovered run
+# must finish with a report byte-identical to a serial render, having
+# simulated only the points the store lacked. The journal tests ride along, among them the
+# append counts (exactly 2 appends and 2 fsyncs per warm job, exactly 2
+# appends for a whole distributed sweep), a resumed job claimable at
+# once after a restart, and the wal package's own fault-injection tests
 # (every-prefix recovery, short writes, failed syncs and rotations,
 # torn tails).
 wal-smoke:

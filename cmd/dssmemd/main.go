@@ -32,10 +32,11 @@
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, lets
 // in-flight jobs finish rendering, then drains the pool. With
-// -wal-dir set, every job and task transition is journaled to a
-// write-ahead log first, and a restarted daemon replays the log:
-// finished jobs keep serving their reports, unfinished ones re-run,
-// and drained leases come back queued.
+// -wal-dir set, each job's submission and terminal transition are
+// journaled to a write-ahead log first, and a restarted daemon replays
+// the log: finished jobs keep serving their reports, and unfinished
+// ones re-run, re-distributing their points (cluster tasks are not
+// journaled; points workers already pushed resolve from the store).
 package main
 
 import (
@@ -82,17 +83,15 @@ type server struct {
 }
 
 // newServer builds the daemon. jl and rec may be nil (no -wal-dir):
-// the fabric then runs in-memory only. With a journal, the coordinator
-// and manager restore the recovered state before serving; the caller
-// resumes unfinished jobs (manager.Resume) once it is ready to run
-// them.
+// the fabric then runs in-memory only. With a journal, the manager
+// restores the recovered jobs before serving; the caller resumes
+// unfinished jobs (manager.Resume) once it is ready to run them.
 func newServer(exec *experiments.Exec, reg *metrics.Registry, store blobstore.Store, renderTimeout time.Duration, jl *cluster.Journal, rec *cluster.Recovered) *server {
 	if store == nil {
 		store = blobstore.NewMem()
 	}
 	cmet := cluster.NewMetrics(reg)
-	coord := cluster.NewCoordinator(cmet, cluster.Options{Journal: jl})
-	coord.Restore(rec)
+	coord := cluster.NewCoordinator(cmet, cluster.Options{})
 	manager := cluster.NewManager(exec, coord, cmet)
 	manager.UseJournal(jl)
 	manager.Restore(rec)
@@ -237,10 +236,8 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 
 // drain stops accepting submissions and waits for in-flight jobs
 // (manager.Close does both), then stops the cluster machinery. The
-// journal closes last — the manager's terminal records and any remote
-// workers' released leases (which arrive over HTTP before the listener
-// stopped) must land in it first, so a drain-then-restart cycle
-// requeues tasks with zero lease expirations.
+// journal closes last: the manager's terminal records must land in it
+// first.
 func (s *server) drain() {
 	s.manager.Close()
 	s.coord.Close()
@@ -256,7 +253,7 @@ func main() {
 	jobs := flag.Int("jobs", 0, "concurrent experiment workers (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
 	traceDir := flag.String("trace-dir", "", "directory for captured reference-trace blobs (empty = traces stay in the result cache)")
-	walDir := flag.String("wal-dir", "", "directory for the job/task write-ahead log; a restarted daemon replays it and resumes pre-crash jobs (empty = no durability)")
+	walDir := flag.String("wal-dir", "", "directory for the job write-ahead log; a restarted daemon replays it and resumes pre-crash jobs (empty = no durability)")
 	walSync := flag.Duration("wal-sync", 0, "WAL group-commit window: appends within it share one fsync (0 = fsync every append)")
 	join := flag.String("join", "", "coordinator URL to join as a worker (e.g. http://coord:8080)")
 	advertise := flag.String("advertise", "", "URL this daemon is reachable at, reported to the coordinator")
@@ -341,8 +338,8 @@ func main() {
 			log.Fatalf("wal %s: %v", *walDir, err)
 		}
 		records, truncated := journal.Recovery()
-		log.Printf("wal: replayed %d records (%d jobs, %d tasks, %d torn bytes truncated)",
-			records, len(recovered.Jobs), len(recovered.Tasks), truncated)
+		log.Printf("wal: replayed %d records (%d jobs, %d torn bytes truncated)",
+			records, len(recovered.Jobs), truncated)
 		if err := journal.Snapshot(recovered); err != nil {
 			log.Printf("wal compaction failed (log will keep growing): %v", err)
 		}
@@ -350,8 +347,8 @@ func main() {
 
 	exec := experiments.NewExecConfig(runner.Config{Workers: *jobs, Blobs: fan, Metrics: reg})
 	s := newServer(exec, reg, store, *renderTimeout, journal, recovered)
-	// Re-run whatever had not finished; the coordinator hands back the
-	// recovered tasks' outcomes and the caches absorb the recompute.
+	// Re-run whatever had not finished; the shared store absorbs the
+	// recompute of points finished before the crash.
 	s.manager.Resume(recovered)
 
 	var worker *cluster.Worker

@@ -40,7 +40,6 @@ type leaveRequest = claimRequest
 // Handler serves the coordinator protocol plus a status view:
 //
 //	POST /v1/cluster/register   {name,url} -> {worker_id,lease_ttl_ms}
-//	POST /v1/cluster/heartbeat  {worker_id}
 //	POST /v1/cluster/claim      {worker_id} -> {task} | 204 when idle
 //	POST /v1/cluster/renew      {worker_id,task_id}
 //	POST /v1/cluster/complete   {worker_id,task_id,error?}
@@ -48,8 +47,9 @@ type leaveRequest = claimRequest
 //	POST /v1/cluster/leave      {worker_id}
 //	GET  /v1/cluster            Status snapshot
 //
-// Unknown workers get 410 Gone (re-register); lost leases get 409
-// Conflict (drop the task).
+// Claim, renew and complete are also a worker's heartbeat. Unknown
+// workers get 410 Gone (re-register); lost leases get 409 Conflict
+// (drop the task).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/register", func(w http.ResponseWriter, r *http.Request) {
@@ -59,13 +59,6 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		id, ttl := c.Register(req.Name, req.URL)
 		writeJSON(w, http.StatusOK, registerResponse{WorkerID: id, LeaseTTLMillis: ttl.Milliseconds()})
-	})
-	mux.HandleFunc("POST /v1/cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req claimRequest
-		if !decodeInto(w, r, &req) {
-			return
-		}
-		protocolReply(w, c.Heartbeat(req.WorkerID))
 	})
 	mux.HandleFunc("POST /v1/cluster/claim", func(w http.ResponseWriter, r *http.Request) {
 		var req claimRequest

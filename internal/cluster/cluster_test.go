@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,6 +273,123 @@ func TestWorkerDrainReleases(t *testing.T) {
 	}
 	if n := metricValue(t, reg, "dssmem_cluster_lease_expirations_total", "", ""); n != 0 {
 		t.Fatalf("drain release counted as lease expiry (%v)", n)
+	}
+}
+
+// stallStore is a blob store whose first lookup waits for release (or
+// ten seconds): it holds a worker's compute open for as long as a test
+// needs, however fast the host simulates.
+type stallStore struct {
+	*blobstore.Mem
+	once    sync.Once
+	release chan struct{}
+}
+
+func (s *stallStore) Get(ns, key string) ([]byte, error) {
+	s.once.Do(func() {
+		select {
+		case <-s.release:
+		case <-time.After(10 * time.Second):
+		}
+	})
+	return s.Mem.Get(ns, key)
+}
+
+// codeRecorder remembers the status a handler wrote.
+type codeRecorder struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *codeRecorder) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// TestWorkerRenewsLongTask: a task whose compute outlives its lease
+// TTL survives on the HTTP worker's renewals — no lease expires, the
+// worker is never reaped, and the point is computed exactly once. The
+// compute is held open until the coordinator has accepted four
+// renewals, which at the worker's TTL/3 cadence span more than a TTL.
+func TestWorkerRenewsLongTask(t *testing.T) {
+	if testing.Short() {
+		t.Skip("computes a real capture")
+	}
+	const ttl = 600 * time.Millisecond
+	const holdFor = 4 // renewals
+	reg := metrics.New()
+	c := NewCoordinator(NewMetrics(reg), Options{LeaseTTL: ttl})
+	defer c.Close()
+	store := &stallStore{Mem: blobstore.NewMem(), release: make(chan struct{})}
+	var renewals atomic.Int64
+	h := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rw := &codeRecorder{ResponseWriter: w, code: http.StatusOK}
+		h.ServeHTTP(rw, r)
+		if r.URL.Path == "/v1/cluster/renew" && rw.code < 300 && renewals.Add(1) == holdFor {
+			close(store.release)
+		}
+	}))
+	defer srv.Close()
+
+	regW := metrics.New()
+	exec := experiments.NewExecConfig(runner.Config{Workers: 2, Blobs: store, Metrics: regW})
+	defer exec.Close()
+	plans, ok := experiments.PlanScenario(coldSpec())
+	if !ok || len(plans) != 1 {
+		t.Fatalf("plans = %v, ok=%v", plans, ok)
+	}
+	errCh := runBatch(t, c, []Task{{ID: "t1", Plan: plans[0]}}, nil)
+	w, err := StartWorker(WorkerConfig{Coordinator: srv.URL, Name: "slow", Exec: exec, Poll: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := <-errCh; err != nil {
+		t.Fatalf("RunTasks: %v", err)
+	}
+	if n := renewals.Load(); n < holdFor {
+		t.Fatalf("task settled after %d accepted renewals, want at least %d", n, holdFor)
+	}
+	if n := metricValue(t, reg, "dssmem_cluster_lease_expirations_total", "", ""); n != 0 {
+		t.Fatalf("%v lease expirations, want 0", n)
+	}
+	if n := metricValue(t, regW, "dssmem_runner_jobs_submitted_total", "", ""); n != 1 {
+		t.Fatalf("worker submitted %v jobs, want the capture once", n)
+	}
+	st := c.Status()
+	if len(st.Workers) != 1 || st.Workers[0].TasksDone != 1 || st.Tasks[StateDone] != 1 {
+		t.Fatalf("status = %+v, want one worker that settled the one task", st)
+	}
+}
+
+// TestWorkerIDsDoNotSurviveRestart: a worker id granted by one
+// coordinator is unknown to its successor — 410 on every protocol call,
+// so the worker re-registers — and the successor never grants it.
+func TestWorkerIDsDoNotSurviveRestart(t *testing.T) {
+	c1 := NewCoordinator(nil, Options{})
+	old, _ := c1.Register("pre-restart", "")
+	c1.Close()
+
+	c2 := NewCoordinator(nil, Options{})
+	defer c2.Close()
+	srv := httptest.NewServer(c2.Handler())
+	defer srv.Close()
+	for _, path := range []string{"claim", "renew", "complete", "release"} {
+		body := fmt.Sprintf(`{"worker_id":%q,"task_id":"t1"}`, old)
+		resp, err := http.Post(srv.URL+"/v1/cluster/"+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGone {
+			t.Fatalf("%s with the predecessor's worker id %s: HTTP %d, want 410", path, old, resp.StatusCode)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if id, _ := c2.Register("", ""); id == old {
+			t.Fatalf("successor granted the predecessor's worker id %s", old)
+		}
 	}
 }
 

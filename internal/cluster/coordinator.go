@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -42,10 +43,6 @@ type Options struct {
 	// MaxAttempts is how many times a task may be claimed before a
 	// further failure or expiry is terminal (default 3).
 	MaxAttempts int
-	// Journal, when non-nil, makes the coordinator durable: every task
-	// transition is appended to it, and a restarted coordinator
-	// (Restore) picks up the queue where the dead one stopped.
-	Journal *Journal
 }
 
 func (o Options) withDefaults() Options {
@@ -63,10 +60,18 @@ func (o Options) withDefaults() Options {
 // workers drive Claim/Renew/Complete (over HTTP via api.go, or
 // directly in process). A janitor goroutine reaps expired leases and
 // dead workers so a lost worker delays a task by at most one TTL.
+//
+// Workers and tasks are soft state: nothing here is journaled, and a
+// restarted daemon starts with an empty queue. A resumed job re-plans
+// and re-distributes its points, and whatever a worker already pushed
+// resolves from the shared store by its content-addressed key.
 type Coordinator struct {
 	opt Options
 	met *Metrics
-	jl  *Journal // nil = not durable
+	// incarnation is this coordinator's start time, part of every
+	// worker id it grants, so a pre-restart worker's id is unknown to
+	// its successor (410: re-register) and never granted again.
+	incarnation string
 
 	mu      sync.Mutex
 	workers map[string]*workerRec
@@ -94,10 +99,6 @@ type taskRec struct {
 	attempts int
 	errText  string
 	batch    *taskBatch
-	// recovered marks a task installed by Restore: it has no batch yet,
-	// and the first RunTasks that re-submits its id adopts it instead
-	// of rejecting the id as a duplicate.
-	recovered bool
 }
 
 // taskBatch tracks one RunTasks call. onDone runs outside the
@@ -116,12 +117,12 @@ func NewCoordinator(met *Metrics, opt Options) *Coordinator {
 		met = NewMetrics(nil)
 	}
 	c := &Coordinator{
-		opt:     opt.withDefaults(),
-		met:     met,
-		jl:      opt.Journal,
-		workers: make(map[string]*workerRec),
-		tasks:   make(map[string]*taskRec),
-		stop:    make(chan struct{}),
+		opt:         opt.withDefaults(),
+		met:         met,
+		incarnation: strconv.FormatInt(time.Now().UnixNano(), 36),
+		workers:     make(map[string]*workerRec),
+		tasks:       make(map[string]*taskRec),
+		stop:        make(chan struct{}),
 	}
 	go c.janitor()
 	return c
@@ -148,71 +149,19 @@ func (c *Coordinator) Close() {
 	}
 }
 
-// Restore installs journal-recovered tasks into a freshly built
-// coordinator, before any worker registers or job resumes. Queued
-// tasks rejoin the claim queue in log order; leased tasks keep their
-// (presumed-dead) holder with the lease re-armed at one full TTL, so
-// the usual expiry path requeues them unless the worker comes back and
-// finishes first; terminal tasks keep their outcome so a resumed job
-// inherits it. Every restored task is marked recovered, which lets the
-// resumed job's RunTasks adopt it by id. Worker ids resume past the
-// highest ever granted so a surviving pre-crash worker's id is never
-// reissued to a newcomer.
-func (c *Coordinator) Restore(rec *Recovered) {
-	if rec == nil {
-		return
-	}
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if rec.MaxWorker > c.nextW {
-		c.nextW = rec.MaxWorker
-	}
-	for _, rt := range rec.Tasks {
-		if rt.Task.ID == "" || c.tasks[rt.Task.ID] != nil {
-			continue
-		}
-		tr := &taskRec{
-			task: rt.Task, state: rt.State, attempts: rt.Attempts,
-			errText: rt.Error, queuedAt: now, recovered: true,
-		}
-		if rt.State == StateLeased {
-			tr.worker = rt.Worker
-			tr.lease = now.Add(c.opt.LeaseTTL)
-		}
-		c.tasks[rt.Task.ID] = tr
-		// The queue holds every task id ever enqueued; Claim skips ids
-		// not currently queued, so terminal and leased tasks ride along.
-		c.queue = append(c.queue, rt.Task.ID)
-		c.met.moveTask("", rt.State)
-	}
-}
-
 // Register adds (or re-adds) a worker and returns its id and the lease
 // TTL it must renew within.
 func (c *Coordinator) Register(name, url string) (string, time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextW++
-	id := fmt.Sprintf("w%d", c.nextW)
+	id := fmt.Sprintf("w%d-%s", c.nextW, c.incarnation)
 	if name == "" {
 		name = id
 	}
 	c.workers[id] = &workerRec{id: id, name: name, url: url, lastBeat: time.Now()}
 	c.met.workers.Set(float64(len(c.workers)))
 	return id, c.opt.LeaseTTL
-}
-
-// Heartbeat refreshes a worker's liveness.
-func (c *Coordinator) Heartbeat(id string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.workers[id]
-	if !ok {
-		return ErrUnknownWorker
-	}
-	w.lastBeat = time.Now()
-	return nil
 }
 
 // Leave deregisters a worker, requeueing anything it still holds.
@@ -288,8 +237,6 @@ func (c *Coordinator) Claim(workerID string) (*Task, error) {
 		rec.attempts++
 		rec.lease = time.Now().Add(c.opt.LeaseTTL)
 		c.met.moveTask(StateQueued, StateLeased)
-		c.jl.append(journalRecord{Kind: recTaskClaim, TaskID: rec.task.ID,
-			Worker: workerID, Attempts: rec.attempts})
 		t := rec.task
 		claimed = &t
 		break
@@ -324,7 +271,6 @@ func (c *Coordinator) Renew(workerID, taskID string) error {
 		return err
 	}
 	rec.lease = time.Now().Add(c.opt.LeaseTTL)
-	c.jl.append(journalRecord{Kind: recTaskRenew, TaskID: taskID, Worker: workerID})
 	return nil
 }
 
@@ -383,66 +329,21 @@ func (c *Coordinator) requeueLocked(rec *taskRec, reason string) func() {
 	rec.worker = ""
 	rec.queuedAt = time.Now()
 	c.met.moveTask(StateLeased, StateQueued)
-	if !c.closed {
-		c.jl.append(journalRecord{Kind: recTaskRequeue, TaskID: rec.task.ID,
-			Attempts: rec.attempts})
-	}
 	return nil
 }
 
 // settleLocked moves a task to a terminal state and returns the batch
-// notification to run outside the lock. Close's mass shutdown does not
-// journal: those failures are an artifact of this process dying, and
-// the next boot should recover the tasks as they stood. A recovered
-// task not yet adopted by a resumed job has no batch; its settlement
-// is journal-and-metrics only.
+// notification to run outside the lock.
 func (c *Coordinator) settleLocked(rec *taskRec, state, errText string) func() {
 	c.met.moveTask(rec.state, state)
 	rec.state = state
 	rec.worker = ""
 	rec.errText = errText
-	if !c.closed {
-		if state == StateDone {
-			c.jl.append(journalRecord{Kind: recTaskDone, TaskID: rec.task.ID})
-		} else {
-			c.jl.append(journalRecord{Kind: recTaskFail, TaskID: rec.task.ID,
-				Error: errText, Attempts: rec.attempts})
-		}
-	}
 	b := rec.batch
 	task := rec.task
 	var err error
 	if state == StateFailed {
 		err = fmt.Errorf("cluster: task %s: %s", task.ID, errText)
-		if b != nil && b.firstErr == nil {
-			b.firstErr = err
-		}
-	}
-	if b == nil {
-		return func() {}
-	}
-	b.remaining--
-	last := b.remaining == 0
-	return func() {
-		if b.onDone != nil {
-			b.onDone(task, err)
-		}
-		if last {
-			close(b.doneCh)
-		}
-	}
-}
-
-// adoptSettledLocked counts an already-terminal recovered task against
-// the batch that just adopted it, returning the notification to run
-// outside the lock. No state moves and nothing is journaled — the
-// outcome was settled (and logged) before the crash.
-func (c *Coordinator) adoptSettledLocked(rec *taskRec) func() {
-	b := rec.batch
-	task := rec.task
-	var err error
-	if rec.state == StateFailed {
-		err = fmt.Errorf("cluster: task %s: %s", task.ID, rec.errText)
 		if b.firstErr == nil {
 			b.firstErr = err
 		}
@@ -479,40 +380,17 @@ func (c *Coordinator) RunTasks(ctx context.Context, tasks []Task, onDone func(Ta
 			c.mu.Unlock()
 			return fmt.Errorf("cluster: task %d has a missing id", i)
 		}
-		if ex := c.tasks[t.ID]; ex != nil && !ex.recovered {
+		if c.tasks[t.ID] != nil {
 			c.mu.Unlock()
 			return fmt.Errorf("cluster: task %d has a duplicate id %q", i, t.ID)
 		}
 	}
-	var fresh []Task
-	var settled []func()
 	for _, t := range tasks {
-		if ex := c.tasks[t.ID]; ex != nil {
-			// Adopt a journal-recovered task into this batch. Task ids
-			// are deterministic (job id + point index), so a resumed job
-			// re-submits the same batch and inherits whatever state each
-			// task had already reached: queued and leased tasks will
-			// settle against this batch in due course, and tasks that
-			// finished before the crash settle it right now.
-			ex.recovered = false
-			ex.batch = b
-			if ex.state == StateDone || ex.state == StateFailed {
-				settled = append(settled, c.adoptSettledLocked(ex))
-			}
-			continue
-		}
-		fresh = append(fresh, t)
 		c.tasks[t.ID] = &taskRec{task: t, state: StateQueued, queuedAt: now, batch: b}
 		c.queue = append(c.queue, t.ID)
 		c.met.moveTask("", StateQueued)
 	}
-	if len(fresh) > 0 {
-		c.jl.append(journalRecord{Kind: recTaskAdd, Tasks: fresh})
-	}
 	c.mu.Unlock()
-	for _, fn := range settled {
-		fn()
-	}
 
 	select {
 	case <-b.doneCh:

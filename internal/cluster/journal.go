@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"log"
 	"sync"
 	"time"
@@ -10,25 +9,21 @@ import (
 	"repro/internal/wal"
 )
 
-// Journal is the fabric's durability layer: every job and task state
-// transition the coordinator and manager make is appended as one JSON
-// record to a shared write-ahead log, so a restarted daemon replays
-// the log and picks up where the dead one stopped. One journal backs
-// both halves — a single fsync stream keeps the job and task histories
-// mutually ordered (task ids embed job ids).
+// Journal is the fabric's durability layer. It records jobs, not
+// tasks: the manager appends each job's submission (canonical scenario
+// text) and its terminal transition (with the finished report text, so
+// GET /v1/jobs/{id}/report survives a restart) as one JSON record each
+// to a write-ahead log — two appends and two fsyncs per job, however
+// many points it distributes — and a restarted daemon replays the log
+// and re-runs what had not finished.
 //
-// What is persisted: job submissions (canonical scenario text), terminal
-// job transitions (including the finished report text, so
-// GET /v1/jobs/{id}/report survives a restart), task batches, and
-// every claim/renew/complete/fail/requeue — so a job costs two appends
-// and two fsyncs of its own. What is not: the running transition
-// (recovery re-runs a running job exactly like a queued one, and its
-// total comes from the spec; replay still accepts running records
-// from older logs), worker registrations (ephemeral — workers
-// re-register on reconnect and recovered leases expire on the usual
-// TTL clock), per-point progress of running jobs (a resumed job
-// re-renders; content-addressed caches make the replay cheap), and
-// job event history.
+// Coordinator tasks and worker registrations are soft state: a resumed
+// job re-plans and re-distributes its points, and any point a worker
+// already pushed resolves from the shared store by its
+// content-addressed key. Nor are the running transition (recovery
+// re-runs a running job like a queued one, and its total comes from the
+// spec), per-point progress or event history journaled. Replay skips
+// the task.* records and snapshot task fields of older logs.
 //
 // A journal append failure is logged once and then the journal goes
 // inert: the fabric keeps serving (availability over durability once
@@ -42,18 +37,13 @@ type Journal struct {
 	dead bool
 }
 
-// Journal record kinds. Unknown kinds are skipped on replay so old
-// daemons can read logs written by newer ones.
+// Journal record kinds. Unknown kinds are skipped on replay, so old
+// daemons can read logs written by newer ones and the task.* records of
+// older logs are ignored.
 const (
-	recJobSubmit   = "job.submit"
-	recJobState    = "job.state"
-	recTaskAdd     = "task.add"
-	recTaskClaim   = "task.claim"
-	recTaskRenew   = "task.renew"
-	recTaskDone    = "task.done"
-	recTaskFail    = "task.fail"
-	recTaskRequeue = "task.requeue"
-	recSnapshot    = "snapshot"
+	recJobSubmit = "job.submit"
+	recJobState  = "job.state"
+	recSnapshot  = "snapshot"
 )
 
 // journalRecord is the wire form of one transition. Exactly the fields
@@ -61,7 +51,6 @@ const (
 type journalRecord struct {
 	Kind string `json:"kind"`
 
-	// job.* records.
 	Job       string    `json:"job,omitempty"`
 	Name      string    `json:"name,omitempty"`
 	Spec      string    `json:"spec,omitempty"` // canonical scenario text
@@ -72,13 +61,6 @@ type journalRecord struct {
 	Total     int       `json:"total,omitempty"`
 	Submitted time.Time `json:"submitted,omitzero"`
 	Finished  time.Time `json:"finished,omitzero"`
-
-	// task.* records. Tasks batches one RunTasks call into one record
-	// (one fsync per batch, not per task).
-	Tasks    []Task `json:"tasks,omitempty"`
-	TaskID   string `json:"task_id,omitempty"`
-	Worker   string `json:"worker,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
 
 	// snapshot records carry the full recovered state.
 	Snapshot *Recovered `json:"snapshot,omitempty"`
@@ -98,40 +80,17 @@ type RecoveredJob struct {
 	Finished  time.Time `json:"finished,omitzero"`
 }
 
-// RecoveredTask is one task's state as replayed from the journal.
-type RecoveredTask struct {
-	Task     Task   `json:"task"`
-	State    string `json:"state"`
-	Worker   string `json:"worker,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
-// Recovered is the fabric state a journal replay yields — and, fed
-// back through Journal.Snapshot, the compaction payload. Jobs and
-// tasks keep log order (submission order).
+// Recovered is the job state a journal replay yields — and, fed back
+// through Journal.Snapshot, the compaction payload. Jobs keep log order
+// (submission order).
 type Recovered struct {
-	Jobs  []RecoveredJob  `json:"jobs,omitempty"`
-	Tasks []RecoveredTask `json:"tasks,omitempty"`
-	// MaxWorker is the highest worker ordinal ever granted, so a
-	// restarted coordinator never reissues a live zombie's id.
-	MaxWorker int `json:"max_worker,omitempty"`
+	Jobs []RecoveredJob `json:"jobs,omitempty"`
 }
 
 // recoveredState folds journal records into a Recovered.
 type recoveredState struct {
-	jobs      map[string]*RecoveredJob
-	jobOrder  []string
-	tasks     map[string]*RecoveredTask
-	taskOrder []string
-	maxWorker int
-}
-
-func newRecoveredState() *recoveredState {
-	return &recoveredState{
-		jobs:  make(map[string]*RecoveredJob),
-		tasks: make(map[string]*RecoveredTask),
-	}
+	jobs     map[string]*RecoveredJob
+	jobOrder []string
 }
 
 func (s *recoveredState) apply(r journalRecord) {
@@ -139,7 +98,7 @@ func (s *recoveredState) apply(r journalRecord) {
 	case recSnapshot:
 		// A snapshot is a full state reset; anything replayed before it
 		// (pre-compaction stragglers) is superseded.
-		*s = *newRecoveredState()
+		*s = recoveredState{jobs: make(map[string]*RecoveredJob)}
 		if r.Snapshot == nil {
 			return
 		}
@@ -148,12 +107,6 @@ func (s *recoveredState) apply(r journalRecord) {
 			s.jobs[j.ID] = &jc
 			s.jobOrder = append(s.jobOrder, j.ID)
 		}
-		for _, t := range r.Snapshot.Tasks {
-			tc := t
-			s.tasks[t.Task.ID] = &tc
-			s.taskOrder = append(s.taskOrder, t.Task.ID)
-		}
-		s.maxWorker = r.Snapshot.MaxWorker
 	case recJobSubmit:
 		if r.Job == "" || s.jobs[r.Job] != nil {
 			return
@@ -173,68 +126,24 @@ func (s *recoveredState) apply(r journalRecord) {
 		j.Report = r.Report
 		j.Done, j.Total = r.Done, r.Total
 		j.Finished = r.Finished
-	case recTaskAdd:
-		for _, t := range r.Tasks {
-			if t.ID == "" || s.tasks[t.ID] != nil {
-				continue
-			}
-			s.tasks[t.ID] = &RecoveredTask{Task: t, State: StateQueued}
-			s.taskOrder = append(s.taskOrder, t.ID)
-		}
-	case recTaskClaim:
-		if t := s.tasks[r.TaskID]; t != nil {
-			t.State = StateLeased
-			t.Worker = r.Worker
-			t.Attempts = r.Attempts
-		}
-		var n int
-		if _, err := fmt.Sscanf(r.Worker, "w%d", &n); err == nil && n > s.maxWorker {
-			s.maxWorker = n
-		}
-	case recTaskRenew:
-		// Liveness only; replayed leases are re-armed wholesale.
-	case recTaskDone:
-		if t := s.tasks[r.TaskID]; t != nil {
-			t.State = StateDone
-			t.Worker = ""
-			t.Error = ""
-		}
-	case recTaskFail:
-		if t := s.tasks[r.TaskID]; t != nil {
-			t.State = StateFailed
-			t.Worker = ""
-			t.Error = r.Error
-			if r.Attempts > 0 {
-				t.Attempts = r.Attempts
-			}
-		}
-	case recTaskRequeue:
-		if t := s.tasks[r.TaskID]; t != nil {
-			t.State = StateQueued
-			t.Worker = ""
-			t.Attempts = r.Attempts
-		}
 	}
 }
 
 func (s *recoveredState) recovered() *Recovered {
-	rec := &Recovered{MaxWorker: s.maxWorker}
+	rec := &Recovered{}
 	for _, id := range s.jobOrder {
 		rec.Jobs = append(rec.Jobs, *s.jobs[id])
-	}
-	for _, id := range s.taskOrder {
-		rec.Tasks = append(rec.Tasks, *s.tasks[id])
 	}
 	return rec
 }
 
 // OpenJournal opens (or creates) the journal over opt and replays it
-// into the fabric state the caller feeds to Coordinator.Restore and
-// Manager.Restore. Malformed JSON records are skipped (the WAL's CRC
-// already vouches the bytes are what was written; a bad record is a
-// bug, not corruption, and must not brick the daemon).
+// into the job state the caller feeds to Manager.Restore. Malformed
+// JSON records are skipped (the WAL's CRC already vouches the bytes
+// are what was written; a bad record is a bug, not corruption, and
+// must not brick the daemon).
 func OpenJournal(opt wal.Options) (*Journal, *Recovered, error) {
-	st := newRecoveredState()
+	st := &recoveredState{jobs: make(map[string]*RecoveredJob)}
 	l, err := wal.Open(opt, func(b []byte) error {
 		var r journalRecord
 		if err := json.Unmarshal(b, &r); err != nil {

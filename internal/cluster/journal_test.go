@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/wal"
 )
 
@@ -20,162 +22,141 @@ func openTestJournal(t *testing.T, fs wal.FS) (*Journal, *Recovered) {
 	return jl, rec
 }
 
-// TestJournalCoordinatorRestart is the crash contract at the task
-// level: kill a coordinator mid-batch, restore a new one from the
-// journal, and the done task stays done, the leased task expires onto
-// the queue, the untouched task is still claimable — and a re-submitted
-// batch with the same deterministic ids adopts all of them.
-func TestJournalCoordinatorRestart(t *testing.T) {
-	fs := wal.NewMemFS()
-	jl, _ := openTestJournal(t, fs)
-	c1 := NewCoordinator(NewMetrics(metrics.New()), Options{LeaseTTL: time.Minute, Journal: jl})
-	defer c1.Close()
-	w1, _ := c1.Register("pre-crash", "")
-	tasks := []Task{{ID: "j-1/t0"}, {ID: "j-1/t1"}, {ID: "j-1/t2", Deps: []string{"j-1/t0"}}}
-	runBatch(t, c1, tasks, nil)
+// TestJournalResumeClaimable: after a restart, every task of the
+// resumed job is claimable at once, however the previous incarnation
+// left its leases — crashed with a task leased to a worker that died
+// with it, or drained, its worker having released the task and left
+// before the journal closed. Tasks are not journaled, so the successor
+// never inherits a dead worker's lease: with a one-minute TTL, the
+// re-run is claimed through within 2s and no lease expires.
+func TestJournalResumeClaimable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders a real scenario")
+	}
+	sc := coldSpec()
+	sc.Sweep = scenario.Sweep{Axis: scenario.AxisPrefetch, Points: []int{0, 1, 2}}
+	plans, _ := experiments.PlanScenario(sc)
+	for _, name := range []string{"crash", "drain"} {
+		t.Run(name, func(t *testing.T) {
+			fs := wal.NewMemFS()
+			jl, _ := openTestJournal(t, fs)
+			c1 := NewCoordinator(nil, Options{LeaseTTL: time.Minute})
+			exec1 := experiments.NewExec(1)
+			m1 := NewManager(exec1, c1, nil)
+			m1.UseJournal(jl)
+			ghost, _ := c1.Register("ghost", "")
+			id, err := m1.Submit(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 10*time.Second, "tasks to dispatch", func() bool {
+				return c1.Status().Tasks[StateQueued] == len(plans)
+			})
+			task, err := c1.Claim(ghost)
+			if err != nil || task == nil {
+				t.Fatalf("claim: %+v, %v", task, err)
+			}
+			img := fs
+			if name == "crash" {
+				// Only durable bytes survive; the ghost's lease is out.
+				img = fs.Crash()
+			} else {
+				// The dssmemd drain order for a worker: release, leave;
+				// the journal then closes cleanly.
+				if err := c1.Release(ghost, task.ID); err != nil {
+					t.Fatal(err)
+				}
+				c1.Leave(ghost)
+				if err := jl.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Retire the first incarnation. Its coordinator fails the
+			// batch, so its manager finishes the job locally; nothing it
+			// writes afterwards reaches the image the successor opens.
+			c1.Close()
+			m1.Close()
+			exec1.Close()
 
-	first, err := c1.Claim(w1)
-	if err != nil || first == nil || first.ID != "j-1/t0" {
-		t.Fatalf("claim: %+v, %v", first, err)
-	}
-	if err := c1.Complete(w1, first.ID, ""); err != nil {
-		t.Fatal(err)
-	}
-	second, _ := c1.Claim(w1)
-	if second == nil {
-		t.Fatal("second claim came back empty")
-	}
-	// Crash: only durable bytes survive; the dead coordinator is
-	// abandoned with its lease still out.
-	img := fs.Crash()
+			jl2, rec := openTestJournal(t, img)
+			defer jl2.Close()
+			reg2 := metrics.New()
+			met2 := NewMetrics(reg2)
+			c2 := NewCoordinator(met2, Options{LeaseTTL: time.Minute})
+			exec2 := experiments.NewExec(1)
+			defer exec2.Close()
+			m2 := NewManager(exec2, c2, met2)
+			m2.UseJournal(jl2)
+			m2.Restore(rec)
+			// Coordinator first, so a failing run's batch aborts instead
+			// of being waited out.
+			defer func() {
+				c2.Close()
+				m2.Close()
+			}()
+			w, _ := c2.Register("successor", "")
+			m2.Resume(rec)
 
-	jl2, rec := openTestJournal(t, img)
-	if len(rec.Tasks) != 3 {
-		t.Fatalf("recovered %d tasks, want 3", len(rec.Tasks))
-	}
-	reg2 := metrics.New()
-	c2 := NewCoordinator(NewMetrics(reg2), Options{LeaseTTL: 50 * time.Millisecond, Journal: jl2})
-	defer c2.Close()
-	c2.Restore(rec)
-	if st := c2.Status(); st.Tasks[StateDone] != 1 || st.Tasks[StateLeased] != 1 || st.Tasks[StateQueued] != 1 {
-		t.Fatalf("restored task states = %v, want 1 done / 1 leased / 1 queued", st.Tasks)
-	}
-	// Worker ids never rewind: the ghost held w1, so the next grant is w2.
-	w2, _ := c2.Register("post-crash", "")
-	if w2 != "w2" {
-		t.Fatalf("post-restart worker id = %s, want w2", w2)
-	}
-
-	// The resumed job re-submits the same batch: the done task settles
-	// against it immediately, the rest drain through the new worker once
-	// the ghost's re-armed lease expires.
-	settled := make(chan string, len(tasks))
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- c2.RunTasks(context.Background(), tasks, func(task Task, terr error) {
-			if terr == nil {
-				settled <- task.ID
+			deadline := time.Now().Add(2 * time.Second)
+			for claimed := 0; claimed < len(plans); {
+				if time.Now().After(deadline) {
+					t.Fatalf("claimed %d of %d resumed tasks within 2s: %v", claimed, len(plans), c2.Status().Tasks)
+				}
+				task, err := c2.Claim(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if task == nil {
+					time.Sleep(2 * time.Millisecond)
+					continue
+				}
+				if err := c2.Complete(w, task.ID, ""); err != nil {
+					t.Fatal(err)
+				}
+				claimed++
+			}
+			if !m2.Wait(context.Background(), id) {
+				t.Fatalf("resumed job %s never finished", id)
+			}
+			if st, _ := m2.Status(id); st.State != StateDone {
+				t.Fatalf("resumed job = %s (%s), want done", st.State, st.Error)
+			}
+			if n := metricValue(t, reg2, "dssmem_cluster_lease_expirations_total", "", ""); n != 0 {
+				t.Fatalf("restart cost %v lease expirations, want 0", n)
 			}
 		})
-	}()
-	if got := <-settled; got != "j-1/t0" {
-		t.Fatalf("first settled task = %s, want the pre-crash done j-1/t0", got)
-	}
-	for remaining := 2; remaining > 0; {
-		task, err := c2.Claim(w2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if task == nil {
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		if err := c2.Complete(w2, task.ID, ""); err != nil {
-			t.Fatal(err)
-		}
-		remaining--
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("resumed batch: %v", err)
-	}
-	// The ghost's lease went through the normal expiry path.
-	if n := metricValue(t, reg2, "dssmem_cluster_lease_expirations_total", "", ""); n < 1 {
-		t.Fatalf("recovered lease never expired (%v)", n)
-	}
-}
-
-// TestJournalDrainRestart is the SIGTERM-drain satellite: a drained
-// worker's Release is journaled before exit, so the restarted
-// coordinator restores the task as queued — claimable at once, with
-// zero lease expirations.
-func TestJournalDrainRestart(t *testing.T) {
-	fs := wal.NewMemFS()
-	jl, _ := openTestJournal(t, fs)
-	c1 := NewCoordinator(NewMetrics(metrics.New()), Options{LeaseTTL: time.Minute, Journal: jl})
-	defer c1.Close()
-	w, _ := c1.Register("drainee", "")
-	runBatch(t, c1, []Task{{ID: "d/t0"}}, nil)
-	task, err := c1.Claim(w)
-	if err != nil || task == nil {
-		t.Fatalf("claim: %+v, %v", task, err)
-	}
-	// The dssmemd drain order: worker releases its lease and leaves,
-	// then the journal closes cleanly.
-	if err := c1.Release(w, task.ID); err != nil {
-		t.Fatal(err)
-	}
-	c1.Leave(w)
-	if err := jl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	jl2, rec := openTestJournal(t, fs)
-	reg2 := metrics.New()
-	c2 := NewCoordinator(NewMetrics(reg2), Options{LeaseTTL: time.Minute, Journal: jl2})
-	defer c2.Close()
-	c2.Restore(rec)
-	if st := c2.Status(); st.Tasks[StateQueued] != 1 {
-		t.Fatalf("restored task states = %v, want the drained task queued", st.Tasks)
-	}
-	// Claimable immediately — no TTL to wait out (TTL here is a minute;
-	// the test finishes in milliseconds only because no lease expires).
-	w2, _ := c2.Register("fresh", "")
-	reclaimed, err := c2.Claim(w2)
-	if err != nil || reclaimed == nil || reclaimed.ID != "d/t0" {
-		t.Fatalf("reclaim after drain-restart: %+v, %v", reclaimed, err)
-	}
-	if err := c2.Complete(w2, reclaimed.ID, ""); err != nil {
-		t.Fatal(err)
-	}
-	if n := metricValue(t, reg2, "dssmem_cluster_lease_expirations_total", "", ""); n != 0 {
-		t.Fatalf("drain-restart cost %v lease expirations, want 0", n)
 	}
 }
 
 // TestJournalSnapshotRoundTrip: compacting to a snapshot and replaying
-// it yields the identical recovered state, stragglers and unknown
-// record kinds are harmless, and MaxWorker survives.
+// it yields the identical recovered jobs, and stragglers and unknown
+// record kinds are harmless.
 func TestJournalSnapshotRoundTrip(t *testing.T) {
 	fs := wal.NewMemFS()
 	jl, _ := openTestJournal(t, fs)
-	jl.append(journalRecord{Kind: recJobSubmit, Job: "j-1", Name: "sweep", Spec: "spec-text"})
-	jl.append(journalRecord{Kind: recJobState, Job: "j-1", State: StateRunning, Total: 3})
-	jl.append(journalRecord{Kind: recTaskAdd, Tasks: []Task{{ID: "j-1/t0"}, {ID: "j-1/t1"}, {ID: "j-1/t2"}}})
-	jl.append(journalRecord{Kind: recTaskClaim, TaskID: "j-1/t0", Worker: "w7", Attempts: 1})
-	jl.append(journalRecord{Kind: recTaskDone, TaskID: "j-1/t0"})
-	jl.append(journalRecord{Kind: recTaskClaim, TaskID: "j-1/t1", Worker: "w2", Attempts: 2})
-	jl.append(journalRecord{Kind: recTaskFail, TaskID: "j-1/t1", Error: "boom", Attempts: 2})
-	jl.append(journalRecord{Kind: "future.kind", Job: "whatever"}) // skipped, not fatal
+	sub := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	jl.append(journalRecord{Kind: recJobSubmit, Job: "j-1", Name: "sweep", Spec: "spec-1", Submitted: sub})
+	jl.append(journalRecord{Kind: recJobSubmit, Job: "j-2", Spec: "spec-2", Submitted: sub})
+	// Logs written before the running transition stopped being
+	// journaled carry one; it must still replay.
+	jl.append(journalRecord{Kind: recJobState, Job: "j-2", State: StateRunning, Total: 4})
+	jl.append(journalRecord{Kind: recJobState, Job: "j-1", State: StateDone, Report: "report",
+		Done: 3, Total: 3, Finished: sub.Add(time.Minute)})
+	jl.append(journalRecord{Kind: recJobSubmit, Job: "j-1", Spec: "again"})   // duplicate: skipped
+	jl.append(journalRecord{Kind: recJobState, Job: "j-9", State: StateDone}) // unknown job: skipped
+	jl.append(journalRecord{Kind: "future.kind", Job: "whatever"})            // skipped, not fatal
 	if err := jl.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	jl2, rec := openTestJournal(t, fs)
-	if len(rec.Jobs) != 1 || len(rec.Tasks) != 3 || rec.MaxWorker != 7 {
-		t.Fatalf("recovered %d jobs / %d tasks / max worker %d", len(rec.Jobs), len(rec.Tasks), rec.MaxWorker)
-	}
-	if rec.Tasks[0].State != StateDone || rec.Tasks[1].State != StateFailed || rec.Tasks[2].State != StateQueued {
-		t.Fatalf("task states = %s/%s/%s", rec.Tasks[0].State, rec.Tasks[1].State, rec.Tasks[2].State)
+	want := &Recovered{Jobs: []RecoveredJob{
+		{ID: "j-1", Name: "sweep", Spec: "spec-1", State: StateDone, Report: "report",
+			Done: 3, Total: 3, Submitted: sub, Finished: sub.Add(time.Minute)},
+		{ID: "j-2", Spec: "spec-2", State: StateRunning, Total: 4, Submitted: sub},
+	}}
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("recovered %+v\nwant      %+v", rec, want)
 	}
 	if err := jl2.Snapshot(rec); err != nil {
 		t.Fatal(err)
@@ -191,6 +172,123 @@ func TestJournalSnapshotRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec, rec2) {
 		t.Fatalf("snapshot did not round-trip:\npre:  %+v\npost: %+v", rec, rec2)
+	}
+}
+
+// TestJournalOpensOldTaskLog: a log written when tasks were journaled
+// still opens. Its task.add/claim/renew/requeue/done/fail records are
+// skipped without error, the tasks and max_worker of its snapshot are
+// ignored, it replays to the same jobs as the log with every task
+// record stripped, and the boot snapshot written over it holds jobs
+// only. Such logs also journaled the running transition: a job whose
+// last record is one is re-queued by Manager.Restore.
+func TestJournalOpensOldTaskLog(t *testing.T) {
+	sc := coldSpec()
+	plans, _ := experiments.PlanScenario(sc)
+	task := Task{ID: "j-2/t0", Plan: plans[0], Blobs: plans[0].Blobs()}
+	sub := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	rec := func(kind string, fields map[string]any) []byte {
+		fields["kind"] = kind
+		b, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	done := RecoveredJob{ID: "j-1", Spec: "spec-1", State: StateDone, Report: "report", Done: 1, Total: 1}
+	jobs := [][]byte{
+		rec(recSnapshot, map[string]any{"snapshot": map[string]any{"jobs": []RecoveredJob{done}}}),
+		rec(recJobSubmit, map[string]any{"job": "j-2", "spec": string(sc.Canonical()), "submitted": sub}),
+		rec(recJobSubmit, map[string]any{"job": "j-3", "spec": string(sc.Canonical()), "submitted": sub}),
+		rec(recJobState, map[string]any{"job": "j-3", "state": StateRunning, "total": 1}),
+		rec(recJobState, map[string]any{"job": "j-2", "state": StateDone, "report": "r2",
+			"done": 1, "total": 1, "finished": sub}),
+	}
+	old := [][]byte{
+		rec(recSnapshot, map[string]any{"snapshot": map[string]any{
+			"jobs": []RecoveredJob{done},
+			"tasks": []map[string]any{{"task": Task{ID: "j-1/t0", Plan: plans[0]},
+				"state": StateLeased, "worker": "w7", "attempts": 1}},
+			"max_worker": 7,
+		}}),
+		jobs[1],
+		rec("task.add", map[string]any{"tasks": []Task{task}}),
+		rec("task.claim", map[string]any{"task_id": task.ID, "worker": "w8", "attempts": 1}),
+		rec("task.renew", map[string]any{"task_id": task.ID, "worker": "w8"}),
+		rec("task.requeue", map[string]any{"task_id": task.ID, "attempts": 1}),
+		rec("task.claim", map[string]any{"task_id": task.ID, "worker": "w9", "attempts": 2}),
+		rec("task.done", map[string]any{"task_id": task.ID}),
+		jobs[2],
+		jobs[3],
+		rec("task.add", map[string]any{"tasks": []Task{{ID: "j-3/t0", Plan: plans[0]}}}),
+		rec("task.fail", map[string]any{"task_id": "j-3/t0", "error": "boom", "attempts": 3}),
+		jobs[4],
+	}
+	replay := func(records [][]byte) (*wal.MemFS, *Recovered) {
+		t.Helper()
+		fs := wal.NewMemFS()
+		jl, _ := openTestJournal(t, fs)
+		for _, b := range records {
+			if err := jl.log.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := jl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		jl, got, err := OpenJournal(wal.Options{Dir: "j", FS: fs})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer jl.Close()
+		if n, _ := jl.Recovery(); n != len(records) {
+			t.Fatalf("replayed %d records, want %d", n, len(records))
+		}
+		if err := jl.Snapshot(got); err != nil {
+			t.Fatal(err)
+		}
+		return fs, got
+	}
+	fs, got := replay(old)
+	if _, want := replay(jobs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("old log replayed to %+v\nwant the job-only log's %+v", got, want)
+	}
+	if len(got.Jobs) != 3 || got.Jobs[1].State != StateDone || got.Jobs[2].State != StateRunning {
+		t.Fatalf("recovered jobs = %+v, want j-1 and j-2 done, j-3 running", got.Jobs)
+	}
+	exec := experiments.NewExec(1)
+	defer exec.Close()
+	m := NewManager(exec, nil, nil)
+	defer m.Close()
+	m.Restore(got)
+	want := len(experiments.ProgressKeys(sc))
+	if st, _ := m.Status("j-3"); st.State != StateQueued || st.Progress.Done != 0 || st.Progress.Total != want {
+		t.Fatalf("restored running job = %s %+v, want queued 0/%d", st.State, st.Progress, want)
+	}
+
+	// The compacted log is one snapshot record naming jobs and nothing
+	// else.
+	var raw [][]byte
+	l, err := wal.Open(wal.Options{Dir: "j", FS: fs}, func(b []byte) error {
+		raw = append(raw, append([]byte(nil), b...))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if len(raw) != 1 {
+		t.Fatalf("compacted log holds %d records, want the snapshot alone", len(raw))
+	}
+	var snap struct {
+		Kind     string                     `json:"kind"`
+		Snapshot map[string]json.RawMessage `json:"snapshot"`
+	}
+	if err := json.Unmarshal(raw[0], &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Kind != recSnapshot || len(snap.Snapshot) != 1 || snap.Snapshot["jobs"] == nil {
+		t.Fatalf("boot snapshot = %s, want one holding jobs only", raw[0])
 	}
 }
 

@@ -115,10 +115,10 @@ func (m *Manager) UseJournal(jl *Journal) { m.jl = jl }
 // Restore installs journal-recovered jobs. Terminal jobs come back
 // whole — state, error, report, progress — and keep serving status and
 // report reads; anything that had not finished is re-queued for Resume
-// to re-run from scratch (the content-addressed caches make the replay
-// cheap, and the coordinator hands back whatever its recovered tasks
-// already settled); its progress reads 0 of the spec's planned total
-// until then. Event history is not persisted; terminal jobs get one
+// to re-run from scratch (it re-distributes its points, and whatever
+// workers pushed to the shared store before the crash resolves by
+// content-addressed key); its progress reads 0 of the spec's planned
+// total until then. Event history is not persisted; terminal jobs get one
 // synthetic state event so late subscribers still see an ending.
 func (m *Manager) Restore(rec *Recovered) {
 	if rec == nil {

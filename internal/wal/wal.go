@@ -52,10 +52,6 @@ type Options struct {
 	SyncWindow time.Duration
 	// Metrics registers the dssmem_wal_* instruments (nil = unmetered).
 	Metrics *metrics.Registry
-	// OnAppend, when non-nil, observes every durable append with the
-	// log's running append count — the crash-point seam the
-	// fault-injection tests trigger on.
-	OnAppend func(total int)
 }
 
 func (o Options) withDefaults() Options {
@@ -274,15 +270,11 @@ func (l *Log) Append(payload []byte) error {
 		return err
 	}
 	l.appends++
-	total := l.appends
 	l.met.appends.Inc()
 
 	if l.opt.SyncWindow <= 0 {
 		err := l.syncLocked()
 		l.mu.Unlock()
-		if err == nil && l.opt.OnAppend != nil {
-			l.opt.OnAppend(total)
-		}
 		return err
 	}
 	ch := make(chan error, 1)
@@ -291,11 +283,7 @@ func (l *Log) Append(payload []byte) error {
 		l.syncTimer = time.AfterFunc(l.opt.SyncWindow, l.groupCommit)
 	}
 	l.mu.Unlock()
-	err := <-ch
-	if err == nil && l.opt.OnAppend != nil {
-		l.opt.OnAppend(total)
-	}
-	return err
+	return <-ch
 }
 
 func (l *Log) usableLocked() error {

@@ -360,27 +360,24 @@ func TestWriteErrorFault(t *testing.T) {
 	}
 }
 
-// TestCrashAfterNAppends: the OnAppend seam kills the log at a chosen
-// append count; exactly the records durable at that point recover.
+// TestCrashAfterNAppends: a log killed after a chosen number of
+// appends refuses the next one, and exactly the records durable at the
+// kill recover.
 func TestCrashAfterNAppends(t *testing.T) {
 	for _, n := range []int{1, 3, 7} {
 		fs := NewMemFS()
-		var l *Log
-		l, err := Open(Options{Dir: "w", FS: fs, OnAppend: func(total int) {
-			if total == n {
-				l.Kill()
-			}
-		}}, nil)
+		l, err := Open(Options{Dir: "w", FS: fs}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 10; i++ {
+		for i := 0; i < n; i++ {
 			if err := l.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
-				if !errors.Is(err, ErrKilled) {
-					t.Fatalf("crash point %d: append %d: %v", n, i, err)
-				}
-				break
+				t.Fatalf("crash point %d: append %d: %v", n, i, err)
 			}
+		}
+		l.Kill()
+		if err := l.Append([]byte("late")); !errors.Is(err, ErrKilled) {
+			t.Fatalf("crash point %d: append after kill = %v, want ErrKilled", n, err)
 		}
 		var got [][]byte
 		l2, err := Open(Options{Dir: "w", FS: fs.Crash()}, collect(&got))
