@@ -1,6 +1,6 @@
 # Build and verification targets. `make check` is the full gate:
-# everything CI runs, including the race detector over the concurrent
-# packages (the runner's worker pool and the simulation scheduler).
+# everything CI runs, including the race detector over every internal
+# package (see race).
 
 GO ?= go
 
@@ -45,9 +45,13 @@ check: build fmt vet race test scenario-goldens
 # distributed report is byte-identical to a serial render, every task
 # settled done, and at least one blob crossed peers (a capture computed
 # on one worker, replayed from the shared store by the other — asserted
-# via the peer-fetch metrics).
+# via the peer-fetch metrics). The byte-identity rests on the planner
+# contract, so its tests ride along: the plan's shape, a worker-computed
+# plan landing on the keys the coordinator's render resolves, and a
+# render submitting exactly one job per predicted progress key.
 cluster-smoke:
 	$(GO) test -run 'TestClusterEndToEnd|TestWorkerDrainReleases' -count=1 -v ./internal/cluster
+	$(GO) test -run 'TestPlanScenario|TestComputePointPopulatesPlannedKeys|TestProgressKeysMatchRender' -count=1 -v ./internal/experiments
 
 # The durability gate: the crash matrix. A sweep job's journal is
 # killed at three points of progress read off the coordinator

@@ -12,13 +12,16 @@
 //     (experiments.PlanScenario) with the capture→replay dependency
 //     order preserved; workers claim tasks over HTTP under a lease,
 //     renew while computing, and complete (or fail, or are reaped by
-//     lease expiry and reassigned).
+//     lease expiry and reassigned). The plans are the ones the
+//     coordinator's own render runs, so every task's result key is a
+//     point job of that render.
 //
 //   - Worker: the claim-execute-push loop a `dssmemd -join` daemon
-//     runs. Claimed tasks execute on the daemon's own Exec; produced
-//     blobs (capture results, trace blobs, replay results) are pushed
-//     to the coordinator's shared blob store, so every peer's cache
-//     warms from any peer's work.
+//     runs. Claimed tasks execute on the daemon's own Exec through
+//     experiments.ComputePoint, the render's job builder on one plan;
+//     produced blobs (capture results, trace blobs, replay results)
+//     are pushed to the coordinator's shared blob store, so every
+//     peer's cache warms from any peer's work.
 //
 // Correctness never depends on the cluster: the coordinator's own
 // render of the job (after its tasks settle) recomputes anything a

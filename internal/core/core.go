@@ -224,14 +224,7 @@ func (s *System) phaseBodies(runLists [][]QueryRun, rep *Report, slot func(proc,
 		}
 		bodies[i] = func(p *sched.Proc) {
 			for _, pr := range plan {
-				c := &executor.Ctx{
-					P: p, Xid: p.ID(), Mem: s.Mem, Arena: pr.arena,
-					Cat:             s.Cat,
-					OverheadTouches: s.Cfg.OverheadTouches,
-					HotTouches:      s.Cfg.HotTouches,
-					TupleBusy:       s.Cfg.TupleBusy,
-					IndexTupleBusy:  s.Cfg.IndexTupleBusy,
-				}
+				c := s.ExecCtx(p, pr.arena)
 				switch pr.run.Query {
 				case "UF1":
 					*pr.out = len(s.DB.RunUF1(c, s.DB.UFCount(), pr.run.Variant))
@@ -245,6 +238,19 @@ func (s *System) phaseBodies(runLists [][]QueryRun, rep *Report, slot func(proc,
 		}
 	}
 	return bodies
+}
+
+// ExecCtx is the executor context for one query run on processor p:
+// this system's catalog and memory, the run's private arena, and the
+// system's per-tuple cost model.
+func (s *System) ExecCtx(p *sched.Proc, arena *simm.Arena) *executor.Ctx {
+	return &executor.Ctx{
+		P: p, Xid: p.ID(), Mem: s.Mem, Arena: arena, Cat: s.Cat,
+		OverheadTouches: s.Cfg.OverheadTouches,
+		HotTouches:      s.Cfg.HotTouches,
+		TupleBusy:       s.Cfg.TupleBusy,
+		IndexTupleBusy:  s.Cfg.IndexTupleBusy,
+	}
 }
 
 // finishReport snapshots the per-processor and machine state into rep
@@ -267,14 +273,7 @@ func (s *System) CollectRows(query string, variant uint64) ([][]layout.Datum, []
 	arena := simm.NewArena(s.privRegions[0])
 	bodies := make([]func(*sched.Proc), s.Mem.Nodes())
 	bodies[0] = func(p *sched.Proc) {
-		c := &executor.Ctx{
-			P: p, Xid: p.ID(), Mem: s.Mem, Arena: arena,
-			Cat:             s.Cat,
-			OverheadTouches: s.Cfg.OverheadTouches,
-			HotTouches:      s.Cfg.HotTouches,
-			TupleBusy:       s.Cfg.TupleBusy,
-			IndexTupleBusy:  s.Cfg.IndexTupleBusy,
-		}
+		c := s.ExecCtx(p, arena)
 		plan := tpcd.BuildQuery(s.DB, query, variant)
 		sch := plan.Root.Schema()
 		for i := 0; i < sch.NumAttrs(); i++ {

@@ -182,37 +182,27 @@ func (e *Exec) CompareTopology(o Options) ([]AblationPoint, error) {
 	if !ok {
 		panic("experiments: topology preset missing")
 	}
-	type coord struct {
-		q, name string
-	}
-	var coords []coord
-	var jobs []*runner.Job
+	// The NUMA point is the baseline cold run: planned as the capture it
+	// shares the Figure 6/7/sweep anchor's cache entry instead of
+	// re-simulating. The interconnect changes timing, not the reference
+	// stream: every later machine replays the NUMA capture.
+	var plans []PointPlan
 	for _, q := range o.Queries {
-		var capture *runner.Job
-		for _, tsc := range p.Scenarios {
-			coords = append(coords, coord{q, tsc.Name})
+		capture := pointSpec(applyOptions(p.Scenarios[0], o), p.Scenarios[0].Machine, q)
+		for i, tsc := range p.Scenarios {
 			sc := pointSpec(applyOptions(tsc, o), tsc.Machine, q)
-			if capture == nil {
-				// The NUMA point is the baseline cold run: submit it as
-				// the capture so it shares the Figure 6/7/sweep anchor's
-				// cache entry instead of re-simulating.
-				capture = e.captureJob(sc, q)
-				jobs = append(jobs, capture)
-			} else {
-				// The interconnect changes timing, not the reference
-				// stream: the bus point replays the NUMA capture.
-				jobs = append(jobs, e.replayJob(sc, q, capture))
-			}
+			plans = append(plans, PointPlan{Query: q, Point: sc, Capture: capture, IsCapture: i == 0})
 		}
 	}
-	reps, err := e.reports(jobs)
+	reps, err := e.runPlans(plans)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]AblationPoint, len(reps))
 	for i, rep := range reps {
+		q := plans[i].Query
 		out[i] = AblationPoint{
-			Name: coords[i].q + "/" + coords[i].name, Query: coords[i].q,
+			Name: q + "/" + p.Scenarios[i%len(p.Scenarios)].Name, Query: q,
 			Bd: rep.Total(), Mach: rep.Machine, Clock: rep.MaxClock(),
 		}
 	}

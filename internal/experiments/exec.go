@@ -331,93 +331,47 @@ func asReport(v interface{}) *core.Report {
 	panic(fmt.Sprintf("experiments: job result %T is not a report", v))
 }
 
-// reports runs a batch and casts the results, which arrive in
-// submission order.
-func (e *Exec) reports(jobs []*runner.Job) ([]*core.Report, error) {
-	res, err := e.pool.RunAll(context.Background(), jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*core.Report, len(res))
-	for i, r := range res {
-		out[i] = asReport(r)
-	}
-	return out, nil
-}
-
 // RunCold measures each query from a cold start on the given machine
-// configuration, one job per query. The jobs capture as they execute
-// (in practice mcfg is the baseline, whose recordings drive every sweep
-// replay), so an `-exp all` run simulates each query's baseline exactly
-// once, as the capture.
+// configuration: RunScenario on the plain spec it describes, so each
+// query is one capture (in practice mcfg is the baseline, whose
+// recordings drive every sweep replay) and an `-exp all` run simulates
+// each query's baseline exactly once.
 func (e *Exec) RunCold(o Options, mcfg machine.Config) ([]QueryResult, error) {
 	sc := applyOptions(scenario.Default(), o)
-	m := scenario.FromMachineConfig(mcfg)
-	jobs := make([]*runner.Job, len(o.Queries))
-	for i, q := range o.Queries {
-		jobs[i] = e.captureJob(pointSpec(sc, m, q), q)
-	}
-	reps, err := e.reports(jobs)
+	sc.Machine = scenario.FromMachineConfig(mcfg)
+	sc.Workload.Queries = o.Queries
+	res, err := e.RunScenario(sc)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]QueryResult, len(reps))
-	for i, rep := range reps {
-		out[i] = QueryResult{Query: o.Queries[i], Report: rep}
-	}
-	return out, nil
+	return res.Cold, nil
 }
 
 // runSweep expands a swept spec through the record-once/replay-many
-// engine: one capture job per query at the spec's own machine, every
-// sweep point derived by replaying the capture's recorded streams under
-// ApplyAxis(axis, machine, point). The replay points fan out as
-// parallel jobs, each a pure decode-and-replay with no executor work
-// and no database build; the point whose configuration is the spec's
-// machine itself is the capture.
+// engine: one capture per query at the spec's own machine, every other
+// machine the sweep reaches derived by replaying the capture's recorded
+// streams under ApplyAxis(axis, machine, point) — a pure
+// decode-and-replay with no executor work and no database build. The
+// rows come back one per listed (query, point), read off the plan's
+// reports, so a repeated point costs nothing.
 func (e *Exec) runSweep(sc scenario.Scenario) ([]SweepPoint, error) {
-	base := sc.Machine
-	type coord struct {
-		q   string
-		prm int
-		pad bool // capture appended only to anchor replays, not a point
-	}
-	var coords []coord
-	var jobs []*runner.Job
-	for _, q := range sc.Workload.Queries {
-		capture := e.captureJob(pointSpec(sc, base, q), q)
-		captureUsed := false
-		for _, prm := range sc.Sweep.Points {
-			coords = append(coords, coord{q: q, prm: prm})
-			if m := scenario.ApplyAxis(sc.Sweep.Axis, base, prm); m == base && !captureUsed {
-				jobs = append(jobs, capture)
-				captureUsed = true
-			} else {
-				jobs = append(jobs, e.replayJob(pointSpec(sc, m, q), q, capture))
-			}
-		}
-		if !captureUsed { // no baseline point in the sweep; submit the anchor anyway
-			coords = append(coords, coord{q: q, pad: true})
-			jobs = append(jobs, capture)
-		}
-	}
-	reps, err := e.reports(jobs)
+	at, err := e.measure(sc)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepPoint, 0, len(reps))
-	for i, rep := range reps {
-		if coords[i].pad {
-			continue
+	out := make([]SweepPoint, 0, len(sc.Workload.Queries)*len(sc.Sweep.Points))
+	for _, q := range sc.Workload.Queries {
+		for _, prm := range sc.Sweep.Points {
+			rep := at[point{q, scenario.ApplyAxis(sc.Sweep.Axis, sc.Machine, prm)}]
+			out = append(out, SweepPoint{
+				Query:  q,
+				Param:  prm,
+				L1Miss: rep.Machine.L1Misses.ByGroup(),
+				L2Miss: rep.Machine.L2Misses.ByGroup(),
+				Bd:     rep.Total(),
+				Clock:  rep.MaxClock(),
+			})
 		}
-		out = append(out, SweepPoint{
-			Query:  coords[i].q,
-			Param:  coords[i].prm,
-			L1Miss: rep.Machine.L1Misses.ByGroup(),
-			L2Miss: rep.Machine.L2Misses.ByGroup(),
-			Bd:     rep.Total(),
-			Clock:  rep.MaxClock(),
-		})
 	}
 	return out, nil
 }
@@ -513,20 +467,15 @@ func (e *Exec) RunWarmCache(o Options) ([]WarmResult, error) {
 // timing, not the reference stream.
 func (e *Exec) RunPrefetch(o Options) ([]PrefetchResult, error) {
 	sc := applyOptions(presetScenario("fig13"), o)
-	base := sc.Machine
-	pf := scenario.ApplyAxis(sc.Sweep.Axis, base, sc.Sweep.Points[len(sc.Sweep.Points)-1])
-	var jobs []*runner.Job
-	for _, q := range o.Queries {
-		capture := e.captureJob(pointSpec(sc, base, q), q)
-		jobs = append(jobs, capture, e.replayJob(pointSpec(sc, pf, q), q, capture))
-	}
-	reps, err := e.reports(jobs)
+	sc.Workload.Queries = o.Queries
+	pf := scenario.ApplyAxis(sc.Sweep.Axis, sc.Machine, sc.Sweep.Points[len(sc.Sweep.Points)-1])
+	at, err := e.measure(sc)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]PrefetchResult, len(o.Queries))
 	for i, q := range o.Queries {
-		base, opt := reps[2*i], reps[2*i+1]
+		base, opt := at[point{q, sc.Machine}], at[point{q, pf}]
 		out[i] = PrefetchResult{
 			Query: q,
 			Base:  base.Total(), Opt: opt.Total(),

@@ -58,14 +58,6 @@ func runIntraQuery(s *core.System) []IntraResult {
 	nodes := s.Mem.Nodes()
 	npages := s.DB.Lineitem.Heap.NPages
 
-	makeCtx := func(p *sched.Proc, arena *simm.Arena) *executor.Ctx {
-		c := &executor.Ctx{P: p, Xid: p.ID(), Mem: s.Mem, Arena: arena, Cat: s.Cat}
-		c.OverheadTouches = s.Cfg.OverheadTouches
-		c.HotTouches = s.Cfg.HotTouches
-		c.TupleBusy = s.Cfg.TupleBusy
-		c.IndexTupleBusy = s.Cfg.IndexTupleBusy
-		return c
-	}
 	arenas := make([]*simm.Arena, nodes)
 	for i := 0; i < nodes; i++ {
 		arenas[i] = simm.NewArena(s.Mem.AllocRegion("intra-priv"+itoa(i), 32<<20, simm.CatPriv, i))
@@ -78,7 +70,7 @@ func runIntraQuery(s *core.System) []IntraResult {
 	var rev1 int64
 	bodies := make([]func(*sched.Proc), nodes)
 	bodies[0] = func(p *sched.Proc) {
-		rev1 = q6Partition(s, makeCtx(p, arenas[0]), prm, 0, npages)
+		rev1 = q6Partition(s, s.ExecCtx(p, arenas[0]), prm, 0, npages)
 	}
 	s.Eng.Run(bodies)
 	out = append(out, IntraResult{
@@ -101,7 +93,7 @@ func runIntraQuery(s *core.System) []IntraResult {
 		lo := uint32(uint64(npages) * uint64(i) / uint64(nodes))
 		hi := uint32(uint64(npages) * uint64(i+1) / uint64(nodes))
 		bodies[i] = func(p *sched.Proc) {
-			parts[i] = q6Partition(s, makeCtx(p, arenas[i]), prm, lo, hi)
+			parts[i] = q6Partition(s, s.ExecCtx(p, arenas[i]), prm, lo, hi)
 		}
 	}
 	s.Eng.Run(bodies)

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/runner"
@@ -68,7 +70,9 @@ func TestPlanScenario(t *testing.T) {
 
 // TestProgressKeysMatchRender is the progress-attribution contract:
 // for every spec shape, the keys ProgressKeys predicts are exactly the
-// cacheable keys the pool settles while RenderScenario runs the spec.
+// cacheable keys the pool settles while RenderScenario runs the spec,
+// and the render submits and executes exactly one job per key — a
+// repeated sweep point or query is not simulated twice.
 func TestProgressKeysMatchRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders real specs")
@@ -78,14 +82,22 @@ func TestProgressKeysMatchRender(t *testing.T) {
 	warm.Workload.Warm = "Q12"
 	phases := streamSpec()
 	phases.Workload.Scale = 0.001
+	repeatedBase := sweepSpec()
+	repeatedBase.Sweep.Points = []int{0, 0, 4}
+	once := sweepSpec()
+	once.Sweep = scenario.Sweep{}
+	twice := once
+	twice.Workload.Queries = []string{"Q6", "Q6"}
 	for _, tc := range []struct {
 		name string
 		sc   scenario.Scenario
 		want int
 	}{
-		{"sweep", sweepSpec(), 3}, // one capture, replays at 2 and 4
-		{"warm", warm, 2},         // Q6 cold, Q6 after Q12
-		{"phases", phases, 1},     // the whole stream is one job
+		{"sweep", sweepSpec(), 3},          // one capture, replays at 2 and 4
+		{"repeated-base", repeatedBase, 2}, // both 0s are the capture, a replay at 4
+		{"query-twice", twice, 1},          // Q6 listed twice is one capture
+		{"warm", warm, 2},                  // Q6 cold, Q6 after Q12
+		{"phases", phases, 1},              // the whole stream is one job
 	} {
 		want := ProgressKeys(tc.sc)
 		if len(want) != tc.want {
@@ -99,7 +111,9 @@ func TestProgressKeysMatchRender(t *testing.T) {
 				settled[ev.Key] = true
 			}
 		})
+		before := e.Pool().Stats()
 		err := e.RenderScenario(io.Discard, tc.sc)
+		after := e.Pool().Stats()
 		cancel()
 		e.Close()
 		if err != nil {
@@ -114,6 +128,32 @@ func TestProgressKeysMatchRender(t *testing.T) {
 		if len(settled) != len(want) {
 			t.Errorf("%s: settled %d distinct keys, planned %d", tc.name, len(settled), len(want))
 		}
+		if sub, done := after.Submitted-before.Submitted, after.Completed-before.Completed; sub != int64(len(want)) || done != int64(len(want)) {
+			t.Errorf("%s: render submitted %d and executed %d jobs for %d keys", tc.name, sub, done, len(want))
+		}
+	}
+
+	// A query listed twice still renders a row for each listing: the
+	// single-listing report with every Q6 row doubled.
+	e := NewExec(2)
+	defer e.Close()
+	render := func(sc scenario.Scenario) []string {
+		var b strings.Builder
+		if err := e.RenderScenario(&b, sc); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		return strings.Split(out[strings.Index(out, "\n\n"):], "\n")
+	}
+	var want []string
+	for _, line := range render(once) {
+		want = append(want, line)
+		if strings.HasPrefix(line, "Q6") {
+			want = append(want, line)
+		}
+	}
+	if got := render(twice); !reflect.DeepEqual(got, want) {
+		t.Errorf("Q6 listed twice renders\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -243,13 +244,19 @@ func TestReplaySurvivesDamagedInlineBlob(t *testing.T) {
 	e := NewExec(1)
 	defer e.Close()
 	sc := applyOptions(scenario.Default(), o)
-	capture := e.captureJob(pointSpec(sc, scenario.FromMachineConfig(machine.Baseline()), q), q)
-	res, err := e.pool.RunAll(context.Background(), []*runner.Job{capture})
+	capSpec := pointSpec(sc, scenario.FromMachineConfig(machine.Baseline()), q)
+	if _, err := e.runPlans([]PointPlan{{Query: q, Point: capSpec, Capture: capSpec, IsCapture: true}}); err != nil {
+		t.Fatal(err)
+	}
+	// A probe under the capture's identity resolves from the result
+	// cache, and the memory cache hands every later hit this same value,
+	// so the damage below is what the replay job's dependency delivers.
+	probe := &runner.Job{Name: "probe", Mode: "capture", Spec: capSpec,
+		Body: func(*runner.Ctx) (interface{}, error) { return nil, errors.New("capture not cached") }}
+	res, err := e.pool.RunAll(context.Background(), []*runner.Job{probe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The memory cache hands every later hit this same value, so the
-	// damage below is what the replay job's dependency delivers.
 	cr := res[0].(*CaptureResult)
 	if len(cr.Blob) == 0 {
 		t.Fatal("capture without a trace store carries no inline blob")
@@ -257,13 +264,12 @@ func TestReplaySurvivesDamagedInlineBlob(t *testing.T) {
 	cr.Blob[len(cr.Blob)/2] ^= 0x40
 
 	mcfg := machine.Baseline().WithLineSize(ls)
-	capture = e.captureJob(capture.Spec, q)
-	replay := e.replayJob(pointSpec(sc, scenario.FromMachineConfig(mcfg), q), q, capture)
-	reps, err := e.reports([]*runner.Job{capture, replay})
+	replay := PointPlan{Query: q, Point: pointSpec(sc, scenario.FromMachineConfig(mcfg), q), Capture: capSpec}
+	reps, err := e.runPlans([]PointPlan{replay})
 	if err != nil {
 		t.Fatalf("damaged inline blob failed the sweep: %v", err)
 	}
-	if got, want := sweepPointOf(reps[1], q, ls), executeSweepPoint(t, o, mcfg, q, ls); !reflect.DeepEqual(got, want) {
+	if got, want := sweepPointOf(reps[0], q, ls), executeSweepPoint(t, o, mcfg, q, ls); !reflect.DeepEqual(got, want) {
 		t.Errorf("fallback diverges from execution\nfallback: %+v\nexecute:  %+v", got, want)
 	}
 }

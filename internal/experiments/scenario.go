@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
@@ -30,12 +29,13 @@ type ScenarioResult struct {
 	Stream []StreamPhaseResult
 }
 
-// RunScenario validates and executes one spec. Swept specs expand into
-// capture+replay jobs exactly like the figure sweeps; specs with a
-// warmer become warm pairs (each query measured cold and after the
-// warmer, so the rendering can normalize), each the two-phase stream it
-// lowers to; phase specs become one job per stream, measured phase by
-// phase; plain specs run each query cold.
+// RunScenario validates and executes one spec. Swept and plain specs
+// run their plan (planPoints): a capture per query, and for a sweep a
+// replay per distinct other machine, exactly like the figure sweeps;
+// specs with a warmer become warm pairs (each query measured cold and
+// after the warmer, so the rendering can normalize), each the two-phase
+// stream it lowers to; phase specs become one job per stream, measured
+// phase by phase.
 func (e *Exec) RunScenario(sc scenario.Scenario) (*ScenarioResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -64,16 +64,12 @@ func (e *Exec) RunScenario(sc scenario.Scenario) (*ScenarioResult, error) {
 		res.Warm = warm
 
 	default:
-		jobs := make([]*runner.Job, len(sc.Workload.Queries))
-		for i, q := range sc.Workload.Queries {
-			jobs[i] = e.captureJob(pointSpec(sc, sc.Machine, q), q)
-		}
-		reps, err := e.reports(jobs)
+		at, err := e.measure(sc)
 		if err != nil {
 			return nil, err
 		}
-		for i, rep := range reps {
-			res.Cold = append(res.Cold, QueryResult{Query: sc.Workload.Queries[i], Report: rep})
+		for _, q := range sc.Workload.Queries {
+			res.Cold = append(res.Cold, QueryResult{Query: q, Report: at[point{q, sc.Machine}]})
 		}
 	}
 	return res, nil

@@ -29,13 +29,6 @@ type Ctx struct {
 	w    *worker
 }
 
-// Job returns the job being executed.
-func (c *Ctx) Job() *Job { return c.rec.job }
-
-// Key returns the job's content-addressed cache key ("" for NoCache
-// jobs) — the same key the result cache and trace store file under.
-func (c *Ctx) Key() string { return c.rec.key }
-
 // After returns the result of the job's i-th After dependency. By the
 // time a body runs every dependency has settled successfully (a failed
 // dependency fails the job before it starts), so this only errors on a
