@@ -77,14 +77,21 @@ wal-smoke:
 # capture-per-stream trace-store round trip (streams and fig12's warm
 # pairs), the no-store run that must record nothing, progress keys
 # matching what a render settles, and the mixedstreams golden at
-# -jobs 1 vs parallel. The scheduler's coroutine driver rides along:
+# -jobs 1 vs parallel. A sweep with no store keeps each recording once:
+# its replay jobs read the capture's recording in place, several at a
+# time at 4 workers, 5 times under the race detector, and the cached
+# recording's chunks never return to the chunk pool; the disk tier
+# (-cache-dir alone) still persists a capture's blob for a later
+# process, and a damaged one falls back to execution. The scheduler's
+# coroutine driver rides along:
 # live and replayed interleavings, lock-op coroutine reuse and
 # leak-free panics, 20 times each under the race detector. Blocking in
 # CI.
 stream-smoke:
 	$(GO) test -race -count=20 -run 'TestDeterminism|TestInterleavingIsTimeOrdered|TestRunReplayMatchesRun|TestRunPanicLeaksNoGoroutine|TestRunReplayOpPanicLeaksNoGoroutine|TestRunReplayOpsReuseProcCoroutine' ./internal/sched
 	$(GO) test -count=1 -run 'TestStreamReplayMatchesExecution|TestStreamReplaySweeps|TestLegacyPhasesEquivalence|TestReplayStreamUnsegmented|TestRunStreamAnswers' -v ./internal/core
-	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestFig12TraceStoreServesPairs|TestStreamWithoutStoreRecordsNothing|TestProgressKeysMatchRender|TestGoldenOutput' ./internal/experiments
+	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestFig12TraceStoreServesPairs|TestStreamWithoutStoreRecordsNothing|TestProgressKeysMatchRender|TestGoldenOutput|TestDiskTierServesReplayAcrossProcesses|TestReplaySurvivesDamagedPersistedBlob' ./internal/experiments
+	$(GO) test -race -count=5 -run 'TestSweepReplaysReadRecordingInPlace|TestCachedRecordingKeepsItsChunks' ./internal/experiments
 
 # Profile a named preset (default fig6) under the CPU and heap
 # profilers. The pipeline stages run under pprof labels ("stage" =

@@ -42,7 +42,7 @@ type execMetrics struct {
 	cycles  *metrics.CounterVec   // dssmem_experiment_simulated_cycles_total{exp}
 
 	// Capture/replay engine counters: executions recorded, reports
-	// derived by replaying a recording, and recorded blob bytes held.
+	// derived by replaying a recording, and recorded stream bytes.
 	captures   *metrics.Counter // dssmem_trace_captures_total
 	replays    *metrics.Counter // dssmem_trace_replays_total
 	traceBytes *metrics.Gauge   // dssmem_trace_recorded_bytes
@@ -74,7 +74,7 @@ func newExecMetrics(r *metrics.Registry) execMetrics {
 		replays: r.Counter("dssmem_trace_replays_total",
 			"Reports derived by replaying a recorded trace instead of executing."),
 		traceBytes: r.Gauge("dssmem_trace_recorded_bytes",
-			"Encoded bytes of reference traces recorded by this process."),
+			"Stream bytes of reference traces recorded by this process, whether or not a blob was encoded."),
 	}
 }
 
@@ -187,14 +187,18 @@ func presetJob[T any](e *Exec, name string, o Options, body func(*core.System) T
 
 // CaptureResult is a capture job's result: the baseline cold report
 // (byte-identical to an unrecorded run) plus the recorded reference
-// trace. When the pool has a trace store, the encoded blob is spilled
-// there under the capture's key and Blob stays nil — replay jobs stream
-// it chunk by chunk instead of holding whole traces in the result
-// cache, which is what keeps resident memory flat as scale grows. Blob
-// carries the bytes inline only when no store took them.
+// trace, held once. When the pool has a trace store, the encoded blob
+// is spilled there under the capture's key and replay jobs stream it
+// chunk by chunk. When the pool has no persistent tier at all, the
+// recording never leaves the process: trace holds it as recorded, its
+// chunks never go back to the chunk pool, and replay jobs read it in
+// place. Blob carries the encoded bytes only when a persistent result
+// tier has no trace store beside it (-cache-dir alone): gob drops the
+// unexported trace, so the persisted entry needs the blob.
 type CaptureResult struct {
 	Report *core.Report
 	Blob   []byte
+	trace  *trace.QueryTrace
 }
 
 // captureJob is the cold measurement with trace capture: cold caches,
@@ -205,7 +209,9 @@ type CaptureResult struct {
 // The body consults the pool's trace store (-trace-dir) before
 // executing: a spilled blob regenerates the report by replaying at the
 // capture's own configuration — no executor work, no database build. A
-// damaged blob fails to decode and falls through to execution.
+// damaged blob fails to decode and falls through to execution. A blob
+// is encoded only when a store could carry the recording out of the
+// process; otherwise the result keeps the recording itself.
 func (e *Exec) captureJob(sc scenario.Scenario, q string) *runner.Job {
 	mcfg := sc.Machine.MachineConfig()
 	return &runner.Job{
@@ -225,6 +231,10 @@ func (e *Exec) captureJob(sc scenario.Scenario, q string) *runner.Job {
 				return nil, err
 			}
 			rep, tr := s.RunColdRecorded(q)
+			e.countCapture(tr)
+			if !c.HasTraceStore() && !c.PersistsResults() {
+				return &CaptureResult{Report: rep, trace: tr}, nil
+			}
 			blob := e.encodeCapture(tr)
 			if c.PutTraceBlob(blob) {
 				return &CaptureResult{Report: rep}, nil
@@ -234,19 +244,23 @@ func (e *Exec) captureJob(sc scenario.Scenario, q string) *runner.Job {
 	}
 }
 
+// countCapture counts one recording and its stream bytes.
+func (e *Exec) countCapture(tr *trace.QueryTrace) {
+	e.met.captures.Inc()
+	e.met.traceBytes.Add(float64(tr.Bytes()))
+}
+
 // encodeCapture turns a just-recorded trace into its blob (the
-// profiler's stage=marshal) and counts the capture. The blob is the
-// recording from here on: every cursor over tr has finished and the
-// caller holds the only reference, so tr's chunk buffers go back to the
-// pool the next recording draws from.
+// profiler's stage=marshal). The blob is the recording from here on:
+// every cursor over tr has finished and the caller holds the only
+// reference, so tr's chunk buffers go back to the pool the next
+// recording draws from.
 func (e *Exec) encodeCapture(tr *trace.QueryTrace) (blob []byte) {
 	core.WithStage("marshal", func(context.Context) { blob = tr.Marshal() })
 	trace.ReleaseStreams(tr.Streams)
 	for i := range tr.Segments {
 		trace.ReleaseStreams(tr.Segments[i].Streams)
 	}
-	e.met.captures.Inc()
-	e.met.traceBytes.Add(float64(len(blob)))
 	return blob
 }
 
@@ -272,11 +286,18 @@ func (e *Exec) replayJob(sc scenario.Scenario, q string, capture *runner.Job) *r
 			if !ok {
 				return nil, fmt.Errorf("experiments: replay of %s: dependency returned %T, not a capture", q, dep)
 			}
-			// The capture's blob is inline when no trace store took it,
-			// else spilled under the capture's key; either way it is read
+			// A recording that never left the process is read in place,
+			// the same source the capture's self-replay read; several
+			// replays may read it at once. Otherwise its blob rides
+			// inline (a result persisted without a trace store) or is
+			// spilled under the capture's key; either way it is read
 			// through one streaming reader, chunk by chunk.
 			var rd blobstore.Reader
-			if len(cr.Blob) > 0 {
+			if cr.trace != nil {
+				if reps, err := e.replay(cr.trace, mcfg, 1); err == nil {
+					return reps[0], nil
+				}
+			} else if len(cr.Blob) > 0 {
 				rd = blobstore.NewBytesReader(cr.Blob)
 			} else if r, ok := c.TraceReaderFor(capture.Key()); ok {
 				rd = r
@@ -286,9 +307,9 @@ func (e *Exec) replayJob(sc scenario.Scenario, q string, capture *runner.Job) *r
 					return reps[0], nil
 				}
 			}
-			// The blob vanished or went bad between capture and replay:
-			// execute this point fresh — replay is byte-identical to
-			// execution, so the fallback preserves every output.
+			// The recording vanished or went bad between capture and
+			// replay: execute this point fresh — replay is byte-identical
+			// to execution, so the fallback preserves every output.
 			s, err := c.System()
 			if err != nil {
 				return nil, err
@@ -301,16 +322,22 @@ func (e *Exec) replayJob(sc scenario.Scenario, q string, capture *runner.Job) *r
 // replayStored derives one report per segment from a stored blob that
 // must hold want segments (a single-query capture is one): header and
 // CRC verified up front, chunks read on demand while the segments
-// replay. It closes rd and counts one replay per report; on any error
-// the caller falls back to executing.
+// replay. It closes rd; on any error the caller falls back to
+// executing.
 func (e *Exec) replayStored(rd blobstore.Reader, mcfg machine.Config, want int) ([]*core.Report, error) {
 	defer rd.Close()
 	src, err := trace.OpenBlob(rd, rd.Size())
 	if err != nil {
 		return nil, err
 	}
+	return e.replay(src, mcfg, want)
+}
+
+// replay derives one report per segment from a recording that must hold
+// want segments, and counts one replay per report.
+func (e *Exec) replay(src trace.StreamSource, mcfg machine.Config, want int) ([]*core.Report, error) {
 	if src.NumSegments() != want {
-		return nil, fmt.Errorf("experiments: stored trace has %d segments, want %d", src.NumSegments(), want)
+		return nil, fmt.Errorf("experiments: recording has %d segments, want %d", src.NumSegments(), want)
 	}
 	reps, err := core.ReplayStream(src, mcfg)
 	if err != nil {

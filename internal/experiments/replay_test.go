@@ -1,15 +1,20 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -233,43 +238,212 @@ func TestCaptureSurvivesDamagedTraceFile(t *testing.T) {
 	}
 }
 
-// TestReplaySurvivesDamagedInlineBlob is the same contract without a
-// trace store, where the capture's blob rides inline in its cached
-// result: a replay job that finds the inline blob damaged must fall
-// back to execution exactly as it does for a damaged spilled blob,
-// instead of failing the sweep.
-func TestReplaySurvivesDamagedInlineBlob(t *testing.T) {
-	const q, ls = "Q6", 128
-	o := replayOptions(q)
-	e := NewExec(1)
-	defer e.Close()
-	sc := applyOptions(scenario.Default(), o)
-	capSpec := pointSpec(sc, scenario.FromMachineConfig(machine.Baseline()), q)
-	if _, err := e.runPlans([]PointPlan{{Query: q, Point: capSpec, Capture: capSpec, IsCapture: true}}); err != nil {
-		t.Fatal(err)
-	}
-	// A probe under the capture's identity resolves from the result
-	// cache, and the memory cache hands every later hit this same value,
-	// so the damage below is what the replay job's dependency delivers.
+// cachedCapture returns the capture result the pool's result cache holds
+// for capSpec, through a probe job under the capture's identity that
+// fails if it runs: the memory cache hands every hit the stored value
+// itself, so the probe sees exactly what replay jobs are handed.
+func cachedCapture(t *testing.T, e *Exec, capSpec scenario.Scenario) *CaptureResult {
+	t.Helper()
 	probe := &runner.Job{Name: "probe", Mode: "capture", Spec: capSpec,
 		Body: func(*runner.Ctx) (interface{}, error) { return nil, errors.New("capture not cached") }}
 	res, err := e.pool.RunAll(context.Background(), []*runner.Job{probe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := res[0].(*CaptureResult)
-	if len(cr.Blob) == 0 {
-		t.Fatal("capture without a trace store carries no inline blob")
-	}
-	cr.Blob[len(cr.Blob)/2] ^= 0x40
+	return res[0].(*CaptureResult)
+}
 
+// TestSweepReplaysReadRecordingInPlace pins the one copy: with no trace
+// store and no disk tier a recording never leaves the process, so a
+// sweep's replay jobs read the capture's recorded chunks in place — no
+// blob is encoded, none is held in the result cache and no blob byte is
+// streamed — and several of them read one recording at once. The
+// render must be byte-identical to the same sweep replayed from a trace
+// store, where the replays do stream their blobs.
+func TestSweepReplaysReadRecordingInPlace(t *testing.T) {
+	o := replayOptions("Q6")
+	o.Queries = []string{"Q6", "Q12"}
+	sc := applyOptions(presetScenario("fig8"), o)
+	sc.Workload.Queries = o.Queries
+	var captures, replays float64
+	for _, p := range planPoints(sc) {
+		if p.IsCapture {
+			captures++
+		} else {
+			replays++
+		}
+	}
+
+	render := func(cfg runner.Config) (string, *metrics.Registry, float64, *Exec) {
+		t.Helper()
+		cfg.Workers, cfg.Metrics = 4, metrics.New()
+		e := NewExecConfig(cfg)
+		t.Cleanup(e.Close)
+		streamed := counterValue(t, cfg.Metrics, "dssmem_trace_streamed_bytes", nil)
+		var buf bytes.Buffer
+		if err := e.Render(&buf, "fig8", o); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), cfg.Metrics, counterValue(t, cfg.Metrics, "dssmem_trace_streamed_bytes", nil) - streamed, e
+	}
+
+	got, reg, streamed, e := render(runner.Config{})
+	if streamed != 0 {
+		t.Errorf("in-process sweep streamed %v blob bytes, want 0", streamed)
+	}
+	if n := counterValue(t, reg, "dssmem_trace_captures_total", nil); n != captures || captures != 2 {
+		t.Errorf("captures = %v, want %v (one per query)", n, captures)
+	}
+	if n := counterValue(t, reg, "dssmem_trace_replays_total", nil); n != replays {
+		t.Errorf("replays = %v, want one per replay job (%v)", n, replays)
+	}
+	for _, q := range o.Queries {
+		if cr := cachedCapture(t, e, pointSpec(sc, sc.Machine, q)); len(cr.Blob) != 0 {
+			t.Errorf("%s: cached capture holds %d blob bytes, want none", q, len(cr.Blob))
+		}
+	}
+
+	want, _, streamed, _ := render(runner.Config{TraceDir: t.TempDir()})
+	if streamed == 0 {
+		t.Error("sweep over a trace store streamed no blob bytes")
+	}
+	if got != want {
+		t.Error("in-place replays render different fig8 bytes than replays from the trace store")
+	}
+}
+
+// TestCachedRecordingKeepsItsChunks guards the recording a cached
+// capture holds: its chunk buffers must never return to the trace chunk
+// pool, or the next recording would draw them and overwrite it. Q6 is
+// captured, a Q12 capture then records from the pool, and a replay of
+// Q6 at a new point must still equal execution.
+func TestCachedRecordingKeepsItsChunks(t *testing.T) {
+	const ls = 128
+	// One P and no collection keep the chunk pool (a sync.Pool) one
+	// local cache that nothing empties, so the Q12 recording draws
+	// whatever the Q6 capture might have put back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	o := replayOptions("Q6")
+	reg := metrics.New()
+	e := NewExecConfig(runner.Config{Workers: 1, Metrics: reg})
+	defer e.Close()
+	sc := applyOptions(scenario.Default(), o)
+	base := scenario.FromMachineConfig(machine.Baseline())
+	for _, q := range []string{"Q6", "Q12"} {
+		capSpec := pointSpec(sc, base, q)
+		if _, err := e.runPlans([]PointPlan{{Query: q, Point: capSpec, Capture: capSpec, IsCapture: true}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mcfg := machine.Baseline().WithLineSize(ls)
-	replay := PointPlan{Query: q, Point: pointSpec(sc, scenario.FromMachineConfig(mcfg), q), Capture: capSpec}
+	replay := PointPlan{Query: "Q6", Point: pointSpec(sc, scenario.FromMachineConfig(mcfg), "Q6"), Capture: pointSpec(sc, base, "Q6")}
 	reps, err := e.runPlans([]PointPlan{replay})
 	if err != nil {
-		t.Fatalf("damaged inline blob failed the sweep: %v", err)
+		t.Fatal(err)
 	}
-	if got, want := sweepPointOf(reps[0], q, ls), executeSweepPoint(t, o, mcfg, q, ls); !reflect.DeepEqual(got, want) {
+	// A recording overwritten by Q12 fails to decode and falls back to
+	// execution, which the replay counter exposes.
+	if n := counterValue(t, reg, "dssmem_trace_replays_total", nil); n != 1 {
+		t.Errorf("replays = %v, want 1: the cached recording did not replay", n)
+	}
+	if got, want := sweepPointOf(reps[0], "Q6", ls), executeSweepPoint(t, o, mcfg, "Q6", ls); !reflect.DeepEqual(got, want) {
+		t.Errorf("replay of the cached recording diverges from execution\nreplay:  %+v\nexecute: %+v", got, want)
+	}
+}
+
+// persistedCapture runs the Q6 baseline capture on a -cache-dir-only
+// Exec over dir and returns the capture's spec and its persisted entry.
+func persistedCapture(t *testing.T, dir string, o Options) (scenario.Scenario, string) {
+	t.Helper()
+	e := NewExecConfig(runner.Config{Workers: 1, CacheDir: dir})
+	defer e.Close()
+	capSpec := pointSpec(applyOptions(scenario.Default(), o), scenario.FromMachineConfig(machine.Baseline()), "Q6")
+	if _, err := e.runPlans([]PointPlan{{Query: "Q6", Point: capSpec, Capture: capSpec, IsCapture: true}}); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(dir, (&runner.Job{Mode: "capture", Spec: capSpec}).Key()+".gob")
+	if _, err := os.Stat(file); err != nil {
+		t.Fatalf("capture not persisted: %v", err)
+	}
+	return capSpec, file
+}
+
+// replayFrom runs one Q6 replay at line size ls on a fresh -cache-dir-only
+// Exec over dir (a later process) and returns its report and metrics.
+func replayFrom(t *testing.T, dir string, o Options, capSpec scenario.Scenario, ls int) (*core.Report, *metrics.Registry) {
+	t.Helper()
+	reg := metrics.New()
+	e := NewExecConfig(runner.Config{Workers: 1, CacheDir: dir, Metrics: reg})
+	defer e.Close()
+	mcfg := machine.Baseline().WithLineSize(ls)
+	replay := PointPlan{Query: "Q6", Point: pointSpec(capSpec, scenario.FromMachineConfig(mcfg), "Q6"), Capture: capSpec}
+	reps, err := e.runPlans([]PointPlan{replay})
+	if err != nil {
+		t.Fatalf("replay from the disk tier failed the sweep: %v", err)
+	}
+	return reps[0], reg
+}
+
+// TestDiskTierServesReplayAcrossProcesses covers -cache-dir without a
+// trace store: the persisted capture carries its blob, so a later
+// process asking for a sweep point the first never ran replays it from
+// that blob — no capture executed, one replay, the executed report.
+func TestDiskTierServesReplayAcrossProcesses(t *testing.T) {
+	const ls = 128
+	dir := t.TempDir()
+	o := replayOptions("Q6")
+	capSpec, _ := persistedCapture(t, dir, o)
+	rep, reg := replayFrom(t, dir, o, capSpec, ls)
+	if n := counterValue(t, reg, "dssmem_trace_captures_total", nil); n != 0 {
+		t.Errorf("later process executed %v captures, want 0", n)
+	}
+	if n := counterValue(t, reg, "dssmem_trace_replays_total", nil); n != 1 {
+		t.Errorf("later process counted %v replays, want 1", n)
+	}
+	mcfg := machine.Baseline().WithLineSize(ls)
+	if got, want := sweepPointOf(rep, "Q6", ls), executeSweepPoint(t, o, mcfg, "Q6", ls); !reflect.DeepEqual(got, want) {
+		t.Errorf("disk-tier replay diverges from execution\nreplay:  %+v\nexecute: %+v", got, want)
+	}
+}
+
+// TestReplaySurvivesDamagedPersistedBlob is the damaged-blob contract
+// for the one place a blob still rides inside a result: a capture
+// persisted by -cache-dir without a trace store. A later process whose
+// replay finds that blob damaged must fall back to execution exactly
+// as it does for a damaged spilled blob, instead of failing the sweep.
+func TestReplaySurvivesDamagedPersistedBlob(t *testing.T) {
+	const ls = 128
+	dir := t.TempDir()
+	o := replayOptions("Q6")
+	capSpec, file := persistedCapture(t, dir, o)
+
+	// Damage the blob inside the persisted entry, leaving the entry
+	// itself well-formed: gob matches the wrapper struct by field name.
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entry struct{ V interface{} }
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&entry); err != nil {
+		t.Fatal(err)
+	}
+	cr := entry.V.(*CaptureResult)
+	if len(cr.Blob) == 0 {
+		t.Fatal("capture persisted without a trace store carries no blob")
+	}
+	cr.Blob[len(cr.Blob)/2] ^= 0x40
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, _ := replayFrom(t, dir, o, capSpec, ls)
+	mcfg := machine.Baseline().WithLineSize(ls)
+	if got, want := sweepPointOf(rep, "Q6", ls), executeSweepPoint(t, o, mcfg, "Q6", ls); !reflect.DeepEqual(got, want) {
 		t.Errorf("fallback diverges from execution\nfallback: %+v\nexecute:  %+v", got, want)
 	}
 }

@@ -66,7 +66,9 @@ func (e *Exec) phasesJob(name string, sc scenario.Scenario) *runner.Job {
 			return s.RunStream(phases), nil
 		}
 		reps, segs := s.RunStreamRecorded(phases)
-		c.PutTraceBlob(e.encodeCapture(s.StreamTrace(segs)))
+		tr := s.StreamTrace(segs)
+		e.countCapture(tr)
+		c.PutTraceBlob(e.encodeCapture(tr))
 		return reps, nil
 	}
 	return job

@@ -64,6 +64,11 @@ func (c *Ctx) TraceReaderFor(key string) (blobstore.Reader, bool) {
 // job may skip recording what only the store could have served.
 func (c *Ctx) HasTraceStore() bool { return c.pool.traces.store != nil }
 
+// PersistsResults reports whether the result cache has a persistent
+// tier (-cache-dir or an injected blob store). A result filed there is
+// gob-encoded, so only its exported fields outlive the process.
+func (c *Ctx) PersistsResults() bool { return c.pool.cache.store != nil }
+
 // PutTraceBlob files a trace blob under this job's key in the trace
 // store and reports whether it landed (false without a trace
 // directory, or on a write failure).
