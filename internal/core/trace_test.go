@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"reflect"
 	"runtime"
 	"testing"
@@ -150,5 +151,120 @@ func TestSecondReplayReusesItsBuffers(t *testing.T) {
 	t.Logf("second replay allocated %d bytes", alloc)
 	if alloc >= 256<<10 {
 		t.Errorf("second replay allocated %d bytes, want < %d", alloc, 256<<10)
+	}
+}
+
+// TestLongFormTraceReplays holds the dense stream forms to the long
+// forms they replace: a Q6 recording re-encoded in opcodes 0x00..0x14
+// alone, as blobs written before the short reference and the stride
+// run were, decodes to the same events and replays to the same reports.
+// It also pins the density those forms buy.
+func TestLongFormTraceReplays(t *testing.T) {
+	cfg := testConfig(0.002)
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr := s.RunColdRecorded("Q6")
+	var events uint64
+	long := *tr
+	long.Streams = make([]trace.Stream, len(tr.Streams))
+	for i, st := range tr.Streams {
+		events += st.Events
+		long.Streams[i] = longForm(t, st)
+		sameStream(t, i, long.Streams[i], st)
+	}
+	perEvent := float64(tr.Bytes()) / float64(events)
+	t.Logf("Q6: %d events, %.3f B/event dense, %.3f long", events, perEvent, float64(long.Bytes())/float64(events))
+	if perEvent > 1.35 {
+		t.Errorf("Q6 records %.3f stream bytes per event, want <= 1.35", perEvent)
+	}
+	blob, err := trace.Unmarshal(long.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range traceTestConfigs(cfg.Machine)[:2] {
+		want, err := ReplayTrace(tr, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, err := ReplayTrace(blob, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: long-form replay: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: long-form replay diverges from the dense recording", c.name)
+		}
+	}
+}
+
+// longForm re-encodes a stream in the long forms alone: every
+// reference as its opcode and zigzagged delta, chunks sealed at the
+// writer's 64 KB less 32 bytes of headroom.
+func longForm(t *testing.T, st trace.Stream) trace.Stream {
+	out := trace.Stream{Refs: st.Refs, Events: st.Events}
+	var b []byte
+	var last uint64
+	cur := st.Cursor()
+	var ev trace.Event
+	for {
+		ok, err := cur.Next(&ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if len(b) > 64<<10-32 {
+			out.Chunks = append(out.Chunks, b)
+			b = nil
+		}
+		switch ev.Kind {
+		case trace.EvRef:
+			op := byte(ev.Size - 1)
+			if ev.Write {
+				op += 0x08
+			}
+			d := int64(uint64(ev.Addr) - last)
+			last = uint64(ev.Addr)
+			b = binary.AppendUvarint(append(b, op), uint64(d<<1)^uint64(d>>63))
+		case trace.EvBusy:
+			b = binary.AppendUvarint(append(b, 0x10), uint64(ev.N))
+		case trace.EvSpinAcquire:
+			b = binary.AppendUvarint(append(b, 0x11), uint64(ev.Addr))
+		case trace.EvSpinRelease:
+			b = binary.AppendUvarint(append(b, 0x12), uint64(ev.Addr))
+		case trace.EvLockOp:
+			op := byte(0x14)
+			if ev.Acquire {
+				op = 0x13
+			}
+			b = binary.AppendUvarint(append(b, op, ev.Mode<<2|ev.Level), uint64(ev.RelID))
+			b = binary.AppendUvarint(b, uint64(ev.Page))
+		}
+	}
+	if len(b) > 0 {
+		out.Chunks = append(out.Chunks, b)
+	}
+	return out
+}
+
+// sameStream decodes two streams in lockstep; they must agree event
+// for event.
+func sameStream(t *testing.T, i int, a, b trace.Stream) {
+	ca, cb := a.Cursor(), b.Cursor()
+	for n := 0; ; n++ {
+		var ea, eb trace.Event
+		oka, erra := ca.Next(&ea)
+		okb, errb := cb.Next(&eb)
+		if erra != nil || errb != nil {
+			t.Fatalf("stream %d: %v, %v", i, erra, errb)
+		}
+		if oka != okb || ea != eb {
+			t.Fatalf("stream %d event %d: long form %+v (%v), recorded %+v (%v)", i, n, ea, oka, eb, okb)
+		}
+		if !oka {
+			return
+		}
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/sched"
@@ -20,6 +21,10 @@ import (
 //	0x12        spinlock release; uvarint absolute address
 //	0x13        data-lock acquire; byte mode<<2|level, uvarint relID, uvarint page
 //	0x14        data-lock release; byte mode<<2|level, uvarint relID, uvarint page
+//	0x15        stride run; byte n in 1..255: the previous data reference
+//	            repeats n more times, with its size, write flag and delta
+//	0x80..0xFF  short reference, 1wsskkkk: write = w, size = 1<<ss,
+//	            address delta = (kkkk-8)*size
 //
 // Data references are recorded verbatim: they are a pure function of
 // (query, scale, seed), invariant across the cache geometries the
@@ -31,7 +36,15 @@ import (
 //
 // Address deltas are relative to the previous data reference of the
 // same stream (initially 0); spin addresses are absolute and do not
-// disturb the delta chain. Events never straddle chunk boundaries.
+// disturb the delta chain, nor does any event break the reference a
+// stride run repeats. A run with n = 0 or before the stream's first
+// reference is malformed; since n is one byte, a chunk decodes to at
+// most ~128 events per byte and every cursor ends. Events never
+// straddle chunk boundaries. The writer uses the dense forms (0x15,
+// 0x80..0xFF) wherever they fit. The long forms stay valid, so blobs
+// written before the dense forms decode unchanged; a decoder from
+// before them rejects a dense stream as an unknown opcode, and its
+// replay falls back to execution rather than produce a wrong report.
 const (
 	opReadBase  = 0x00
 	opWriteBase = 0x08
@@ -40,6 +53,12 @@ const (
 	opSpinRel   = 0x12
 	opLockAcq   = 0x13
 	opLockRel   = 0x14
+	opRun       = 0x15
+	opShort     = 0x80
+
+	// maxRun is the longest run one opcode carries; the writer splits
+	// longer ones.
+	maxRun = 255
 
 	// chunkSize bounds a stream chunk; maxEvent is the worst-case
 	// encoded event (opcode + three 10-byte varints), the headroom at
@@ -158,6 +177,15 @@ type streamWriter struct {
 	last   uint64 // previous data-reference address
 	refs   uint64
 	events uint64
+
+	// The previous reference's delta, size (0 before the first) and
+	// write flag, which a stride run repeats; short is its one-byte form
+	// (0 if it has none), and run counts the repeats not yet written.
+	delta uint64
+	size  int
+	write bool
+	short byte
+	run   int
 }
 
 func (w *streamWriter) ensure() {
@@ -181,23 +209,71 @@ func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// shortRef returns a reference's one-byte form, or 0 when its size is
+// not 1, 2, 4 or 8 or its delta is not k*size for k in [-8, 7].
+func shortRef(d uint64, size int, write bool) byte {
+	if size&(size-1) != 0 {
+		return 0
+	}
+	cls := uint(bits.TrailingZeros(uint(size)))
+	k := int64(d) >> cls
+	if k<<cls != int64(d) || k < -8 || k > 7 {
+		return 0
+	}
+	op := opShort | byte(cls)<<4 | byte(k+8)
+	if write {
+		op |= 0x40
+	}
+	return op
+}
+
 func (w *streamWriter) ref(a uint64, size int, write bool) {
 	if size < 1 || size > 8 {
 		panic(fmt.Sprintf("trace: reference size %d out of range", size))
 	}
+	d := a - w.last
+	w.last = a
+	w.refs++
+	w.events++
+	if d == w.delta && size == w.size && write == w.write {
+		if w.run++; w.run == maxRun {
+			w.flush()
+		}
+		return
+	}
+	w.flush()
+	w.delta, w.size, w.write = d, size, write
+	w.short = shortRef(d, size, write)
 	w.ensure()
+	if w.short != 0 {
+		w.cur = append(w.cur, w.short)
+		return
+	}
 	op := byte(opReadBase + size - 1)
 	if write {
 		op = byte(opWriteBase + size - 1)
 	}
 	w.cur = append(w.cur, op)
-	w.uvarint(zigzag(int64(a - w.last)))
-	w.last = a
-	w.refs++
-	w.events++
+	w.uvarint(zigzag(int64(d)))
+}
+
+// flush writes the pending stride run; one repeat of a reference with
+// a short form is that form itself, a byte shorter.
+func (w *streamWriter) flush() {
+	if w.run == 0 {
+		return
+	}
+	w.ensure()
+	if w.run == 1 && w.short != 0 {
+		w.cur = append(w.cur, w.short)
+	} else {
+		w.cur = append(w.cur, opRun, byte(w.run))
+	}
+	w.run = 0
 }
 
 func (w *streamWriter) op1(op byte, v uint64) {
+	w.flush()
 	w.ensure()
 	w.cur = append(w.cur, op)
 	w.uvarint(v)
@@ -205,6 +281,7 @@ func (w *streamWriter) op1(op byte, v uint64) {
 }
 
 func (w *streamWriter) lockOp(acquire bool, relID uint32, level uint8, page uint32, mode uint8) {
+	w.flush()
 	w.ensure()
 	op := byte(opLockRel)
 	if acquire {
@@ -217,6 +294,7 @@ func (w *streamWriter) lockOp(acquire bool, relID uint32, level uint8, page uint
 }
 
 func (w *streamWriter) stream() Stream {
+	w.flush()
 	chunks := w.chunks
 	if len(w.cur) > 0 {
 		chunks = append(chunks, w.cur)
@@ -236,6 +314,14 @@ type streamReader struct {
 	cur    []byte
 	off    int
 	last   uint64
+
+	// The previous reference's delta, size (0 before the first) and
+	// write flag; rep counts the references still to be returned from
+	// the current reference or run.
+	delta uint64
+	size  int
+	write bool
+	rep   int
 }
 
 func (r *streamReader) more() (bool, error) {
@@ -323,66 +409,90 @@ func (s *Stream) Cursor() *Cursor {
 }
 
 // Next decodes the next event into ev. It returns false at the end of
-// the stream, and an error on a truncated event or unknown opcode.
-//
-// Data references and busy charges — the bulk of every stream — decode
-// through a direct-indexing fast path when a whole event is guaranteed
-// resident in the current chunk (the writer seals chunks at maxEvent
-// headroom, so only a chunk's tail event can fall through). Chunk
-// tails, synchronization events, and malformed input take the careful
-// byte-at-a-time path below.
+// the stream, and an error on a truncated event, unknown opcode or
+// malformed run.
 func (c *Cursor) Next(ev *Event) (bool, error) {
 	r := &c.r
-	if ok, err := r.more(); !ok {
-		return false, err
-	}
-	if len(r.cur)-r.off >= maxEvent {
-		if op := r.cur[r.off]; op <= opBusy {
-			b := r.cur
-			i := r.off + 1
-			var u uint64
-			var shift uint
-			for {
-				x := b[i]
-				i++
-				u |= uint64(x&0x7f) << shift
-				if x < 0x80 {
-					break
-				}
-				shift += 7
-				if shift >= 70 {
-					return false, fmt.Errorf("trace: varint overflow")
-				}
-			}
-			r.off = i
-			if op < opBusy {
-				r.last += uint64(unzigzag(u))
-				ev.Kind = EvRef
-				ev.Addr = simm.Addr(r.last)
-				ev.Size = int(op&7) + 1
-				ev.Write = op >= opWriteBase
-			} else {
-				ev.Kind = EvBusy
-				ev.N = int64(u)
-			}
-			return true, nil
+	if r.rep == 0 {
+		if ok, err := r.more(); !ok {
+			return false, err
+		}
+		if ref, err := r.event(ev); err != nil || !ref {
+			return err == nil, err
 		}
 	}
-	op, err := r.byte()
-	if err != nil {
-		return false, err
+	r.rep--
+	r.last += r.delta
+	ev.Kind = EvRef
+	ev.Addr = simm.Addr(r.last)
+	ev.Size = r.size
+	ev.Write = r.write
+	return true, nil
+}
+
+// event decodes the event at the read position (more must have
+// succeeded). A data reference, in any of its three forms, is not
+// returned in ev: event loads its shape and count into r.delta, size,
+// write and rep, and reports ref. Any other event is decoded into ev.
+//
+// A short reference is one byte. Long references and busy charges
+// decode through a direct-indexing fast path when the whole event is
+// guaranteed resident in the current chunk (the writer seals chunks at
+// maxEvent headroom, so only a chunk's tail event can fall through).
+// Chunk tails, runs, synchronization events, and malformed input take
+// the careful byte-at-a-time path below.
+func (r *streamReader) event(ev *Event) (ref bool, err error) {
+	op := r.cur[r.off]
+	if op >= opShort {
+		r.off++
+		r.short(op)
+		return true, nil
 	}
+	if op <= opBusy && len(r.cur)-r.off >= maxEvent {
+		b := r.cur
+		i := r.off + 1
+		var u uint64
+		var shift uint
+		for {
+			x := b[i]
+			i++
+			u |= uint64(x&0x7f) << shift
+			if x < 0x80 {
+				break
+			}
+			shift += 7
+			if shift >= 70 {
+				return false, fmt.Errorf("trace: varint overflow")
+			}
+		}
+		r.off = i
+		if op < opBusy {
+			r.longRef(op, u)
+			return true, nil
+		}
+		ev.Kind = EvBusy
+		ev.N = int64(u)
+		return false, nil
+	}
+	r.off++
 	switch {
 	case op < opBusy:
 		u, err := r.uvarint()
 		if err != nil {
 			return false, err
 		}
-		r.last += uint64(unzigzag(u))
-		ev.Kind = EvRef
-		ev.Addr = simm.Addr(r.last)
-		ev.Size = int(op&7) + 1
-		ev.Write = op >= opWriteBase
+		r.longRef(op, u)
+		return true, nil
+	case op == opRun:
+		n, err := r.byte()
+		if err != nil {
+			return false, err
+		}
+		if n == 0 || r.size == 0 {
+			return false, fmt.Errorf("trace: stride run of %d, or before any reference", n)
+		}
+		r.rep = int(n)
+		return true, nil
 	case op == opBusy:
 		n, err := r.uvarint()
 		if err != nil {
@@ -422,7 +532,24 @@ func (c *Cursor) Next(ev *Event) (bool, error) {
 	default:
 		return false, fmt.Errorf("trace: unknown opcode %#x", op)
 	}
-	return true, nil
+	return false, nil
+}
+
+// short loads a short reference, opcode op.
+func (r *streamReader) short(op byte) {
+	cls := uint(op>>4) & 3
+	r.delta = uint64(int64(op&15)-8) << cls
+	r.size = 1 << cls
+	r.write = op&0x40 != 0
+	r.rep = 1
+}
+
+// longRef loads a long-form reference: opcode op, zigzagged delta u.
+func (r *streamReader) longRef(op byte, u uint64) {
+	r.delta = uint64(unzigzag(u))
+	r.size = int(op&7) + 1
+	r.write = op >= opWriteBase
+	r.rep = 1
 }
 
 // DecodeReplayBatch decodes up to len(evs) events into evs, in the
@@ -430,69 +557,51 @@ func (c *Cursor) Next(ev *Event) (bool, error) {
 // nil error) means the end of the stream; a decode error may follow a
 // short batch — the events before the error are valid and returned.
 // Batch decode is the replay's unit of work: the driver calls it
-// between turns, refilling one reused buffer per stream. Data references
-// and busy charges — the bulk of every stream — decode through the same
-// resident-event fast path as Next; the rare synchronization events
-// fall back to Next plus a conversion, with lock-manager operations
-// (the one kind whose replay form is a closure over live lock state the
-// decoder cannot build) going through mkOp. Stale fields from a
-// recycled buffer slot are left in place for kinds that do not use
-// them.
+// between turns, refilling one reused buffer per stream. Every data
+// reference — short, long or repeated by a run — is written straight
+// into evs from the shape loaded into the reader, as many of a run's
+// repeats at once as the batch has room for. The other kinds are
+// converted from event's Event, with lock-manager operations (the one
+// kind whose replay form is a closure over live lock state the decoder
+// cannot build) going through mkOp. Stale fields from a recycled
+// buffer slot are left in place for kinds that do not use them.
 func (c *Cursor) DecodeReplayBatch(evs []sched.ReplayEvent,
 	mkOp func(acquire bool, relID uint32, level uint8, page uint32, mode uint8) func(*sched.Proc)) (int, error) {
 	r := &c.r
 	n := 0
 	for n < len(evs) {
+		if r.rep > 0 {
+			k := min(r.rep, len(evs)-n)
+			r.rep -= k
+			for end := n + k; n < end; n++ {
+				r.last += r.delta
+				ev := &evs[n]
+				ev.Kind = sched.ReplayRef
+				ev.Addr = simm.Addr(r.last)
+				ev.Size = r.size
+				ev.Write = r.write
+			}
+			continue
+		}
 		if ok, err := r.more(); !ok {
 			return n, err
 		}
-		if len(r.cur)-r.off >= maxEvent {
-			if op := r.cur[r.off]; op <= opBusy {
-				b := r.cur
-				i := r.off + 1
-				var u uint64
-				var shift uint
-				for {
-					x := b[i]
-					i++
-					u |= uint64(x&0x7f) << shift
-					if x < 0x80 {
-						break
-					}
-					shift += 7
-					if shift >= 70 {
-						return n, fmt.Errorf("trace: varint overflow")
-					}
-				}
-				r.off = i
-				ev := &evs[n]
-				n++
-				if op < opBusy {
-					r.last += uint64(unzigzag(u))
-					ev.Kind = sched.ReplayRef
-					ev.Addr = simm.Addr(r.last)
-					ev.Size = int(op&7) + 1
-					ev.Write = op >= opWriteBase
-				} else {
-					ev.Kind = sched.ReplayBusy
-					ev.N = int64(u)
-				}
-				continue
-			}
+		if op := r.cur[r.off]; op >= opShort {
+			r.off++
+			r.short(op)
+			continue
 		}
 		var tmp Event
-		ok, err := c.Next(&tmp)
+		ref, err := r.event(&tmp)
 		if err != nil {
 			return n, err
 		}
-		if !ok {
-			return n, nil
+		if ref {
+			continue
 		}
 		ev := &evs[n]
 		n++
 		switch tmp.Kind {
-		case EvRef:
-			ev.Kind, ev.Addr, ev.Size, ev.Write = sched.ReplayRef, tmp.Addr, tmp.Size, tmp.Write
 		case EvBusy:
 			ev.Kind, ev.N = sched.ReplayBusy, tmp.N
 		case EvSpinAcquire:

@@ -30,7 +30,17 @@ func FuzzTraceChunkDecode(f *testing.F) {
 	f.Add(flipBit(blob, 15))
 	f.Add(tr.Streams[0].Chunks[0])
 	f.Add([]byte{opBusy, 0x80}) // truncated varint
-	f.Add([]byte{0x15})         // unknown opcode
+	f.Add([]byte{0x16})         // unknown opcode
+	var short []byte            // every size class at k = -8 and k = 7, read and write
+	for op := 0; op < 0x80; op += 0x10 {
+		short = append(short, byte(opShort|op), byte(opShort|op|15))
+	}
+	f.Add(short)
+	f.Add([]byte{opShort | 0x38, opRun, 20, opBusy, 3, opRun, 1}) // runs crossing the 7-event batch boundary
+	f.Add([]byte{opRun, 3})                                       // run before any reference
+	f.Add([]byte{opShort | 0x39, opRun, 0})                       // empty run
+	f.Add([]byte{opShort | 0x39, opRun})                          // truncated run
+	f.Add(runAcrossChunks())
 	seg := testStreamTrace().Marshal()
 	f.Add(seg)
 	f.Add(seg[:len(seg)-3])
@@ -57,6 +67,19 @@ func testFuzzTrace() *QueryTrace {
 	tr.Nodes = 1
 	tr.Rows = []int{1}
 	return tr
+}
+
+// runAcrossChunks is a blob whose one stream is two chunks, the second
+// a run repeating the reference that ends the first, so a cursor's run
+// state must carry across the chunk boundary in memory and streamed.
+func runAcrossChunks() []byte {
+	tr := testFuzzTrace()
+	tr.Streams = []Stream{{
+		Chunks: [][]byte{{opWriteBase + 3, 0x10}, {opRun, 9, opShort | 0x20}},
+		Refs:   11,
+		Events: 11,
+	}}
+	return tr.Marshal()
 }
 
 // checkChunkDecode treats data as one raw stream chunk and decodes it

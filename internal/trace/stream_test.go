@@ -13,7 +13,7 @@ import (
 // across multiple chunks (enough refs to seal at least two).
 func testTrace() *QueryTrace {
 	rec := NewRecorder(2)
-	for i := 0; i < 40000; i++ {
+	for i := 0; i < 100000; i++ {
 		rec.Ref(0, simm.Addr(0x1000+8*i), 8, i%3 == 0)
 		if i%100 == 0 {
 			rec.BusyEvent(0, int64(i))
