@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check cover bench fuzz scenario-goldens cluster-smoke wal-smoke stream-smoke profile loc clean
+.PHONY: all build test race vet fmt check cover bench fuzz scenario-goldens wal-smoke stream-smoke profile loc clean
 
 all: build
 
@@ -40,31 +40,18 @@ scenario-goldens:
 
 check: build fmt vet race test scenario-goldens
 
-# The cluster gate: one coordinator plus two in-process workers run a
-# fig8-style sweep through the async job API. Passing means the
-# distributed report is byte-identical to a serial render, every task
-# settled done, and at least one blob crossed peers (a capture computed
-# on one worker, replayed from the shared store by the other — asserted
-# via the peer-fetch metrics). The byte-identity rests on the planner
-# contract, so its tests ride along: the plan's shape, a worker-computed
-# plan landing on the keys the coordinator's render resolves, and a
-# render submitting exactly one job per predicted progress key.
-cluster-smoke:
-	$(GO) test -run 'TestClusterEndToEnd|TestWorkerDrainReleases' -count=1 -v ./internal/cluster
-	$(GO) test -run 'TestPlanScenario|TestComputePointPopulatesPlannedKeys|TestProgressKeysMatchRender' -count=1 -v ./internal/experiments
-
 # The durability gate: the crash matrix. A sweep job's journal is
-# killed at three points of progress read off the coordinator
-# (submission only, tasks dispatched with one claimed, at least half the
-# points done in the shared store), a successor boots over the same WAL
-# dir and the store as it stood at the kill, and every recovered run
-# must finish with a report byte-identical to a serial render, having
-# simulated only the points the store lacked. The journal tests ride along, among them the
-# append counts (exactly 2 appends and 2 fsyncs per warm job, exactly 2
-# appends for a whole distributed sweep), a resumed job claimable at
-# once after a restart, and the wal package's own fault-injection tests
-# (every-prefix recovery, short writes, failed syncs and rotations,
-# torn tails).
+# killed at three points of progress read off the manager (submission
+# only, the job running with at least one point stored, at least half
+# the points stored), a successor boots over the same WAL dir and the
+# cache and trace dirs as they stood at the kill, and every recovered
+# run must finish with a report byte-identical to a serial render,
+# having simulated only the points the dirs lacked. The journal tests
+# ride along, among them the append counts (exactly 2 appends and 2
+# fsyncs per warm job, exactly 2 appends for a whole sweep), a log
+# written when tasks were journaled still opening, and the wal
+# package's own fault-injection tests (every-prefix recovery, short
+# writes, failed syncs and rotations, torn tails).
 wal-smoke:
 	$(GO) test -run 'TestCrashRestartEndToEnd|TestJournal' -count=1 -v ./internal/cluster
 	$(GO) test -count=1 ./internal/wal
@@ -76,8 +63,9 @@ wal-smoke:
 # one-job-per-stream equivalence at 1 and 4 workers, the
 # capture-per-stream trace-store round trip (streams and fig12's warm
 # pairs), the no-store run that must record nothing, progress keys
-# matching what a render settles, and the mixedstreams golden at
-# -jobs 1 vs parallel. A sweep with no store keeps each recording once:
+# matching what a render settles (one job submitted and executed per
+# key), the planner's shape, and the mixedstreams golden at -jobs 1 vs
+# parallel. A sweep with no store keeps each recording once:
 # its replay jobs read the capture's recording in place, several at a
 # time at 4 workers, 5 times under the race detector, and the cached
 # recording's chunks never return to the chunk pool; the disk tier
@@ -90,7 +78,7 @@ wal-smoke:
 stream-smoke:
 	$(GO) test -race -count=20 -run 'TestDeterminism|TestInterleavingIsTimeOrdered|TestRunReplayMatchesRun|TestRunPanicLeaksNoGoroutine|TestRunReplayOpPanicLeaksNoGoroutine|TestRunReplayOpsReuseProcCoroutine' ./internal/sched
 	$(GO) test -count=1 -run 'TestStreamReplayMatchesExecution|TestStreamReplaySweeps|TestLegacyPhasesEquivalence|TestReplayStreamUnsegmented|TestRunStreamAnswers' -v ./internal/core
-	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestFig12TraceStoreServesPairs|TestStreamWithoutStoreRecordsNothing|TestProgressKeysMatchRender|TestGoldenOutput|TestDiskTierServesReplayAcrossProcesses|TestReplaySurvivesDamagedPersistedBlob' ./internal/experiments
+	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestFig12TraceStoreServesPairs|TestStreamWithoutStoreRecordsNothing|TestPlanScenario|TestProgressKeysMatchRender|TestGoldenOutput|TestDiskTierServesReplayAcrossProcesses|TestReplaySurvivesDamagedPersistedBlob' ./internal/experiments
 	$(GO) test -race -count=5 -run 'TestSweepReplaysReadRecordingInPlace|TestCachedRecordingKeepsItsChunks' ./internal/experiments
 
 # Profile a named preset (default fig6) under the CPU and heap
@@ -123,8 +111,8 @@ fuzz:
 # Coverage gate for the packages every other layer leans on:
 # internal/metrics is the one package every layer reports through,
 # internal/trace holds the one decoder that takes bytes from outside the
-# process (trace-store blobs, peer fetches, -replay files), and
-# internal/wal is the fabric's durability promise. Fails when any
+# process (trace-store blobs and -replay files), and
+# internal/wal is the job journal's durability promise. Fails when any
 # package's statement coverage drops below 85%.
 COVER_MIN ?= 85
 COVER_PKGS = internal/metrics internal/trace internal/wal

@@ -35,8 +35,8 @@
 // -wal-dir set, each job's submission and terminal transition are
 // journaled to a write-ahead log first, and a restarted daemon replays
 // the log: finished jobs keep serving their reports, and unfinished
-// ones re-run, re-distributing their points (cluster tasks are not
-// journaled; points workers already pushed resolve from the store).
+// ones re-run, resolving every point -cache-dir already holds instead
+// of simulating it again.
 package main
 
 import (
@@ -49,11 +49,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -62,7 +60,7 @@ import (
 	"repro/internal/wal"
 )
 
-// server owns the Exec, the cluster fabric, and the metrics registry.
+// server owns the Exec, the job manager, and the metrics registry.
 // The manager's job table is the only record of submitted work, and
 // /v1/stats reads the registry back, so the JSON view and /metrics can
 // never disagree.
@@ -71,8 +69,6 @@ type server struct {
 	reg     *metrics.Registry
 	httpm   *metrics.HTTPMetrics
 	start   time.Time
-	store   blobstore.Store // local blob store served at /v1/blobs
-	coord   *cluster.Coordinator
 	manager *cluster.Manager
 	journal *cluster.Journal // nil = not durable
 	// renderTimeout bounds how long POST /v1/scenarios waits for its job;
@@ -83,16 +79,11 @@ type server struct {
 }
 
 // newServer builds the daemon. jl and rec may be nil (no -wal-dir):
-// the fabric then runs in-memory only. With a journal, the manager
-// restores the recovered jobs before serving; the caller resumes
-// unfinished jobs (manager.Resume) once it is ready to run them.
-func newServer(exec *experiments.Exec, reg *metrics.Registry, store blobstore.Store, renderTimeout time.Duration, jl *cluster.Journal, rec *cluster.Recovered) *server {
-	if store == nil {
-		store = blobstore.NewMem()
-	}
-	cmet := cluster.NewMetrics(reg)
-	coord := cluster.NewCoordinator(cmet, cluster.Options{})
-	manager := cluster.NewManager(exec, coord, cmet)
+// jobs then live in memory only. With a journal, the manager restores
+// the recovered jobs before serving; the caller resumes unfinished jobs
+// (manager.Resume) once it is ready to run them.
+func newServer(exec *experiments.Exec, reg *metrics.Registry, renderTimeout time.Duration, jl *cluster.Journal, rec *cluster.Recovered) *server {
+	manager := cluster.NewManager(exec, reg)
 	manager.UseJournal(jl)
 	manager.Restore(rec)
 	return &server{
@@ -100,8 +91,6 @@ func newServer(exec *experiments.Exec, reg *metrics.Registry, store blobstore.St
 		reg:           reg,
 		httpm:         metrics.NewHTTPMetrics(reg),
 		start:         time.Now(),
-		store:         store,
-		coord:         coord,
 		manager:       manager,
 		journal:       jl,
 		renderTimeout: renderTimeout,
@@ -126,13 +115,6 @@ func (s *server) handler() http.Handler {
 	handle("GET /v1/jobs/{id}", "/v1/jobs/{id}", http.HandlerFunc(s.manager.HandleStatus))
 	handle("GET /v1/jobs/{id}/events", "/v1/jobs/{id}/events", http.HandlerFunc(s.manager.HandleEvents))
 	handle("GET /v1/jobs/{id}/report", "/v1/jobs/{id}/report", http.HandlerFunc(s.manager.HandleReport))
-	// Cluster fabric: the coordinator protocol workers drive, and the
-	// local blob store peers read through (never the fan — a peer's GET
-	// must not recurse into further peer fetches).
-	clusterH := s.coord.Handler()
-	handle("/v1/cluster", "/v1/cluster", clusterH)
-	handle("/v1/cluster/", "/v1/cluster", clusterH)
-	handle(blobstore.PathPrefix+"/", "/v1/blobs", blobstore.Handler(s.store))
 	handle("GET /v1/healthz", "/v1/healthz", http.HandlerFunc(s.healthz))
 	handle("GET /v1/stats", "/v1/stats", http.HandlerFunc(s.stats))
 	handle("GET /metrics", "/metrics", s.reg.Handler())
@@ -201,16 +183,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// Cluster fabric view: worker/job/task states plus the peer blob
-	// traffic, summed from the same samples /metrics exposes.
-	peerFetch := map[string]float64{}
-	for _, f := range s.reg.Snapshot() {
-		if f.Name == "dssmem_blob_peer_fetch_total" {
-			for _, smp := range f.Samples {
-				peerFetch[smp.Labels["result"]] += smp.Value
-			}
-		}
-	}
 	recRecords, recTruncated := s.journal.Recovery()
 	resp := map[string]interface{}{
 		"pool":           ps,
@@ -218,10 +190,7 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"requests_total": served,
 		"cluster": map[string]interface{}{
-			"workers":    s.coord.Workers(),
-			"jobs":       s.manager.Counts(),
-			"tasks":      s.coord.Status().Tasks,
-			"peer_fetch": peerFetch,
+			"jobs": s.manager.Counts(),
 		},
 		"wal": map[string]interface{}{
 			"enabled":                  s.journal != nil,
@@ -235,12 +204,10 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 }
 
 // drain stops accepting submissions and waits for in-flight jobs
-// (manager.Close does both), then stops the cluster machinery. The
-// journal closes last: the manager's terminal records must land in it
-// first.
+// (manager.Close does both). The journal closes last: the manager's
+// terminal records must land in it first.
 func (s *server) drain() {
 	s.manager.Close()
-	s.coord.Close()
 	if err := s.journal.Close(); err != nil {
 		log.Printf("wal close: %v", err)
 	}
@@ -252,11 +219,9 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	jobs := flag.Int("jobs", 0, "concurrent experiment workers (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
-	traceDir := flag.String("trace-dir", "", "directory for captured reference-trace blobs (empty = traces stay in the result cache)")
+	traceDir := flag.String("trace-dir", "", "directory for captured reference-trace blobs (empty = no trace store: a sweep replays its recording in memory, and -cache-dir results carry their blob inline)")
 	walDir := flag.String("wal-dir", "", "directory for the job write-ahead log; a restarted daemon replays it and resumes pre-crash jobs (empty = no durability)")
 	walSync := flag.Duration("wal-sync", 0, "WAL group-commit window: appends within it share one fsync (0 = fsync every append)")
-	join := flag.String("join", "", "coordinator URL to join as a worker (e.g. http://coord:8080)")
-	advertise := flag.String("advertise", "", "URL this daemon is reachable at, reported to the coordinator")
 	renderTimeout := flag.Duration("render-timeout", 0, "server-side bound on POST /v1/scenarios renders; exceeded renders answer 504 naming the job, which finishes in the background (0 = unbounded)")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -288,40 +253,6 @@ func main() {
 	reg := metrics.New()
 	reg.CollectGoRuntime()
 
-	// The blob store unifies the cache tiers with the cluster fabric:
-	// the configured dirs keep their legacy on-disk layout; with no dirs
-	// an in-memory store still lets this daemon coordinate peers. The
-	// pool reads through a fan — local first, then the joined
-	// coordinator — while /v1/blobs always serves the local store only.
-	var store blobstore.Store
-	ld := blobstore.NewLocalDir()
-	mounted := false
-	if *cacheDir != "" {
-		if err := ld.Mount(blobstore.NSResult, *cacheDir, ".gob"); err != nil {
-			log.Printf("disk cache disabled: %v", err)
-		} else {
-			mounted = true
-		}
-	}
-	if *traceDir != "" {
-		if err := ld.Mount(blobstore.NSTrace, *traceDir, ".trace"); err != nil {
-			log.Printf("trace store disabled: %v", err)
-		} else {
-			mounted = true
-		}
-	}
-	if mounted {
-		store = ld
-	} else {
-		store = blobstore.NewMem()
-	}
-	var peers func() []string
-	if *join != "" {
-		peer := strings.TrimRight(*join, "/")
-		peers = func() []string { return []string{peer} }
-	}
-	fan := blobstore.NewFan(store, peers, reg)
-
 	// Durability: open the WAL and replay it before anything serves.
 	// Unlike the cache dirs, an unusable WAL dir is fatal — silently
 	// dropping durability defeats the reason the operator asked for it.
@@ -345,29 +276,12 @@ func main() {
 		}
 	}
 
-	exec := experiments.NewExecConfig(runner.Config{Workers: *jobs, Blobs: fan, Metrics: reg})
-	s := newServer(exec, reg, store, *renderTimeout, journal, recovered)
-	// Re-run whatever had not finished; the shared store absorbs the
+	exec := experiments.NewExecConfig(runner.Config{Workers: *jobs,
+		CacheDir: *cacheDir, TraceDir: *traceDir, Metrics: reg})
+	s := newServer(exec, reg, *renderTimeout, journal, recovered)
+	// Re-run whatever had not finished; the cache dirs absorb the
 	// recompute of points finished before the crash.
 	s.manager.Resume(recovered)
-
-	var worker *cluster.Worker
-	if *join != "" {
-		name, _ := os.Hostname()
-		w, err := cluster.StartWorker(cluster.WorkerConfig{
-			Coordinator: strings.TrimRight(*join, "/"),
-			Name:        name,
-			Advertise:   *advertise,
-			Exec:        exec,
-			Blobs:       store,
-			Logf:        log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("join %s: %v", *join, err)
-		}
-		worker = w
-		log.Printf("joined coordinator %s", *join)
-	}
 
 	srv := &http.Server{
 		Addr:    *addr,
@@ -393,14 +307,9 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown. The cluster worker drains first — it releases
-	// any claimed-but-unfinished task back to the coordinator so the
-	// work is reassigned immediately — then the HTTP server stops
-	// accepting, in-flight jobs finish, and the pool's workers drain.
+	// Graceful shutdown: the HTTP server stops accepting, in-flight
+	// jobs finish, and the pool's workers drain.
 	log.Print("shutting down: draining in-flight jobs")
-	if worker != nil {
-		worker.Close()
-	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/runner"
@@ -25,9 +24,8 @@ func newTestServerTimeout(t *testing.T, renderTimeout time.Duration) (*server, *
 	t.Helper()
 	reg := metrics.New()
 	reg.CollectGoRuntime()
-	store := blobstore.NewMem()
-	exec := experiments.NewExecConfig(runner.Config{Workers: 2, Blobs: store, Metrics: reg})
-	s := newServer(exec, reg, store, renderTimeout, nil, nil)
+	exec := experiments.NewExecConfig(runner.Config{Workers: 2, Metrics: reg})
+	s := newServer(exec, reg, renderTimeout, nil, nil)
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -90,6 +88,17 @@ func TestRoutes(t *testing.T) {
 	}
 	if code, _ := post(t, retired, `{"exp":"table1"}`); code != 404 {
 		t.Errorf("POST %s: got %d, want 404", retired, code)
+	}
+	// So are the coordinator protocol and the peer blob routes: the
+	// daemon serves one node's jobs and nothing else.
+	if code, _ := get(t, ts.URL+"/v1/cluster"); code != 404 {
+		t.Errorf("GET /v1/cluster: got %d, want 404", code)
+	}
+	if code, _ := post(t, ts.URL+"/v1/cluster/claim", `{"worker_id":"w1"}`); code != 404 {
+		t.Errorf("POST /v1/cluster/claim: got %d, want 404", code)
+	}
+	if code, _ := get(t, ts.URL+"/v1/blobs/result/x"); code != 404 {
+		t.Errorf("GET /v1/blobs/result/x: got %d, want 404", code)
 	}
 
 	// Both submit routes share one decode+validate path.
@@ -487,27 +496,21 @@ func TestJobsAPI(t *testing.T) {
 		t.Errorf("unknown job: got %d, want 404", code)
 	}
 
-	// The fabric is visible on /v1/stats even with no peers joined.
+	// The job counts are on /v1/stats, and they are all it says under
+	// "cluster".
 	code, body = get(t, ts.URL+"/v1/stats")
 	if code != 200 {
 		t.Fatalf("/v1/stats: %d", code)
 	}
 	var stats struct {
-		Cluster struct {
-			Workers   int                `json:"workers"`
-			Jobs      map[string]int     `json:"jobs"`
-			Tasks     map[string]int     `json:"tasks"`
-			PeerFetch map[string]float64 `json:"peer_fetch"`
-		} `json:"cluster"`
+		Cluster map[string]json.RawMessage `json:"cluster"`
 	}
 	if err := json.Unmarshal([]byte(body), &stats); err != nil {
 		t.Fatalf("stats json: %v\n%s", err, body)
 	}
-	if stats.Cluster.Workers != 0 || stats.Cluster.Jobs["done"] < 1 {
-		t.Errorf("cluster stats = %+v, want 0 workers and >=1 done job", stats.Cluster)
-	}
-	if stats.Cluster.PeerFetch == nil {
-		t.Error("cluster stats missing peer_fetch")
+	var jobs map[string]int
+	if err := json.Unmarshal(stats.Cluster["jobs"], &jobs); err != nil || jobs["done"] < 1 || len(stats.Cluster) != 1 {
+		t.Errorf("cluster stats = %s, want jobs alone with >=1 done", body)
 	}
 
 	// And the gauges behind it are on /metrics.
@@ -515,8 +518,11 @@ func TestJobsAPI(t *testing.T) {
 	if got := counterValue(t, exposition, `dssmem_cluster_jobs{state="done"}`); got < 1 {
 		t.Errorf(`dssmem_cluster_jobs{state="done"} = %v, want >= 1`, got)
 	}
-	if !strings.Contains(exposition, "dssmem_cluster_workers") {
-		t.Error("/metrics missing dssmem_cluster_workers")
+	for _, gone := range []string{"dssmem_cluster_workers", "dssmem_cluster_tasks",
+		"dssmem_cluster_lease_expirations_total", "dssmem_blob_peer_fetch_total"} {
+		if strings.Contains(exposition, gone) {
+			t.Errorf("/metrics still exposes %s", gone)
+		}
 	}
 }
 

@@ -1,22 +1,19 @@
-// Package blobstore is the shared blob namespace behind the cluster:
-// one Store interface over content-addressed blobs, with backends for
-// a local directory (wrapping the runner's on-disk cache and trace
-// layout), an in-memory map, and an HTTP fan that reads through peer
-// daemons before giving up.
+// Package blobstore is the content-addressed blob namespace behind the
+// runner's persistent tiers: one Store interface over immutable blobs,
+// with a local-directory backend that keeps the runner's on-disk cache
+// and trace layout.
 //
 // Keys are the runner's content-addressed job keys ("s1-<sha256>", see
 // internal/runner.Job.Key), which makes every entry location
-// independent: a result or trace blob computed by one daemon is valid
-// on every other daemon that derives the same key, so pointing two
-// pools at one Store — or fanning reads across peers — turns their
-// private caches into a single shared namespace. Namespaces separate
-// the two blob kinds that exist today (gob-encoded results, CRC-framed
-// trace blobs); a key is unique within its namespace.
+// independent: a result or trace blob computed by one process is valid
+// in every later process that derives the same key, so a directory
+// written by one run serves the next. Namespaces separate the two blob
+// kinds that exist today (gob-encoded results, CRC-framed trace
+// blobs); a key is unique within its namespace.
 //
-// Integrity is the payload's own concern, exactly as it is for the
-// local tiers the store replaces: trace blobs carry a magic and
-// checksum (internal/trace), gob results fail to decode when damaged.
-// Every backend returns whatever bytes it finds, and the caller's
+// Integrity is the payload's own concern: trace blobs carry a magic
+// and checksum (internal/trace), gob results fail to decode when
+// damaged. The store returns whatever bytes it finds, and the caller's
 // decode step turns damage into a miss that falls back to computing.
 package blobstore
 

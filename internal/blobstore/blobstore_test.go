@@ -3,15 +3,11 @@ package blobstore
 import (
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 func newLocalDir(t *testing.T, ns, ext string) *LocalDir {
@@ -24,13 +20,10 @@ func newLocalDir(t *testing.T, ns, ext string) *LocalDir {
 }
 
 // TestStoreBasics drives the Get/Put/Stat miss-then-hit contract over
-// every backend.
+// the local directory backend.
 func TestStoreBasics(t *testing.T) {
-	reg := metrics.New()
 	stores := map[string]Store{
-		"mem":      NewMem(),
 		"localdir": newLocalDir(t, NSTrace, ".trace"),
-		"fan":      NewFan(NewMem(), nil, reg),
 	}
 	for name, s := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -104,7 +97,6 @@ func TestLocalDirLayoutCompat(t *testing.T) {
 // one winner, never a torn mix.
 func TestConcurrentPutSameKey(t *testing.T) {
 	for name, s := range map[string]Store{
-		"mem":      NewMem(),
 		"localdir": newLocalDir(t, NSTrace, ".trace"),
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -192,123 +184,4 @@ func TestStatListPagination(t *testing.T) {
 	if err != nil || len(all) != n {
 		t.Fatalf("List(limit=0) = %d entries, %v; want %d", len(all), err, n)
 	}
-}
-
-// TestFanPeerReadThrough: a local miss is answered by a peer and
-// written through, so the second lookup never leaves the process.
-func TestFanPeerReadThrough(t *testing.T) {
-	peerStore := NewMem()
-	blob := []byte("peer-bytes")
-	if err := peerStore.Put(NSTrace, "s1-remote", blob); err != nil {
-		t.Fatal(err)
-	}
-	peer := httptest.NewServer(Handler(peerStore))
-	defer peer.Close()
-
-	reg := metrics.New()
-	local := NewMem()
-	fan := NewFan(local, func() []string { return []string{peer.URL} }, reg)
-
-	got, err := fan.Get(NSTrace, "s1-remote")
-	if err != nil || string(got) != string(blob) {
-		t.Fatalf("fan.Get = %q, %v", got, err)
-	}
-	if _, err := local.Get(NSTrace, "s1-remote"); err != nil {
-		t.Fatalf("peer hit not written through: %v", err)
-	}
-	if hits := counterValue(t, reg, "dssmem_blob_peer_fetch_total", "hit"); hits != 1 {
-		t.Fatalf("peer fetch hits = %v, want 1", hits)
-	}
-
-	// Absent everywhere: counted miss, ErrNotExist surfaces.
-	if _, err := fan.Get(NSTrace, "s1-nowhere"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("miss err = %v, want ErrNotExist", err)
-	}
-	if misses := counterValue(t, reg, "dssmem_blob_peer_fetch_total", "miss"); misses != 1 {
-		t.Fatalf("peer fetch misses = %v, want 1", misses)
-	}
-
-	// Second lookup of the written-through key: local, no new fetch.
-	if _, err := fan.Get(NSTrace, "s1-remote"); err != nil {
-		t.Fatal(err)
-	}
-	if hits := counterValue(t, reg, "dssmem_blob_peer_fetch_total", "hit"); hits != 1 {
-		t.Fatalf("second lookup fetched again: hits = %v", hits)
-	}
-}
-
-// TestFanCorruptPeerBlob is the integrity contract end to end: a peer
-// serves a trace blob with a flipped payload byte; the fan (like the
-// local disk tiers) hands the bytes over untouched, the decoder's CRC
-// check rejects them, and the caller falls back to computing — a
-// damaged peer can cost time, never correctness.
-func TestFanCorruptPeerBlob(t *testing.T) {
-	good := (&trace.QueryTrace{Query: "Q6", Scale: 0.002, Nodes: 2}).Marshal()
-	bad := append([]byte(nil), good...)
-	bad[len(bad)-1] ^= 0xff // corrupt the payload, not the stored CRC
-
-	peerStore := NewMem()
-	if err := peerStore.Put(NSTrace, "s1-corrupt", bad); err != nil {
-		t.Fatal(err)
-	}
-	peer := httptest.NewServer(Handler(peerStore))
-	defer peer.Close()
-
-	reg := metrics.New()
-	fan := NewFan(NewMem(), func() []string { return []string{peer.URL} }, reg)
-
-	computed := false
-	loadTrace := func(key string) *trace.QueryTrace {
-		if b, err := fan.Get(NSTrace, key); err == nil {
-			if tr, err := trace.Unmarshal(b); err == nil {
-				return tr
-			}
-		}
-		computed = true // cache miss path: execute and re-record
-		return &trace.QueryTrace{Query: "Q6", Scale: 0.002, Nodes: 2}
-	}
-	tr := loadTrace("s1-corrupt")
-	if !computed {
-		t.Fatal("corrupted peer blob was accepted instead of falling back to compute")
-	}
-	if tr.Query != "Q6" {
-		t.Fatalf("fallback trace = %+v", tr)
-	}
-	// The transport itself saw a hit — corruption is the decoder's
-	// finding, not the store's.
-	if hits := counterValue(t, reg, "dssmem_blob_peer_fetch_total", "hit"); hits != 1 {
-		t.Fatalf("peer fetch hits = %v, want 1", hits)
-	}
-	// An intact blob decodes.
-	if _, err := trace.Unmarshal(good); err != nil {
-		t.Fatalf("control: intact blob failed to decode: %v", err)
-	}
-}
-
-// TestFanDeadPeer: an unreachable peer is a counted error and the
-// lookup degrades to a plain miss.
-func TestFanDeadPeer(t *testing.T) {
-	reg := metrics.New()
-	fan := NewFan(NewMem(), func() []string { return []string{"http://127.0.0.1:1"} }, reg)
-	if _, err := fan.Get(NSTrace, "s1-any"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("err = %v, want ErrNotExist", err)
-	}
-	if errs := counterValue(t, reg, "dssmem_blob_peer_fetch_total", "error"); errs != 1 {
-		t.Fatalf("peer fetch errors = %v, want 1", errs)
-	}
-}
-
-func counterValue(t *testing.T, reg *metrics.Registry, family, result string) float64 {
-	t.Helper()
-	for _, f := range reg.Snapshot() {
-		if f.Name != family {
-			continue
-		}
-		for _, s := range f.Samples {
-			if s.Labels["result"] == result {
-				return s.Value
-			}
-		}
-	}
-	return 0
 }

@@ -12,7 +12,7 @@ import (
 // LocalDir serves namespaces from local directories, one mount per
 // namespace, preserving the runner's historical on-disk layout: a
 // blob is a single file named <key><ext> (results are <key>.gob,
-// traces <key>.trace), so a cache directory written by a pre-cluster
+// traces <key>.trace), so a cache directory written by an older
 // daemon reads back unchanged through the store and vice versa.
 //
 // Writes are atomic (temp file + rename within the mount directory),

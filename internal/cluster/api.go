@@ -2,129 +2,12 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 
 	"repro/internal/scenario"
 )
-
-// Wire types of the coordinator protocol (POST /v1/cluster/*).
-type registerRequest struct {
-	Name string `json:"name,omitempty"`
-	URL  string `json:"url,omitempty"`
-}
-type registerResponse struct {
-	WorkerID       string `json:"worker_id"`
-	LeaseTTLMillis int64  `json:"lease_ttl_ms"`
-}
-type claimRequest struct {
-	WorkerID string `json:"worker_id"`
-}
-type claimResponse struct {
-	Task *Task `json:"task"`
-}
-type renewRequest struct {
-	WorkerID string `json:"worker_id"`
-	TaskID   string `json:"task_id"`
-}
-type completeRequest struct {
-	WorkerID string `json:"worker_id"`
-	TaskID   string `json:"task_id"`
-	Error    string `json:"error,omitempty"`
-}
-type releaseRequest = renewRequest
-type leaveRequest = claimRequest
-
-// Handler serves the coordinator protocol plus a status view:
-//
-//	POST /v1/cluster/register   {name,url} -> {worker_id,lease_ttl_ms}
-//	POST /v1/cluster/claim      {worker_id} -> {task} | 204 when idle
-//	POST /v1/cluster/renew      {worker_id,task_id}
-//	POST /v1/cluster/complete   {worker_id,task_id,error?}
-//	POST /v1/cluster/release    {worker_id,task_id}
-//	POST /v1/cluster/leave      {worker_id}
-//	GET  /v1/cluster            Status snapshot
-//
-// Claim, renew and complete are also a worker's heartbeat. Unknown
-// workers get 410 Gone (re-register); lost leases get 409 Conflict
-// (drop the task).
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/cluster/register", func(w http.ResponseWriter, r *http.Request) {
-		var req registerRequest
-		if !decodeInto(w, r, &req) {
-			return
-		}
-		id, ttl := c.Register(req.Name, req.URL)
-		writeJSON(w, http.StatusOK, registerResponse{WorkerID: id, LeaseTTLMillis: ttl.Milliseconds()})
-	})
-	mux.HandleFunc("POST /v1/cluster/claim", func(w http.ResponseWriter, r *http.Request) {
-		var req claimRequest
-		if !decodeInto(w, r, &req) {
-			return
-		}
-		task, err := c.Claim(req.WorkerID)
-		if err != nil {
-			protocolReply(w, err)
-			return
-		}
-		if task == nil {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		writeJSON(w, http.StatusOK, claimResponse{Task: task})
-	})
-	mux.HandleFunc("POST /v1/cluster/renew", func(w http.ResponseWriter, r *http.Request) {
-		var req renewRequest
-		if !decodeInto(w, r, &req) {
-			return
-		}
-		protocolReply(w, c.Renew(req.WorkerID, req.TaskID))
-	})
-	mux.HandleFunc("POST /v1/cluster/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req completeRequest
-		if !decodeInto(w, r, &req) {
-			return
-		}
-		protocolReply(w, c.Complete(req.WorkerID, req.TaskID, req.Error))
-	})
-	mux.HandleFunc("POST /v1/cluster/release", func(w http.ResponseWriter, r *http.Request) {
-		var req releaseRequest
-		if !decodeInto(w, r, &req) {
-			return
-		}
-		protocolReply(w, c.Release(req.WorkerID, req.TaskID))
-	})
-	mux.HandleFunc("POST /v1/cluster/leave", func(w http.ResponseWriter, r *http.Request) {
-		var req leaveRequest
-		if !decodeInto(w, r, &req) {
-			return
-		}
-		c.Leave(req.WorkerID)
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Status())
-	})
-	return mux
-}
-
-// protocolReply maps coordinator errors onto the protocol's status
-// codes: nil -> 204, ErrUnknownWorker -> 410, ErrNotHolder -> 409.
-func protocolReply(w http.ResponseWriter, err error) {
-	switch {
-	case err == nil:
-		w.WriteHeader(http.StatusNoContent)
-	case errors.Is(err, ErrUnknownWorker):
-		apiError(w, http.StatusGone, err.Error())
-	case errors.Is(err, ErrNotHolder):
-		apiError(w, http.StatusConflict, err.Error())
-	default:
-		apiError(w, http.StatusInternalServerError, err.Error())
-	}
-}
 
 // SubmitBody is the one way a spec enters the daemon: read the request
 // body (1 MB cap), decode and validate it as a scenario spec, and
@@ -255,14 +138,6 @@ func (m *Manager) WriteReport(w http.ResponseWriter, id string) (preset string, 
 		"report": report,
 	})
 	return preset, true
-}
-
-func decodeInto(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
-		apiError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {

@@ -2,132 +2,98 @@ package cluster
 
 import (
 	"context"
-	"net/http"
-	"net/http/httptest"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/wal"
 )
 
-// fabric is one daemon incarnation: journal, coordinator, manager,
-// HTTP surface, and a worker wired through a fan store — the topology
-// dssmemd builds, scaled down to one process so the test can crash it
-// and boot a successor at will.
-type fabric struct {
-	reg   *metrics.Registry
-	regW  *metrics.Registry // the worker's
-	jl    *Journal
-	coord *Coordinator
-	m     *Manager
-	execC *experiments.Exec
-	execW *experiments.Exec
-	srv   *httptest.Server
-	w     *Worker
+// daemon is one dssmemd incarnation scaled down to one process: its
+// journal, its manager, and an Exec whose result cache and trace store
+// live under one state directory — so the test can crash it and boot a
+// successor at will.
+type daemon struct {
+	reg  *metrics.Registry
+	jl   *Journal
+	m    *Manager
+	exec *experiments.Exec
 }
 
-// bootFabric opens the WAL dir, recovers, compacts, and brings up the
-// fabric — the dssmemd boot sequence. A test crashes it by killing its
-// journal (Journal.Kill); the fabric keeps running in-memory past the
-// kill, exactly like a daemon whose disk stopped mattering the instant
-// before power loss.
-func bootFabric(t *testing.T, walDir string, shared *blobstore.Mem, leaseTTL time.Duration) *fabric {
+// bootDaemon opens the WAL dir, recovers, compacts, and brings up the
+// manager over the cache and trace dirs under state — the dssmemd boot
+// sequence. A test crashes it by killing its journal (Journal.Kill);
+// the daemon keeps running in-memory past the kill, exactly like a
+// daemon whose disk stopped mattering the instant before power loss.
+func bootDaemon(t *testing.T, walDir, state string) *daemon {
 	t.Helper()
-	f := &fabric{reg: metrics.New()}
-	jl, rec, err := OpenJournal(wal.Options{Dir: walDir, Metrics: f.reg})
+	d := &daemon{reg: metrics.New()}
+	jl, rec, err := OpenJournal(wal.Options{Dir: walDir, Metrics: d.reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.jl = jl
+	d.jl = jl
 	if err := jl.Snapshot(rec); err != nil {
 		t.Fatal(err)
 	}
-
-	met := NewMetrics(f.reg)
-	f.coord = NewCoordinator(met, Options{LeaseTTL: leaseTTL})
-	f.execC = experiments.NewExecConfig(runner.Config{Workers: 2, Blobs: shared, Metrics: f.reg})
-	f.m = NewManager(f.execC, f.coord, met)
-	f.m.UseJournal(jl)
-	f.m.Restore(rec)
-
-	mux := http.NewServeMux()
-	mux.Handle("/v1/cluster", f.coord.Handler())
-	mux.Handle("/v1/cluster/", f.coord.Handler())
-	mux.Handle(blobstore.PathPrefix+"/", blobstore.Handler(shared))
-	f.srv = httptest.NewServer(mux)
-
-	f.regW = metrics.New()
-	local := blobstore.NewMem()
-	peers := func() []string { return []string{f.srv.URL} }
-	f.execW = experiments.NewExecConfig(runner.Config{Workers: 2, Blobs: blobstore.NewFan(local, peers, f.regW), Metrics: f.regW})
-	w, err := StartWorker(WorkerConfig{
-		Coordinator: f.srv.URL, Name: "crash-worker",
-		Exec: f.execW, Blobs: local, Poll: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.w = w
-	waitFor(t, 10*time.Second, "worker to register", func() bool {
-		return f.coord.Workers() == 1
-	})
-	f.m.Resume(rec)
-	return f
+	d.exec = experiments.NewExecConfig(runner.Config{Workers: 2,
+		CacheDir: filepath.Join(state, "cache"), TraceDir: filepath.Join(state, "trace"),
+		Metrics: d.reg})
+	d.m = NewManager(d.exec, d.reg)
+	d.m.UseJournal(jl)
+	d.m.Restore(rec)
+	d.m.Resume(rec)
+	return d
 }
 
 // abandon tears the doomed incarnation down with no drain ordering —
 // its journal is already dead, so nothing here reaches the log; this
-// only exists so the test process doesn't leak goroutines. The
-// coordinator closes before the manager so in-flight batches abort
-// instead of being waited out.
-func (f *fabric) abandon() {
-	f.w.Close()
-	f.srv.Close()
-	f.coord.Close()
-	f.m.Close()
-	f.execC.Close()
-	f.execW.Close()
+// only exists so the test process doesn't leak goroutines. The pool
+// closes before the manager, so the in-flight render's queued points
+// are cancelled instead of waited out.
+func (d *daemon) abandon() {
+	d.exec.Close()
+	d.m.Close()
 }
 
-// shutdown is the clean dssmemd drain order: worker releases, fabric
-// settles, journal closes last.
-func (f *fabric) shutdown(t *testing.T) {
+// shutdown is the clean dssmemd drain order: jobs settle, the journal
+// closes, the pool drains.
+func (d *daemon) shutdown(t *testing.T) {
 	t.Helper()
-	f.w.Close()
-	f.srv.Close()
-	f.m.Close()
-	f.coord.Close()
-	if err := f.jl.Close(); err != nil {
+	d.m.Close()
+	if err := d.jl.Close(); err != nil {
 		t.Errorf("journal close: %v", err)
 	}
-	f.execC.Close()
-	f.execW.Close()
+	d.exec.Close()
 }
 
-// crashImage copies the shared store as it stands: what a crash at
-// this instant leaves on the coordinator's disk. The abandoned
-// incarnation goes on writing to the original — once its coordinator
-// closes, its manager finishes the job locally — and none of that may
-// reach the successor.
-func crashImage(t *testing.T, s *blobstore.Mem) *blobstore.Mem {
+// crashImage copies the state directory's blobs as they stand: what a
+// crash at this instant leaves on disk. Blobs land by rename, so every
+// file copied is whole; the store's temp files are left behind, as a
+// restarted daemon ignores them. The abandoned incarnation goes on
+// writing to the original, and none of that may reach the successor.
+func crashImage(t *testing.T, state string) string {
 	t.Helper()
-	img := blobstore.NewMem()
-	for _, ns := range []string{blobstore.NSResult, blobstore.NSTrace} {
-		infos, err := s.List(ns, "", 0)
+	img := t.TempDir()
+	for _, sub := range []string{"cache", "trace"} {
+		if err := os.MkdirAll(filepath.Join(img, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(filepath.Join(state, sub))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, in := range infos {
-			b, err := s.Get(ns, in.Key)
-			if err == nil {
-				err = img.Put(ns, in.Key, b)
+		for _, e := range ents {
+			if ext := filepath.Ext(e.Name()); ext != ".gob" && ext != ".trace" {
+				continue
 			}
-			if err != nil {
+			if err := copyFile(filepath.Join(state, sub, e.Name()), filepath.Join(img, sub, e.Name())); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -135,25 +101,42 @@ func crashImage(t *testing.T, s *blobstore.Mem) *blobstore.Mem {
 	return img
 }
 
+func copyFile(from, to string) error {
+	src, err := os.Open(from)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	dst, err := os.Create(to)
+	if err != nil {
+		return err
+	}
+	if _, err := io.Copy(dst, src); err != nil {
+		dst.Close()
+		return err
+	}
+	return dst.Close()
+}
+
 // TestCrashRestartEndToEnd is the durability contract end to end: a
 // sweep job's daemon is crashed at three points of progress, a
 // successor boots over the same WAL dir, and the recovered job must
 // finish with a report byte-identical to a serial render. Each crash
-// point is reached by polling the coordinator, then killing the
-// journal: with only the submission durable, with tasks dispatched and
-// one claimed, and with at least half the points done and pushed to
-// the shared store. The journal holds the same two records in all
-// three; what differs is how much of the sweep the successor finds in
-// the shared store, and every point it finds there is served, not
-// simulated again. Only the WAL dir and that store (the coordinator's
-// on-disk cache, content-addressed so duplicated work is harmless)
-// survive each crash, each as it stood at the kill.
+// point is reached by polling the manager's progress, which counts a
+// point only once the pool has settled it — after its result is on
+// disk — and then killing the journal: with only the submission
+// durable, with the job running and at least one point stored, and
+// with at least half the points stored. The journal holds the same two
+// records in all three; what differs is how much of the sweep the
+// successor finds in the cache and trace dirs, and every point it finds
+// there is served, not simulated again. Only the WAL dir and those
+// dirs survive each crash, each as it stood at the kill.
 func TestCrashRestartEndToEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full distributed sweep with crash-restart")
+		t.Skip("full sweep with crash-restart")
 	}
 	if raceEnabled {
-		t.Skip("full distributed sweep is too slow under -race")
+		t.Skip("full sweep is too slow under -race")
 	}
 
 	sc := sweepSpec()
@@ -167,80 +150,78 @@ func TestCrashRestartEndToEnd(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		crash func(Status) bool
+		crash func(JobStatus) bool
 	}{
 		// Submit returns only once its record is durable.
-		{"kill-after-submit", func(Status) bool { return true }},
-		{"kill-with-task-claimed", func(st Status) bool { return st.Tasks[StateLeased] >= 1 }},
-		// A worker pushes a point's blobs before completing its task.
-		{"kill-with-half-done", func(st Status) bool { return st.Tasks[StateDone] >= 5 }},
+		{"kill-after-submit", func(JobStatus) bool { return true }},
+		{"kill-with-one-point-stored", func(st JobStatus) bool {
+			return st.State == StateRunning && st.Progress.Done >= 1
+		}},
+		{"kill-with-half-done", func(st JobStatus) bool {
+			return st.State == StateRunning && st.Progress.Done >= len(plans)/2
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			walDir := t.TempDir()
-			shared := blobstore.NewMem()
+			walDir, state := t.TempDir(), t.TempDir()
 
-			doomed := bootFabric(t, walDir, shared, 5*time.Second)
+			doomed := bootDaemon(t, walDir, state)
 			id, err := doomed.m.Submit(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var atKill Status
+			var atKill JobStatus
 			waitFor(t, 4*time.Minute, "crash point", func() bool {
-				atKill = doomed.coord.Status()
+				atKill, _ = doomed.m.Status(id)
 				return tc.crash(atKill)
 			})
 			doomed.jl.Kill()
-			survivor := crashImage(t, shared)
+			survivor := crashImage(t, state)
 			doomed.abandon()
-			// Points whose result reached the shared store: every task
-			// done at the kill, and any the worker pushed since.
+			// Points whose result reached the disk: every point settled
+			// at the kill, and any the doomed pool stored since.
 			stored := 0
 			for _, p := range plans {
-				if _, err := survivor.Get(blobstore.NSResult, p.ResultKey()); err == nil {
+				if _, err := os.Stat(filepath.Join(survivor, "cache", p.ResultKey()+".gob")); err == nil {
 					stored++
 				}
 			}
-			if stored < atKill.Tasks[StateDone] {
-				t.Fatalf("%d points stored after a kill with %d tasks done", stored, atKill.Tasks[StateDone])
+			if stored < atKill.Progress.Done {
+				t.Fatalf("%d points stored after a kill with %d settled", stored, atKill.Progress.Done)
 			}
 
-			f := bootFabric(t, walDir, survivor, time.Second)
-			defer f.shutdown(t)
-			if n, _ := f.jl.Recovery(); n != 2 {
+			d := bootDaemon(t, walDir, survivor)
+			defer d.shutdown(t)
+			if n, _ := d.jl.Recovery(); n != 2 {
 				t.Fatalf("restart replayed %d records, want the boot snapshot and the submission", n)
 			}
-			if n := metricValue(t, f.reg, "dssmem_wal_recovery_records", "", ""); n != 2 {
+			if n := metricValue(t, d.reg, "dssmem_wal_recovery_records", "", ""); n != 2 {
 				t.Fatalf("dssmem_wal_recovery_records = %v on the restart registry, want 2", n)
 			}
-			if _, ok := f.m.Status(id); !ok {
+			if _, ok := d.m.Status(id); !ok {
 				t.Fatalf("job %s unknown after restart", id)
 			}
 			var st JobStatus
 			waitFor(t, 4*time.Minute, "recovered job to finish", func() bool {
-				st, _ = f.m.Status(id)
+				st, _ = d.m.Status(id)
 				return st.State == StateDone || st.State == StateFailed
 			})
 			if st.State != StateDone {
 				t.Fatalf("recovered job failed: %s", st.Error)
 			}
-			if st.Progress.Total != 10 || st.Progress.Done != 10 {
-				t.Fatalf("recovered progress = %+v, want 10/10", st.Progress)
+			if st.Progress.Total != len(plans) || st.Progress.Done != len(plans) {
+				t.Fatalf("recovered progress = %+v, want %d/%d", st.Progress, len(plans), len(plans))
 			}
-			// The re-run re-distributed every point, and simulated only
-			// those the shared store lacked: a stored point's result, and
-			// its capture's, are cache hits. Each unstored point costs
-			// one executed job at most — its replay, or its capture.
-			if done := f.coord.Status().Tasks[StateDone]; done != 10 {
-				t.Fatalf("successor settled %d tasks done, want 10", done)
-			}
-			executed := metricValue(t, f.reg, "dssmem_runner_jobs_completed_total", "", "") +
-				metricValue(t, f.regW, "dssmem_runner_jobs_completed_total", "", "")
+			// The re-run simulated only the points the disk lacked: a
+			// stored point's result, and its capture's, are cache hits.
+			// Each unstored point costs one executed job at most — its
+			// replay, or its capture.
+			executed := metricValue(t, d.reg, "dssmem_runner_jobs_completed_total", "", "")
 			t.Logf("%d of %d points stored at the kill; successor executed %v jobs", stored, len(plans), executed)
 			if executed > float64(len(plans)-stored) {
 				t.Fatalf("successor executed %v jobs with %d of %d points stored, want at most %d",
 					executed, stored, len(plans), len(plans)-stored)
 			}
-			report, _, _, _, err := f.m.Report(id)
+			report, _, _, _, err := d.m.Report(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,34 +233,36 @@ func TestCrashRestartEndToEnd(t *testing.T) {
 	}
 }
 
-// TestJournalSweepAppends pins the journal cost of a distributed
-// sweep: the 10-point sweep, run through one worker, appends exactly
-// two records beyond the boot snapshot — its submission and its
-// terminal transition. Its 10 tasks leave no trace in the log.
+// TestJournalSweepAppends pins the journal cost of a sweep: the
+// 10-point sweep appends exactly two records beyond the boot snapshot —
+// its submission and its terminal transition. Its points leave no trace
+// in the log.
 func TestJournalSweepAppends(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full distributed sweep")
+		t.Skip("full sweep")
 	}
 	if raceEnabled {
-		t.Skip("full distributed sweep is too slow under -race")
+		t.Skip("full sweep is too slow under -race")
 	}
-	f := bootFabric(t, t.TempDir(), blobstore.NewMem(), 5*time.Second)
-	defer f.shutdown(t)
-	boot := f.jl.Appends()
-	id, err := f.m.Submit(sweepSpec())
+	d := bootDaemon(t, t.TempDir(), t.TempDir())
+	defer d.shutdown(t)
+	boot := d.jl.Appends()
+	sc := sweepSpec()
+	id, err := d.m.Submit(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.m.Wait(context.Background(), id) {
+	if !d.m.Wait(context.Background(), id) {
 		t.Fatalf("job %s never finished", id)
 	}
-	if st, _ := f.m.Status(id); st.State != StateDone {
+	st, _ := d.m.Status(id)
+	if st.State != StateDone {
 		t.Fatalf("job %s = %s (%s), want done", id, st.State, st.Error)
 	}
-	if done := f.coord.Status().Tasks[StateDone]; done != 10 {
-		t.Fatalf("worker settled %d tasks done, want 10", done)
+	if plans, _ := experiments.PlanScenario(sc); st.Progress.Done != len(plans) || len(plans) != 10 {
+		t.Fatalf("sweep settled %d of %d points, want 10 of 10", st.Progress.Done, len(plans))
 	}
-	if got := f.jl.Appends() - boot; got != 2 {
-		t.Fatalf("distributed sweep appended %d records beyond the boot snapshot, want 2", got)
+	if got := d.jl.Appends() - boot; got != 2 {
+		t.Fatalf("sweep appended %d records beyond the boot snapshot, want 2", got)
 	}
 }

@@ -9,24 +9,23 @@ import (
 	"repro/internal/wal"
 )
 
-// Journal is the fabric's durability layer. It records jobs, not
-// tasks: the manager appends each job's submission (canonical scenario
+// Journal is the job service's durability layer. It records jobs, not
+// points: the manager appends each job's submission (canonical scenario
 // text) and its terminal transition (with the finished report text, so
 // GET /v1/jobs/{id}/report survives a restart) as one JSON record each
 // to a write-ahead log — two appends and two fsyncs per job, however
-// many points it distributes — and a restarted daemon replays the log
-// and re-runs what had not finished.
+// many points it renders — and a restarted daemon replays the log and
+// re-runs what had not finished.
 //
-// Coordinator tasks and worker registrations are soft state: a resumed
-// job re-plans and re-distributes its points, and any point a worker
-// already pushed resolves from the shared store by its
-// content-addressed key. Nor are the running transition (recovery
-// re-runs a running job like a queued one, and its total comes from the
-// spec), per-point progress or event history journaled. Replay skips
-// the task.* records and snapshot task fields of older logs.
+// A resumed job re-plans its points, and any point the persistent
+// cache tiers already hold resolves by its content-addressed key. Nor
+// are the running transition (recovery re-runs a running job like a
+// queued one, and its total comes from the spec), per-point progress or
+// event history journaled. Replay skips the task.* records and snapshot
+// task fields of logs written when the daemon still distributed points.
 //
 // A journal append failure is logged once and then the journal goes
-// inert: the fabric keeps serving (availability over durability once
+// inert: the daemon keeps serving (availability over durability once
 // the disk has failed) but the operator is told recovery is no longer
 // complete. This is also what lets a crash-test "doomed" instance keep
 // running after its log is killed.
@@ -159,8 +158,8 @@ func OpenJournal(opt wal.Options) (*Journal, *Recovered, error) {
 	return &Journal{log: l}, st.recovered(), nil
 }
 
-// append journals one record. Nil-safe (an unjournaled fabric is the
-// standalone mode); sticky on failure.
+// append journals one record. Nil-safe (a manager without a journal
+// is not durable); sticky on failure.
 func (jl *Journal) append(r journalRecord) {
 	if jl == nil {
 		return
@@ -226,7 +225,7 @@ func (jl *Journal) Close() error {
 
 // Kill simulates the process dying with the journal open: no final
 // sync, and every later append fails (and is swallowed by the sticky
-// failure path, so the doomed fabric keeps running in-memory — exactly
+// failure path, so the doomed daemon keeps running in-memory — exactly
 // what the crash-restart tests need from the instance they are about
 // to abandon). Nil-safe.
 func (jl *Journal) Kill() {

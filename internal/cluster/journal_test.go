@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/scenario"
 	"repro/internal/wal"
 )
 
@@ -20,112 +19,6 @@ func openTestJournal(t *testing.T, fs wal.FS) (*Journal, *Recovered) {
 		t.Fatal(err)
 	}
 	return jl, rec
-}
-
-// TestJournalResumeClaimable: after a restart, every task of the
-// resumed job is claimable at once, however the previous incarnation
-// left its leases — crashed with a task leased to a worker that died
-// with it, or drained, its worker having released the task and left
-// before the journal closed. Tasks are not journaled, so the successor
-// never inherits a dead worker's lease: with a one-minute TTL, the
-// re-run is claimed through within 2s and no lease expires.
-func TestJournalResumeClaimable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders a real scenario")
-	}
-	sc := coldSpec()
-	sc.Sweep = scenario.Sweep{Axis: scenario.AxisPrefetch, Points: []int{0, 1, 2}}
-	plans, _ := experiments.PlanScenario(sc)
-	for _, name := range []string{"crash", "drain"} {
-		t.Run(name, func(t *testing.T) {
-			fs := wal.NewMemFS()
-			jl, _ := openTestJournal(t, fs)
-			c1 := NewCoordinator(nil, Options{LeaseTTL: time.Minute})
-			exec1 := experiments.NewExec(1)
-			m1 := NewManager(exec1, c1, nil)
-			m1.UseJournal(jl)
-			ghost, _ := c1.Register("ghost", "")
-			id, err := m1.Submit(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, 10*time.Second, "tasks to dispatch", func() bool {
-				return c1.Status().Tasks[StateQueued] == len(plans)
-			})
-			task, err := c1.Claim(ghost)
-			if err != nil || task == nil {
-				t.Fatalf("claim: %+v, %v", task, err)
-			}
-			img := fs
-			if name == "crash" {
-				// Only durable bytes survive; the ghost's lease is out.
-				img = fs.Crash()
-			} else {
-				// The dssmemd drain order for a worker: release, leave;
-				// the journal then closes cleanly.
-				if err := c1.Release(ghost, task.ID); err != nil {
-					t.Fatal(err)
-				}
-				c1.Leave(ghost)
-				if err := jl.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Retire the first incarnation. Its coordinator fails the
-			// batch, so its manager finishes the job locally; nothing it
-			// writes afterwards reaches the image the successor opens.
-			c1.Close()
-			m1.Close()
-			exec1.Close()
-
-			jl2, rec := openTestJournal(t, img)
-			defer jl2.Close()
-			reg2 := metrics.New()
-			met2 := NewMetrics(reg2)
-			c2 := NewCoordinator(met2, Options{LeaseTTL: time.Minute})
-			exec2 := experiments.NewExec(1)
-			defer exec2.Close()
-			m2 := NewManager(exec2, c2, met2)
-			m2.UseJournal(jl2)
-			m2.Restore(rec)
-			// Coordinator first, so a failing run's batch aborts instead
-			// of being waited out.
-			defer func() {
-				c2.Close()
-				m2.Close()
-			}()
-			w, _ := c2.Register("successor", "")
-			m2.Resume(rec)
-
-			deadline := time.Now().Add(2 * time.Second)
-			for claimed := 0; claimed < len(plans); {
-				if time.Now().After(deadline) {
-					t.Fatalf("claimed %d of %d resumed tasks within 2s: %v", claimed, len(plans), c2.Status().Tasks)
-				}
-				task, err := c2.Claim(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if task == nil {
-					time.Sleep(2 * time.Millisecond)
-					continue
-				}
-				if err := c2.Complete(w, task.ID, ""); err != nil {
-					t.Fatal(err)
-				}
-				claimed++
-			}
-			if !m2.Wait(context.Background(), id) {
-				t.Fatalf("resumed job %s never finished", id)
-			}
-			if st, _ := m2.Status(id); st.State != StateDone {
-				t.Fatalf("resumed job = %s (%s), want done", st.State, st.Error)
-			}
-			if n := metricValue(t, reg2, "dssmem_cluster_lease_expirations_total", "", ""); n != 0 {
-				t.Fatalf("restart cost %v lease expirations, want 0", n)
-			}
-		})
-	}
 }
 
 // TestJournalSnapshotRoundTrip: compacting to a snapshot and replaying
@@ -185,7 +78,10 @@ func TestJournalSnapshotRoundTrip(t *testing.T) {
 func TestJournalOpensOldTaskLog(t *testing.T) {
 	sc := coldSpec()
 	plans, _ := experiments.PlanScenario(sc)
-	task := Task{ID: "j-2/t0", Plan: plans[0], Blobs: plans[0].Blobs()}
+	// A task as the old coordinator journaled it: an id, the point plan
+	// and the blobs computing it persisted.
+	task := map[string]any{"id": "j-2/t0", "plan": plans[0], "blobs": []map[string]string{
+		{"ns": "result", "key": plans[0].ResultKey()}, {"ns": "trace", "key": plans[0].CaptureKey()}}}
 	sub := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
 	rec := func(kind string, fields map[string]any) []byte {
 		fields["kind"] = kind
@@ -207,20 +103,20 @@ func TestJournalOpensOldTaskLog(t *testing.T) {
 	old := [][]byte{
 		rec(recSnapshot, map[string]any{"snapshot": map[string]any{
 			"jobs": []RecoveredJob{done},
-			"tasks": []map[string]any{{"task": Task{ID: "j-1/t0", Plan: plans[0]},
-				"state": StateLeased, "worker": "w7", "attempts": 1}},
+			"tasks": []map[string]any{{"task": map[string]any{"id": "j-1/t0", "plan": plans[0]},
+				"state": "leased", "worker": "w7", "attempts": 1}},
 			"max_worker": 7,
 		}}),
 		jobs[1],
-		rec("task.add", map[string]any{"tasks": []Task{task}}),
-		rec("task.claim", map[string]any{"task_id": task.ID, "worker": "w8", "attempts": 1}),
-		rec("task.renew", map[string]any{"task_id": task.ID, "worker": "w8"}),
-		rec("task.requeue", map[string]any{"task_id": task.ID, "attempts": 1}),
-		rec("task.claim", map[string]any{"task_id": task.ID, "worker": "w9", "attempts": 2}),
-		rec("task.done", map[string]any{"task_id": task.ID}),
+		rec("task.add", map[string]any{"tasks": []map[string]any{task}}),
+		rec("task.claim", map[string]any{"task_id": task["id"], "worker": "w8", "attempts": 1}),
+		rec("task.renew", map[string]any{"task_id": task["id"], "worker": "w8"}),
+		rec("task.requeue", map[string]any{"task_id": task["id"], "attempts": 1}),
+		rec("task.claim", map[string]any{"task_id": task["id"], "worker": "w9", "attempts": 2}),
+		rec("task.done", map[string]any{"task_id": task["id"]}),
 		jobs[2],
 		jobs[3],
-		rec("task.add", map[string]any{"tasks": []Task{{ID: "j-3/t0", Plan: plans[0]}}}),
+		rec("task.add", map[string]any{"tasks": []map[string]any{{"id": "j-3/t0", "plan": plans[0]}}}),
 		rec("task.fail", map[string]any{"task_id": "j-3/t0", "error": "boom", "attempts": 3}),
 		jobs[4],
 	}
@@ -258,7 +154,7 @@ func TestJournalOpensOldTaskLog(t *testing.T) {
 	}
 	exec := experiments.NewExec(1)
 	defer exec.Close()
-	m := NewManager(exec, nil, nil)
+	m := NewManager(exec, nil)
 	defer m.Close()
 	m.Restore(got)
 	want := len(experiments.ProgressKeys(sc))
@@ -303,7 +199,7 @@ func TestJournalManagerRestart(t *testing.T) {
 	jl, _ := openTestJournal(t, fs)
 	exec := experiments.NewExec(2)
 	defer exec.Close()
-	m := NewManager(exec, nil, nil)
+	m := NewManager(exec, nil)
 	m.UseJournal(jl)
 	id, err := m.Submit(coldSpec())
 	if err != nil {
@@ -328,7 +224,7 @@ func TestJournalManagerRestart(t *testing.T) {
 	defer jl2.Close()
 	exec2 := experiments.NewExec(2)
 	defer exec2.Close()
-	m2 := NewManager(exec2, nil, nil)
+	m2 := NewManager(exec2, nil)
 	m2.UseJournal(jl2)
 	m2.Restore(rec)
 	defer m2.Close()
@@ -383,7 +279,7 @@ func TestJournalWarmJobAppends(t *testing.T) {
 	defer jl.Close()
 	exec := experiments.NewExec(2)
 	defer exec.Close()
-	m := NewManager(exec, nil, nil)
+	m := NewManager(exec, nil)
 	m.UseJournal(jl)
 	defer m.Close()
 
@@ -432,7 +328,7 @@ func TestJournalRestoreUnfinishedTotal(t *testing.T) {
 	defer jl2.Close()
 	exec := experiments.NewExec(1)
 	defer exec.Close()
-	m := NewManager(exec, nil, nil)
+	m := NewManager(exec, nil)
 	m.UseJournal(jl2)
 	m.Restore(rec)
 	defer m.Close()

@@ -9,22 +9,19 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
 // Event is one entry of a job's progress stream, replayed to late
 // subscribers and pushed live over SSE. Kinds: "progress" (one planned
-// point settled — Key names it, Via says whether a cluster task or the
-// local render settled it), "note" (advisory, e.g. a cluster task
-// failed and the local render will recompute it), "state" (terminal
-// job transition).
+// point settled — Key names it) and "state" (terminal job transition).
 type Event struct {
 	Seq   int    `json:"seq"`
 	JobID string `json:"job_id"`
 	Kind  string `json:"kind"`
 	Key   string `json:"key,omitempty"`
-	Via   string `json:"via,omitempty"`
 	Done  int    `json:"done"`
 	Total int    `json:"total"`
 	State string `json:"state,omitempty"`
@@ -51,17 +48,12 @@ type Progress struct {
 }
 
 // Manager owns the async job API: scenarios submitted as jobs render
-// in the background while clients poll, stream events, and fetch the
-// finished report. With a coordinator attached and workers live, a
-// job's point plans are distributed first — then the local render
-// (which resolves whatever the workers pushed into the shared store,
-// and recomputes the rest) produces the authoritative report. Without
-// a coordinator the manager is a plain async front on RenderScenario.
+// in the background (RenderScenario on the daemon's Exec) while clients
+// poll, stream events, and fetch the finished report.
 type Manager struct {
-	exec  *experiments.Exec
-	coord *Coordinator // nil = standalone
-	met   *Metrics
-	jl    *Journal // nil = not durable
+	exec   *experiments.Exec
+	gauges map[string]*metrics.Gauge // dssmem_cluster_jobs{state}
+	jl     *Journal                  // nil = not durable
 
 	mu     sync.Mutex
 	jobs   map[string]*jobRec
@@ -89,13 +81,26 @@ type jobRec struct {
 	seq     int
 }
 
-// NewManager builds a manager over exec. coord may be nil
-// (standalone); met may be nil (unmetered).
-func NewManager(exec *experiments.Exec, coord *Coordinator, met *Metrics) *Manager {
-	if met == nil {
-		met = NewMetrics(nil)
+// NewManager builds a manager over exec, registering the job family on
+// reg (nil = unmetered). The per-state children are created eagerly so
+// every state is visible on /metrics from the first scrape.
+func NewManager(exec *experiments.Exec, reg *metrics.Registry) *Manager {
+	vec := reg.GaugeVec("dssmem_cluster_jobs", "Async jobs by lifecycle state.", "state")
+	m := &Manager{exec: exec, jobs: make(map[string]*jobRec), gauges: make(map[string]*metrics.Gauge)}
+	for _, st := range []string{StateQueued, StateRunning, StateDone, StateFailed} {
+		m.gauges[st] = vec.With(st)
 	}
-	return &Manager{exec: exec, coord: coord, met: met, jobs: make(map[string]*jobRec)}
+	return m
+}
+
+// moveJob shifts one job between state gauges ("" = no gauge).
+func (m *Manager) moveJob(from, to string) {
+	if from != "" {
+		m.gauges[from].Dec()
+	}
+	if to != "" {
+		m.gauges[to].Inc()
+	}
 }
 
 // Close refuses new submissions and waits for running jobs to finish.
@@ -115,11 +120,11 @@ func (m *Manager) UseJournal(jl *Journal) { m.jl = jl }
 // Restore installs journal-recovered jobs. Terminal jobs come back
 // whole — state, error, report, progress — and keep serving status and
 // report reads; anything that had not finished is re-queued for Resume
-// to re-run from scratch (it re-distributes its points, and whatever
-// workers pushed to the shared store before the crash resolves by
-// content-addressed key); its progress reads 0 of the spec's planned
-// total until then. Event history is not persisted; terminal jobs get one
-// synthetic state event so late subscribers still see an ending.
+// to re-run from scratch (every point the persistent cache tiers held
+// at the crash resolves by content-addressed key); its progress reads 0
+// of the spec's planned total until then. Event history is not
+// persisted; terminal jobs get one synthetic state event so late
+// subscribers still see an ending.
 func (m *Manager) Restore(rec *Recovered) {
 	if rec == nil {
 		return
@@ -166,7 +171,7 @@ func (m *Manager) Restore(rec *Recovered) {
 				Total: j.total, State: j.state, Error: j.errText})
 		}
 		m.jobs[j.id] = j
-		m.met.moveJob("", j.state)
+		m.moveJob("", j.state)
 	}
 }
 
@@ -213,7 +218,7 @@ func (m *Manager) Submit(sc scenario.Scenario) (string, error) {
 	m.jobs[j.id] = j
 	m.wg.Add(1)
 	m.mu.Unlock()
-	m.met.moveJob("", StateQueued)
+	m.moveJob("", StateQueued)
 	// Journal before the id escapes to the client: a crash after this
 	// append replays the submission; a crash before it means the caller
 	// never saw the id accepted.
@@ -237,27 +242,17 @@ func (m *Manager) run(j *jobRec) {
 	j.state = StateRunning
 	j.total = len(keys)
 	m.mu.Unlock()
-	m.met.moveJob(StateQueued, StateRunning)
+	m.moveJob(StateQueued, StateRunning)
 
-	// Cluster phase: fan the point plans out to workers when any are
-	// live. Task failures are advisory — the local render below is the
-	// authoritative fallback and recomputes anything missing.
-	if m.coord != nil && m.coord.Workers() > 0 {
-		if plans, ok := experiments.PlanScenario(j.spec); ok {
-			m.distribute(j, plans)
-		}
-	}
-
-	// Local render: resolves worker-pushed blobs from the shared store,
-	// computes the rest, and produces the report. The pool listener
-	// attributes each settled planned key to this job's progress; it
-	// runs under the pool's locks and takes only m.mu (lock order pool →
-	// hub → manager), and every finished event of the render has been
-	// delivered by the time RenderScenario returns.
+	// The render resolves cached points and computes the rest. The pool
+	// listener attributes each settled planned key to this job's
+	// progress; it runs under the pool's locks and takes only m.mu (lock
+	// order pool → hub → manager), and every finished event of the
+	// render has been delivered by the time RenderScenario returns.
 	cancel := m.exec.Pool().Subscribe(func(ev runner.Event) {
 		if ev.Kind == runner.JobFinished && keySet[ev.Key] &&
 			(ev.State == runner.Done || ev.State == runner.Cached) {
-			m.progress(j, ev.Key, "local")
+			m.progress(j, ev.Key)
 		}
 	})
 	var buf strings.Builder
@@ -295,42 +290,13 @@ func (m *Manager) run(j *jobRec) {
 		delete(j.subs, id)
 	}
 	m.mu.Unlock()
-	m.met.moveJob(StateRunning, final)
-}
-
-// distribute runs the job's plans through the coordinator, blocking
-// until every task settles (bounded so a dead cluster cannot wedge the
-// job — the janitor fails orphaned tasks, and the context is a
-// backstop on top of that).
-func (m *Manager) distribute(j *jobRec, plans []experiments.PointPlan) {
-	captureTask := make(map[string]string, len(plans))
-	tasks := make([]Task, 0, len(plans))
-	for i, p := range plans {
-		t := Task{ID: fmt.Sprintf("%s/t%d", j.id, i), Plan: p, Blobs: p.Blobs()}
-		if p.IsCapture {
-			captureTask[p.CaptureKey()] = t.ID
-		} else if dep, ok := captureTask[p.CaptureKey()]; ok {
-			t.Deps = []string{dep}
-		}
-		tasks = append(tasks, t)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
-	defer cancel()
-	err := m.coord.RunTasks(ctx, tasks, func(task Task, terr error) {
-		if terr != nil {
-			m.note(j, fmt.Sprintf("cluster task %s failed (%v); recomputing locally", task.ID, terr))
-			return
-		}
-		m.progress(j, task.Plan.ResultKey(), "cluster")
-	})
-	if err != nil {
-		m.note(j, "cluster phase incomplete: "+err.Error())
-	}
+	m.moveJob(StateRunning, final)
 }
 
 // progress counts a settled planned key once, no matter how many
-// submissions (cluster task, local render, cache hit) settle it.
-func (m *Manager) progress(j *jobRec, key, via string) {
+// submissions (this render, an overlapping job's, a cache hit) settle
+// it.
+func (m *Manager) progress(j *jobRec, key string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if j.seen[key] || j.state != StateRunning {
@@ -338,14 +304,7 @@ func (m *Manager) progress(j *jobRec, key, via string) {
 	}
 	j.seen[key] = true
 	j.done = len(j.seen)
-	m.publishLocked(j, Event{JobID: j.id, Kind: "progress", Key: key, Via: via,
-		Done: j.done, Total: j.total})
-}
-
-func (m *Manager) note(j *jobRec, msg string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.publishLocked(j, Event{JobID: j.id, Kind: "note", Error: msg,
+	m.publishLocked(j, Event{JobID: j.id, Kind: "progress", Key: key,
 		Done: j.done, Total: j.total})
 }
 

@@ -468,6 +468,9 @@ func (e *Exec) measureWarmPairs(pairs []scenario.Scenario) ([]WarmResult, error)
 			Warmer: sc.Workload.Warm,
 			L2:     reps[len(reps)-1].Machine.L2Misses.ByGroup(),
 		}
+		for _, rep := range reps {
+			out[i].Clock += rep.MaxClock()
+		}
 	}
 	return out, nil
 }

@@ -261,6 +261,7 @@ type WarmResult struct {
 	Target string
 	Warmer string
 	L2     [simm.NumGroups]uint64
+	Clock  int64 // cycles the pair simulated: each phase's max across processors, summed
 }
 
 // Fig12 renders Figure 12 for one target query, normalized to 100 for

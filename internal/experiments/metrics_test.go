@@ -91,3 +91,24 @@ func TestExecMetrics(t *testing.T) {
 		t.Error("failed render left a histogram sample")
 	}
 }
+
+// TestSimulatingExperimentsChargeCycles: the experiments whose results
+// carry no sweep or query clocks — fig12's warm pairs, the update
+// stream, the query streams and the topology comparison — still charge
+// the cycles they simulate, so their Mcycles/s can be computed.
+func TestSimulatingExperimentsChargeCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders four experiments")
+	}
+	reg := metrics.New()
+	e := NewExecConfig(runner.Config{Workers: 2, Metrics: reg})
+	defer e.Close()
+	for _, exp := range []string{"fig12", "update", "streams", "topology"} {
+		if err := e.Render(&bytes.Buffer{}, exp, testOptions(0.001)); err != nil {
+			t.Fatalf("%s: %v", exp, err)
+		}
+		if c := expSample(t, reg, "dssmem_experiment_simulated_cycles_total", exp); c.Value <= 0 {
+			t.Errorf("%s charged %v simulated cycles, want > 0", exp, c.Value)
+		}
+	}
+}

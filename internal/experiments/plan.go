@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 
-	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -13,26 +12,15 @@ import (
 // replay points. planPoints decides it, runPlans turns it into jobs, and
 // every point measurement in this package goes through the pair — the
 // figure sweeps, plain cold specs, Figure 13 and the topology
-// comparison locally, and a cluster worker's task through ComputePoint.
-// A coordinator cannot ship closures, so PlanScenario exports the same
-// plans as plain data (point specs and content-addressed keys).
-// Correctness rests on the cache keys being location independent: a
-// worker that computes a plan's jobs populates exactly the store
-// entries the coordinator's own render of the same spec will resolve
-// from.
+// comparison. PlanScenario exports the same plans as plain data (point
+// specs and content-addressed keys), which is how progress reporting
+// and the benchmark's planning probe see a spec's points without
+// running them.
 
-// BlobRef names one shared-store blob a computed point persists.
-type BlobRef struct {
-	NS  string `json:"ns"`
-	Key string `json:"key"`
-}
-
-// PointPlan is one distributable measurement of a scenario: a single
-// (machine, query) point, plus the capture configuration whose
-// recorded trace derives it. A capture plan measures the capture
-// configuration itself; a replay plan depends on its capture — workers
-// that miss the capture blob locally recompute it (or fetch it from
-// the shared store), so a plan is self-contained either way.
+// PointPlan is one measurement of a scenario: a single (machine, query)
+// point, plus the capture configuration whose recorded trace derives
+// it. A capture plan measures the capture configuration itself; a
+// replay plan depends on its capture.
 type PointPlan struct {
 	Query     string            `json:"query"`
 	Point     scenario.Scenario `json:"point"`
@@ -41,10 +29,10 @@ type PointPlan struct {
 }
 
 // PlanScenario decomposes a spec into independent point plans,
-// ok=false when the spec is not distributable: invalid specs, and
+// ok=false when the spec does not decompose: invalid specs, and
 // warm-cache and phase specs, each of whose streams is one job on one
 // simulated system's mutable cache state and therefore cannot split
-// across processes. Each plan is a distinct cache key, so len(plans) is
+// into points. Each plan is a distinct cache key, so len(plans) is
 // the spec's real job count.
 func PlanScenario(sc scenario.Scenario) ([]PointPlan, bool) {
 	if sc.Validate() != nil || sc.Workload.Warm != "" || len(sc.Workload.Phases) > 0 {
@@ -98,10 +86,10 @@ type point struct {
 // runPlans runs plans drawn from one workload and returns one report
 // per plan, in plan order. It builds exactly one job per distinct
 // point: a capture for each distinct capture (a replay plan's capture
-// is added when it is not itself planned, as for ComputePoint), and a
-// replay for each replay plan, depending on its capture. Points are
-// deduplicated by (query, machine), not by cache key, so planning hashes
-// nothing the pool's submission does not already hash.
+// is added when it is not itself planned), and a replay for each replay
+// plan, depending on its capture. Points are deduplicated by (query,
+// machine), not by cache key, so planning hashes nothing the pool's
+// submission does not already hash.
 func (e *Exec) runPlans(plans []PointPlan) ([]*core.Report, error) {
 	var jobs []*runner.Job
 	index := make(map[point]int, len(plans))
@@ -146,13 +134,12 @@ func (e *Exec) measure(sc scenario.Scenario) (map[point]*core.Report, error) {
 }
 
 // CaptureKey is the content-addressed key of the plan's capture job —
-// shared by a capture plan and every replay derived from it, which is
-// how a coordinator expresses the capture→replay dependency edge.
+// shared by a capture plan and every replay derived from it.
 func (p PointPlan) CaptureKey() string {
 	return (&runner.Job{Mode: "capture", Spec: p.Capture}).Key()
 }
 
-// ResultKey is the content-addressed key under which ComputePoint's
+// ResultKey is the content-addressed key under which the plan's
 // measurement lands in the result cache — a capture job's key for
 // capture plans, the cold job's key for replays (replay results carry
 // the cold identity; see replayJob).
@@ -163,33 +150,11 @@ func (p PointPlan) ResultKey() string {
 	return (&runner.Job{Mode: "cold", Spec: p.Point}).Key()
 }
 
-// Blobs lists the shared-store blobs computing this plan persists: the
-// capture's result and trace blob always (a replay plan recomputes its
-// capture when the store misses), plus the replay's own result.
-func (p PointPlan) Blobs() []BlobRef {
-	ck := p.CaptureKey()
-	refs := []BlobRef{{NS: blobstore.NSResult, Key: ck}, {NS: blobstore.NSTrace, Key: ck}}
-	if !p.IsCapture {
-		refs = append(refs, BlobRef{NS: blobstore.NSResult, Key: p.ResultKey()})
-	}
-	return refs
-}
-
-// ComputePoint executes one plan on this Exec's pool: the capture job,
-// and for replay plans the replay depending on it. Results land in the
-// pool's caches under the plan's keys; when the pool is backed by a
-// shared blob store this is how a worker materializes a coordinator's
-// task.
-func (e *Exec) ComputePoint(p PointPlan) error {
-	_, err := e.runPlans([]PointPlan{p})
-	return err
-}
-
 // ProgressKeys returns the distinct result-cache keys RenderScenario
 // settles for the spec, in plan order — the denominator of a progress
 // bar. Matching them against runner events (Event.Key) attributes
 // per-point progress to a scenario no matter which submission computes
-// each point. Phase and warm specs, though not distributable, report
+// each point. Phase and warm specs, though they do not decompose, report
 // the keys of their phases jobs — one per stream, two per warm query
 // (cold and warmed) — computed through the same lowering the jobs run
 // under; invalid specs return nil.

@@ -21,7 +21,7 @@ func sweepSpec() scenario.Scenario {
 
 // TestPlanScenario pins the decomposition: one capture per query plus
 // one replay per distinct non-baseline sweep point, each plan keyed
-// and carrying its blob refs.
+// and naming the capture it replays.
 func TestPlanScenario(t *testing.T) {
 	sc := sweepSpec()
 	plans, ok := PlanScenario(sc)
@@ -41,13 +41,8 @@ func TestPlanScenario(t *testing.T) {
 		if p.ResultKey() == "" {
 			t.Fatalf("plan %d has no result key", i)
 		}
-		refs := p.Blobs()
-		wantRefs := 2
-		if !p.IsCapture {
-			wantRefs = 3
-		}
-		if len(refs) != wantRefs {
-			t.Fatalf("plan %d: %d blob refs, want %d", i, len(refs), wantRefs)
+		if p.CaptureKey() != plans[0].ResultKey() {
+			t.Fatalf("plan %d: capture key %s, want the capture plan's %s", i, p.CaptureKey(), plans[0].ResultKey())
 		}
 	}
 	if plans[1].ResultKey() == plans[2].ResultKey() {
@@ -154,36 +149,5 @@ func TestProgressKeysMatchRender(t *testing.T) {
 	}
 	if got := render(twice); !reflect.DeepEqual(got, want) {
 		t.Errorf("Q6 listed twice renders\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-}
-
-// TestComputePointPopulatesPlannedKeys: a replay plan computed on one
-// Exec leaves its ResultKey resolvable — the worker-side half of the
-// coordinator contract.
-func TestComputePointPopulatesPlannedKeys(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real simulation")
-	}
-	sc := sweepSpec()
-	plans, _ := PlanScenario(sc)
-	replay := plans[1]
-
-	e := NewExec(2)
-	defer e.Close()
-	if err := e.ComputePoint(replay); err != nil {
-		t.Fatal(err)
-	}
-	// Re-running the plan must be answered from the cache: the second
-	// RunAll resolves both jobs without executing.
-	before := e.Pool().Stats()
-	if err := e.ComputePoint(replay); err != nil {
-		t.Fatal(err)
-	}
-	after := e.Pool().Stats()
-	if after.CacheHits <= before.CacheHits {
-		t.Fatalf("recompute was not cache-resolved: hits %d -> %d", before.CacheHits, after.CacheHits)
-	}
-	if after.Completed != before.Completed {
-		t.Fatalf("recompute executed %d jobs", after.Completed-before.Completed)
 	}
 }

@@ -173,6 +173,9 @@ func (e *Exec) renderExperiment(w io.Writer, name string, o Options) error {
 		if err != nil {
 			return err
 		}
+		for _, r := range results {
+			e.addCycles(name, r.Clock)
+		}
 		for _, q := range []string{"Q3", "Q12"} {
 			fmt.Fprintf(w, "Figure 12: %s secondary-cache misses, cold vs warmed (cold = 100)\n", q)
 			fmt.Fprint(w, Fig12(results, q))
@@ -183,6 +186,9 @@ func (e *Exec) renderExperiment(w io.Writer, name string, o Options) error {
 		results, err := e.RunUpdate(o)
 		if err != nil {
 			return err
+		}
+		for _, r := range results {
+			e.addCycles(name, r.Clock)
 		}
 		fmt.Fprintln(w, "Extension: the update functions the paper declined to trace")
 		fmt.Fprintln(w, "(relation-level locking makes writers serialize; cf. Section 2.2.2)")
@@ -229,6 +235,9 @@ func (e *Exec) renderExperiment(w io.Writer, name string, o Options) error {
 		if err != nil {
 			return err
 		}
+		for _, p := range points {
+			e.addCycles(name, p.Clock)
+		}
 		fmt.Fprintln(w, "Extension: multi-round query streams on 1MB/32MB caches")
 		fmt.Fprintln(w, "(later rounds of Sequential queries run on warm data)")
 		fmt.Fprint(w, StreamsTable(points))
@@ -238,6 +247,7 @@ func (e *Exec) renderExperiment(w io.Writer, name string, o Options) error {
 		if err != nil {
 			return err
 		}
+		e.addCycles(name, ablationClocks(results)...)
 		fmt.Fprintln(w, "Extension: directory CC-NUMA (the paper's machine) vs a")
 		fmt.Fprintln(w, "bus-based snooping SMP with identical caches (per-query numa = 100);")
 		fmt.Fprintln(w, "at only 4 processors the bus's shorter round trip beats remote NUMA")
@@ -245,6 +255,8 @@ func (e *Exec) renderExperiment(w io.Writer, name string, o Options) error {
 		fmt.Fprint(w, TopologyTable(results))
 
 	case "scorecard":
+		// No cycles: the scorecard re-reads other experiments' results,
+		// which charged their own.
 		claims, err := e.RunScorecard(o)
 		if err != nil {
 			return err

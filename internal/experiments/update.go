@@ -22,6 +22,7 @@ type UpdateResult struct {
 	Bd       stats.CycleBreakdown
 	Machine  machine.Stats
 	Rows     int
+	Clock    int64 // cycles the phase took (max across processors)
 }
 
 // RunUpdate measures Q6 (a read-only baseline), UF1, and UF2 as one
@@ -54,6 +55,7 @@ func runUpdate(s *core.System) []UpdateResult {
 			Bd:       rep.Total(),
 			Machine:  rep.Machine,
 			Rows:     rows,
+			Clock:    rep.MaxClock(),
 		})
 	}
 	return out

@@ -31,11 +31,10 @@ func ValidateCacheDir(dir string) error {
 
 // resultCache is the content-addressed result store: an always-on
 // in-memory map, optionally backed by a blob store (NSResult namespace,
-// gob-encoded entries) so cached results survive process restarts —
-// and, when the store is shared or fans out to peers, cross the process
-// boundary entirely. Values stored under a key are treated as immutable
-// — a hit returns the stored value itself, shared by every requester —
-// and concrete result types must be registered with encoding/gob for
+// gob-encoded entries) so cached results survive process restarts.
+// Values stored under a key are treated as immutable — a hit returns
+// the stored value itself, shared by every requester — and concrete
+// result types must be registered with encoding/gob for
 // the blob tier to accept them (the experiments package registers its
 // result types; unregistered values simply stay memory-only).
 type resultCache struct {

@@ -39,8 +39,8 @@ type Event struct {
 	// Key is the job's content-addressed cache key ("" for NoCache
 	// jobs). It is the cross-process identity of the measurement, so a
 	// listener tracking a scenario's progress can match events against
-	// the keys the scenario plans to — no matter which submission, or
-	// which peer's completion, settles them.
+	// the keys the scenario plans to — no matter which submission
+	// settles them.
 	Key string
 }
 

@@ -56,14 +56,6 @@ type Config struct {
 	// re-executing. Blobs carry their own checksum, so damaged files
 	// read as misses.
 	TraceDir string
-	// Blobs, when non-nil, backs both persistent tiers (the result
-	// cache's disk tier under blobstore.NSResult, the trace store under
-	// blobstore.NSTrace) with the given store instead of CacheDir /
-	// TraceDir, which are then ignored. This is how a pool joins a
-	// shared cache namespace: hand every peer's pool the same store (or
-	// a blobstore.Fan over peers) and their content-addressed keys
-	// resolve across processes.
-	Blobs blobstore.Store
 	// Metrics, when non-nil, receives the pool's instrumentation
 	// (job/queue/cache-tier families under dssmem_runner_* and
 	// dssmem_cache_*). Nil disables observability at zero cost — see
@@ -112,24 +104,20 @@ func New(cfg Config) *Pool {
 		factory = defaultFactory
 	}
 	met := newPoolMetrics(cfg.Metrics)
-	rstore, tstore := cfg.Blobs, cfg.Blobs
-	if cfg.Blobs == nil {
-		// Legacy directory configuration: each tier becomes its own
-		// LocalDir mount with the historical layout. A directory that
-		// cannot be created degrades that tier to disabled, exactly as
-		// before; callers wanting a hard failure probe with
-		// ValidateCacheDir first.
-		if cfg.CacheDir != "" {
-			ld := blobstore.NewLocalDir()
-			if ld.Mount(blobstore.NSResult, cfg.CacheDir, ".gob") == nil {
-				rstore = ld
-			}
+	// Each tier is its own LocalDir mount with the historical layout. A
+	// directory that cannot be created degrades that tier to disabled;
+	// callers wanting a hard failure probe with ValidateCacheDir first.
+	var rstore, tstore blobstore.Store
+	if cfg.CacheDir != "" {
+		ld := blobstore.NewLocalDir()
+		if ld.Mount(blobstore.NSResult, cfg.CacheDir, ".gob") == nil {
+			rstore = ld
 		}
-		if cfg.TraceDir != "" {
-			ld := blobstore.NewLocalDir()
-			if ld.Mount(blobstore.NSTrace, cfg.TraceDir, ".trace") == nil {
-				tstore = ld
-			}
+	}
+	if cfg.TraceDir != "" {
+		ld := blobstore.NewLocalDir()
+		if ld.Mount(blobstore.NSTrace, cfg.TraceDir, ".trace") == nil {
+			tstore = ld
 		}
 	}
 	p := &Pool{

@@ -58,15 +58,15 @@ func (c *Ctx) TraceReaderFor(key string) (blobstore.Reader, bool) {
 	return c.pool.traces.getReader(key)
 }
 
-// HasTraceStore reports whether the pool has a trace store (-trace-dir
-// or an injected blobstore.Store). Without one every lookup misses and
-// every put is dropped, so nothing can ever read a recording back: a
-// job may skip recording what only the store could have served.
+// HasTraceStore reports whether the pool has a trace store (-trace-dir).
+// Without one every lookup misses and every put is dropped, so nothing
+// can ever read a recording back: a job may skip recording what only
+// the store could have served.
 func (c *Ctx) HasTraceStore() bool { return c.pool.traces.store != nil }
 
 // PersistsResults reports whether the result cache has a persistent
-// tier (-cache-dir or an injected blob store). A result filed there is
-// gob-encoded, so only its exported fields outlive the process.
+// tier (-cache-dir). A result filed there is gob-encoded, so only its
+// exported fields outlive the process.
 func (c *Ctx) PersistsResults() bool { return c.pool.cache.store != nil }
 
 // PutTraceBlob files a trace blob under this job's key in the trace

@@ -13,7 +13,7 @@ import (
 // whose result is gone but whose blob survives regenerates its report
 // by replaying the blob instead of re-executing — and unlike the result
 // cache it stores opaque bytes, so nothing needs gob registration and a
-// blob written by one build (or one peer daemon) is readable by
+// blob written by one build (or one process) is readable by
 // another. Integrity is the blob's own concern (magic + checksum, see
 // internal/trace): the store returns whatever bytes it finds, and the
 // decoder turns damage into a miss. With no store configured every

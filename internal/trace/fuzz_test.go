@@ -83,15 +83,33 @@ func runAcrossChunks() []byte {
 }
 
 // checkChunkDecode treats data as one raw stream chunk and decodes it
-// per-event and batched; both must agree event for event and error for
-// error.
+// per-event and batched, in lockstep: each event Next yields is held
+// against the next one the batched cursor produced, so neither side
+// ever holds more than one 7-event batch. Both must agree event for
+// event, in count, and on whether decoding ended in an error.
 func checkChunkDecode(t *testing.T, data []byte) {
 	s := &Stream{Chunks: [][]byte{data}}
+	bcur := s.Cursor()
+	buf := make([]sched.ReplayEvent, 7) // odd size: batches end mid-chunk
+	var pending []Event
+	var batchErr error
+	batchDone := false
+	refill := func() {
+		for len(pending) == 0 && !batchDone {
+			var err error
+			pending, err = replayBatchEvents(bcur, buf)
+			if err != nil {
+				batchErr, batchDone = err, true
+			} else if len(pending) == 0 {
+				batchDone = true
+			}
+		}
+	}
 
-	var evs []Event
-	var ev Event
 	cur := s.Cursor()
+	var ev Event
 	var nextErr error
+	n := 0
 	for {
 		ok, err := cur.Next(&ev)
 		if err != nil {
@@ -101,35 +119,22 @@ func checkChunkDecode(t *testing.T, data []byte) {
 		if !ok {
 			break
 		}
-		evs = append(evs, canon(ev))
-	}
-
-	bcur := s.Cursor()
-	buf := make([]sched.ReplayEvent, 7) // odd size: batches end mid-chunk
-	var bevs []Event
-	var batchErr error
-	for {
-		batch, err := replayBatchEvents(bcur, buf)
-		bevs = append(bevs, batch...)
-		if err != nil {
-			batchErr = err
-			break
+		refill()
+		if len(pending) == 0 {
+			t.Fatalf("Next decoded more than the %d events DecodeReplayBatch did", n)
 		}
-		if len(batch) == 0 {
-			break
+		if c := canon(ev); c != pending[0] {
+			t.Fatalf("event %d: Next %+v, DecodeReplayBatch %+v", n, c, pending[0])
 		}
+		pending = pending[1:]
+		n++
 	}
-
+	refill()
+	if len(pending) > 0 {
+		t.Fatalf("Next decoded %d events, DecodeReplayBatch more", n)
+	}
 	if (nextErr == nil) != (batchErr == nil) {
 		t.Fatalf("decode disagreement: Next err %v, DecodeReplayBatch err %v", nextErr, batchErr)
-	}
-	if len(evs) != len(bevs) {
-		t.Fatalf("Next decoded %d events, DecodeReplayBatch %d", len(evs), len(bevs))
-	}
-	for i := range evs {
-		if evs[i] != bevs[i] {
-			t.Fatalf("event %d: Next %+v, DecodeReplayBatch %+v", i, evs[i], bevs[i])
-		}
 	}
 }
 

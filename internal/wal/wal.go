@@ -5,7 +5,7 @@
 // group-commit window, torn-tail truncation on open, and snapshot +
 // compaction. The log stores opaque record payloads; callers define
 // the record schema and the replay state machine (internal/cluster's
-// Journal journals the fabric's job/task transitions through it).
+// Journal journals dssmemd's job transitions through it).
 //
 // Durability contract: when Append returns nil the record is fsynced
 // — it survives a crash and is replayed, in append order, by the next
