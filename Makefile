@@ -72,11 +72,12 @@ wal-smoke:
 # (-cache-dir alone) still persists a capture's blob for a later
 # process, and a damaged one falls back to execution. The scheduler's
 # coroutine driver rides along:
-# live and replayed interleavings, lock-op coroutine reuse and
-# leak-free panics, 20 times each under the race detector. Blocking in
+# live and replayed interleavings, lock-op coroutine reuse, a page
+# re-tagged mid-replay, and leak-free panics, 20 times each under the
+# race detector. Blocking in
 # CI.
 stream-smoke:
-	$(GO) test -race -count=20 -run 'TestDeterminism|TestInterleavingIsTimeOrdered|TestRunReplayMatchesRun|TestRunPanicLeaksNoGoroutine|TestRunReplayOpPanicLeaksNoGoroutine|TestRunReplayOpsReuseProcCoroutine' ./internal/sched
+	$(GO) test -race -count=20 -run 'TestDeterminism|TestInterleavingIsTimeOrdered|TestRunReplayMatchesRun|TestRunPanicLeaksNoGoroutine|TestRunReplayOpPanicLeaksNoGoroutine|TestRunReplayOpsReuseProcCoroutine|TestRunReplayRetagMidReplay' ./internal/sched
 	$(GO) test -count=1 -run 'TestStreamReplayMatchesExecution|TestStreamReplaySweeps|TestLegacyPhasesEquivalence|TestReplayStreamUnsegmented|TestRunStreamAnswers' -v ./internal/core
 	$(GO) test -count=1 -run 'TestStreamSpecMatchesDirectExecution|TestStreamTraceStoreServesPhases|TestFig12TraceStoreServesPairs|TestStreamWithoutStoreRecordsNothing|TestPlanScenario|TestProgressKeysMatchRender|TestGoldenOutput|TestDiskTierServesReplayAcrossProcesses|TestReplaySurvivesDamagedPersistedBlob' ./internal/experiments
 	$(GO) test -race -count=5 -run 'TestSweepReplaysReadRecordingInPlace|TestCachedRecordingKeepsItsChunks' ./internal/experiments

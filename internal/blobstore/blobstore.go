@@ -49,50 +49,31 @@ type Info struct {
 // caller bug — so Put of an existing key is idempotent and concurrent
 // Puts of the same key may race freely: any winner is correct.
 //
-// Get and Stat report misses as ErrNotExist (test with errors.Is);
-// any other error is a backend failure callers should treat as a miss
-// when the store is an optimization tier.
+// Get, GetReader and Stat report misses as ErrNotExist (test with
+// errors.Is); any other error is a backend failure callers should treat
+// as a miss when the store is an optimization tier.
+//
+// GetReader opens a blob for random access, so a chunk-granular
+// consumer (the trace streamer) reads 64KB sections on demand instead
+// of materializing the whole blob.
 //
 // List returns up to limit blobs with keys strictly greater than
 // after, in ascending key order — the cursor protocol: pass the last
 // key of one page as the next call's after. limit <= 0 means no limit.
 type Store interface {
 	Get(ns, key string) ([]byte, error)
+	GetReader(ns, key string) (Reader, error)
 	Put(ns, key string, b []byte) error
 	Stat(ns, key string) (Info, error)
 	List(ns, after string, limit int) ([]Info, error)
 }
 
-// Reader is random access over one blob: what a chunk-granular
-// consumer (the trace streamer) needs to read 64KB sections on demand
-// instead of materializing the whole blob. Implementations must allow
+// Reader is random access over one blob. Implementations must allow
 // concurrent ReadAt calls (os.File and bytes.Reader both do).
 type Reader interface {
 	io.ReaderAt
 	io.Closer
 	Size() int64
-}
-
-// Streamer is the optional Store extension for chunk-granular reads.
-// Backends that can serve sections without buffering the whole blob
-// (the local directory's files) implement it; OpenReader falls back to
-// Get for the rest.
-type Streamer interface {
-	GetReader(ns, key string) (Reader, error)
-}
-
-// OpenReader opens a blob for random access: through the backend's
-// Streamer implementation when it has one, else by materializing Get's
-// bytes once. Misses are ErrNotExist either way.
-func OpenReader(s Store, ns, key string) (Reader, error) {
-	if st, ok := s.(Streamer); ok {
-		return st.GetReader(ns, key)
-	}
-	b, err := s.Get(ns, key)
-	if err != nil {
-		return nil, err
-	}
-	return NewBytesReader(b), nil
 }
 
 // NewBytesReader adapts an in-memory blob to the Reader interface.

@@ -26,6 +26,13 @@ type node struct {
 	l1 *l1Cache
 	l2 *l2Cache
 	wb []wbEntry
+	// pruneAt defers the write buffer's prune of drained stores past the
+	// L1 fast path: a fast-path hit raises it to its clock, and the next
+	// wbPending prunes at it before pruning at its own clock. Stores
+	// drain in order and are appended only after a wbPending, so the
+	// deferred prunes remove exactly what eager ones would have — even
+	// when a phase boundary rewinds the clock below an earlier hit's.
+	pruneAt int64
 	// pfReady records when a prefetched primary line's data actually
 	// arrives; a demand access before that stalls for the remainder.
 	// It is empty unless prefetching is enabled, and the hot path gates
@@ -109,7 +116,7 @@ func New(cfg Config, mem *simm.Memory) (*Machine, error) {
 	m := &Machine{
 		cfg:       cfg,
 		mem:       mem,
-		dir:       newDirTab(),
+		dir:       newDirTab(uint64(cfg.L2Line)),
 		dirFreeAt: make([]int64, cfg.Nodes),
 	}
 	m.l1FillLat = cfg.L2HitLat + int64(cfg.L1Line-32)/8*cfg.TransferPerWord
@@ -150,7 +157,7 @@ func NewReusing(cfg Config, mem *simm.Memory, donor *Machine) (*Machine, error) 
 	if err != nil {
 		return nil, err
 	}
-	donor.dir.reset()
+	donor.dir.reset(uint64(cfg.L2Line))
 	m.dir = donor.dir
 	if len(m.nodes) == len(donor.nodes) {
 		for i, nd := range m.nodes {
@@ -188,11 +195,12 @@ func (m *Machine) Flush() {
 		n.l1.flush()
 		n.l2.flush()
 		n.wb = n.wb[:0]
+		n.pruneAt = 0
 		n.pfReady.reset()
 		n.pfQueue = n.pfQueue[:0]
 		n.pfHead = 0
 	}
-	m.dir.reset()
+	m.dir.reset(uint64(m.cfg.L2Line))
 	for i := range m.dirFreeAt {
 		m.dirFreeAt[i] = 0
 	}
@@ -305,11 +313,16 @@ func (m *Machine) insertL2(n int, line uint64, st uint8) {
 
 // wbPending reports whether node n's write buffer holds an undrained
 // store to the given secondary line (read forwarding), pruning drained
-// entries as a side effect. Pruning compacts in place: re-slicing off
-// the front would walk the slice down its backing array until WriteCat's
-// append had to reallocate, every few stores.
+// entries as a side effect: first those the L1 fast path left behind
+// (node.pruneAt), then those drained by now. Pruning compacts in place:
+// re-slicing off the front would walk the slice down its backing array
+// until WriteCat's append had to reallocate, every few stores.
 func (m *Machine) wbPending(n int, line uint64, now int64) bool {
 	nd := m.nodes[n]
+	if nd.pruneAt > now {
+		now = nd.pruneAt
+	}
+	nd.pruneAt = 0
 	i := 0
 	for i < len(nd.wb) && nd.wb[i].done <= now {
 		i++
@@ -334,7 +347,9 @@ func (m *Machine) Read(n int, a simm.Addr, size int, now int64) AccessResult {
 
 // ReadCat is Read with the category of the reference's first byte
 // precomputed — the engine's traced accessors resolve the page table
-// once for both the data load and the attribution.
+// once for both the data load and the attribution, and the flat replay
+// driver reuses its last page's category. Only an L2 miss reaches the
+// directory, a chunked array indexed by line number (see dirTab).
 func (m *Machine) ReadCat(n int, a simm.Addr, size int, now int64, firstCat simm.Category) AccessResult {
 	nd := m.nodes[n]
 	addr := uint64(a)
@@ -342,13 +357,17 @@ func (m *Machine) ReadCat(n int, a simm.Addr, size int, now int64, firstCat simm
 		nd.expirePrefetches(now)
 	}
 	// Fast path for the overwhelmingly common reference: a single-line
-	// access that hits the primary cache while the write buffer is
-	// drained and no prefetch is outstanding. It touches only the L1
-	// tag array — no page-table walk, no hash probes, no allocation, no
-	// stall.
+	// access that hits the primary cache while no prefetch is
+	// outstanding. Whether a buffered store forwards it or not, an L1
+	// hit stalls for nothing; the slow path's one side effect, pruning
+	// the write buffer, is deferred to the next wbPending. It touches
+	// only the L1 tag array — no page-table walk, no table lookups, no
+	// allocation, no stall.
 	if first := addr &^ (nd.l1.lineSize - 1); addr+uint64(size) <= first+nd.l1.lineSize &&
-		len(nd.wb) == 0 && nd.pfReady.len() == 0 &&
-		nd.l1.lines[nd.l1.setOf(first)] == first {
+		nd.pfReady.len() == 0 && nd.l1.lines[nd.l1.setOf(first)] == first {
+		if now > nd.pruneAt {
+			nd.pruneAt = now
+		}
 		m.st.Reads++
 		m.st.ReadsByCat[firstCat]++
 		return AccessResult{Cat: firstCat}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/simm"
@@ -236,6 +237,56 @@ func TestWriteBufferSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFastPathIgnoresWriteBuffer pins the L1 fast path's independence
+// from the write buffer: a hit on a resident line while a drained store
+// is still buffered returns no stall and leaves the store for the next
+// wbPending to prune, marking the hit's clock instead.
+func TestFastPathIgnoresWriteBuffer(t *testing.T) {
+	cfg := Baseline()
+	m, _, a0, _ := testRig(t, cfg)
+	lineA, lineB := a0, a0+simm.Addr(8*cfg.L2Line)
+	m.Read(0, lineB, 8, 0) // make B resident
+	w := m.Write(0, lineA, 8, 1000)
+	nd := m.nodes[0]
+	drained := nd.wb[len(nd.wb)-1].done + 1
+	reads := m.st.Reads
+	if r := m.Read(0, lineB, 8, drained); r != (AccessResult{Cat: simm.CatData}) {
+		t.Fatalf("hit = %+v, want no stall", r)
+	}
+	if m.st.Reads != reads+1 || w.Stall != 0 {
+		t.Fatalf("reads %d -> %d, store stall %d", reads, m.st.Reads, w.Stall)
+	}
+	if len(nd.wb) != 1 || nd.pruneAt != drained {
+		t.Fatalf("after the hit: %d buffered, pruneAt %d; want 1 buffered, pruneAt %d (fast path, prune deferred)",
+			len(nd.wb), nd.pruneAt, drained)
+	}
+	// The next store prunes the drained one before buffering itself.
+	m.Write(0, a0+simm.Addr(16*cfg.L2Line), 8, drained)
+	if len(nd.wb) != 1 || nd.wb[0].line == uint64(lineA) || nd.pruneAt != 0 {
+		t.Fatalf("after the store: wb %+v, pruneAt %d", nd.wb, nd.pruneAt)
+	}
+}
+
+// TestDeferredPruneSurvivesRewind covers the clock rewind of an
+// unflushed phase boundary: a store drains, a fast-path hit passes its
+// drain time, and the clock then restarts at 1. An eager prune would
+// already have dropped the store, so the next store into a one-entry
+// buffer must not overflow. A deferral that pruned only at the rewound
+// clock would keep the drained store and stall.
+func TestDeferredPruneSurvivesRewind(t *testing.T) {
+	cfg := Baseline()
+	cfg.WriteBufEntries = 1
+	m, _, a0, _ := testRig(t, cfg)
+	lineA, lineB, lineC := a0, a0+simm.Addr(8*cfg.L2Line), a0+simm.Addr(16*cfg.L2Line)
+	m.Read(0, lineB, 8, 0)
+	m.Write(0, lineA, 8, 1000)
+	drained := m.nodes[0].wb[0].done + 1
+	m.Read(0, lineB, 8, drained)
+	if r := m.Write(0, lineC, 8, 1); r.Stall != 0 || m.st.WBOverflows != 0 {
+		t.Fatalf("store after rewind: stall %d, %d overflows; want none", r.Stall, m.st.WBOverflows)
+	}
+}
+
 func TestUpgradeInvalidatesSharers(t *testing.T) {
 	m, _, a0, _ := testRig(t, Baseline())
 	m.Read(0, a0, 8, 0)
@@ -318,6 +369,57 @@ func TestFlushRestoresColdStart(t *testing.T) {
 	m.Read(0, a0, 8, 0)
 	if got := m.st.L1Misses[simm.CatData][stats.Cold]; got != 1 {
 		t.Errorf("post-flush miss not cold: %v", m.st.L1Misses[simm.CatData])
+	}
+}
+
+// TestNewReusingAcrossLineSizes runs one seeded script on a machine
+// handed down by NewReusing across L2 lines 256 -> 16 -> 256 -> 16 (the
+// directory is re-keyed at each step) and on a fresh New of each
+// configuration: every counter must match.
+func TestNewReusingAcrossLineSizes(t *testing.T) {
+	mem := simm.New(Baseline().Nodes)
+	data := mem.AllocRegion("data", 1<<20, simm.CatData, simm.AnyNode)
+	meta := mem.AllocRegion("meta", 64<<10, simm.CatLockHash, 1)
+	script := func(m *Machine) Stats {
+		rng := rand.New(rand.NewSource(21))
+		now := int64(0)
+		for i := 0; i < 40000; i++ {
+			n := rng.Intn(m.cfg.Nodes)
+			reg := data
+			if rng.Intn(4) == 0 {
+				reg = meta
+			}
+			a := reg.Base + simm.Addr(rng.Intn(int(reg.Size)/8-4)*8)
+			if rng.Intn(3) == 0 {
+				a = reg.Base + simm.Addr(rng.Intn(256)*8) // hot, shared
+			}
+			now += int64(rng.Intn(200))
+			switch rng.Intn(10) {
+			case 0:
+				m.Sync(n, a, now)
+			case 1, 2:
+				m.Write(n, a, 8, now)
+			default:
+				m.Read(n, a, 8+rng.Intn(2)*24, now)
+			}
+		}
+		return *m.Stats()
+	}
+	var donor *Machine
+	for _, line := range []int{256, 16, 256, 16} {
+		cfg := Baseline().WithLineSize(line)
+		fresh, err := New(cfg, mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, err := NewReusing(cfg, mem, donor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, got := script(fresh), script(reused); got != want {
+			t.Fatalf("L2 line %d: reused machine's stats differ:\n got %+v\nwant %+v", line, got, want)
+		}
+		donor = reused
 	}
 }
 

@@ -2,14 +2,16 @@ package machine
 
 import "math/bits"
 
-// Open-addressed hash tables keyed by cache-line address, replacing the
-// built-in maps that used to sit on the per-reference hot path (the
-// per-cache `seen` history, the directory, and the outstanding-prefetch
-// set). Line address 0 is never valid — the simulated address space
-// keeps its first page unmapped — so 0 doubles as the empty-slot marker
-// and no tombstones or occupancy bitmaps are needed. All tables use
-// power-of-two capacities with linear probing and grow at ~75% load;
-// lookups and inserts on a warm table allocate nothing.
+// Tables keyed by cache-line address, replacing the built-in maps that
+// used to sit on the per-reference hot path. The per-cache `seen`
+// history and the directory are two-level chunked arrays indexed by
+// line number over the dense simulated address space. The
+// outstanding-prefetch set is an open-addressed hash table: line
+// address 0 is never valid — the address space keeps its first page
+// unmapped — so 0 doubles as its empty-slot marker and no tombstones or
+// occupancy bitmaps are needed; it uses power-of-two capacities with
+// linear probing and grows at ~75% load. Lookups and inserts on a warm
+// table allocate nothing.
 
 // lineHash spreads line addresses (which share low zero bits and long
 // runs of near-sequential values) across the table via a Fibonacci
@@ -73,66 +75,45 @@ func (t *seenTab) reset() {
 	}
 }
 
-// dirTab maps line -> dirEntry, storing entries inline (no per-entry
-// allocation). entry() inserts a zero entry on first touch and returns a
-// pointer into the backing array; that pointer is invalidated by the
-// next entry() call, so callers must not hold one across insertions.
+// dirChunkBits sizes the leaves of dirTab: 1<<14 entries (64 KB of
+// 4-byte dirEntry) per chunk.
+const dirChunkBits = 14
+
+// dirTab maps line -> dirEntry with seenTab's shape: a two-level array
+// indexed by line number, its leaves materialized on first touch. A
+// zero entry is an uncached line, so absence needs no marker. entry()
+// returns a pointer into a leaf; leaves never move, so the pointer stays
+// valid across later calls.
 type dirTab struct {
-	keys []uint64
-	vals []dirEntry
-	used int
-	mask uint64
+	lineShift uint
+	chunks    [][]dirEntry
 }
 
-func newDirTab() *dirTab {
-	return &dirTab{
-		keys: make([]uint64, tableInitSize),
-		vals: make([]dirEntry, tableInitSize),
-		mask: tableInitSize - 1,
-	}
+func newDirTab(lineSize uint64) *dirTab {
+	return &dirTab{lineShift: uint(bits.TrailingZeros64(lineSize))}
 }
 
 func (t *dirTab) entry(line uint64) *dirEntry {
-	i := lineHash(line) & t.mask
-	for t.keys[i] != 0 && t.keys[i] != line {
-		i = (i + 1) & t.mask
+	idx := line >> t.lineShift
+	ci := idx >> dirChunkBits
+	for ci >= uint64(len(t.chunks)) {
+		t.chunks = append(t.chunks, nil)
 	}
-	if t.keys[i] == 0 {
-		t.keys[i] = line
-		t.used++
-		if uint64(t.used)*4 > (t.mask+1)*3 {
-			t.grow()
-			return t.entry(line)
-		}
+	c := t.chunks[ci]
+	if c == nil {
+		c = make([]dirEntry, 1<<dirChunkBits)
+		t.chunks[ci] = c
 	}
-	return &t.vals[i]
+	return &c[idx&(1<<dirChunkBits-1)]
 }
 
-func (t *dirTab) grow() {
-	oldK, oldV := t.keys, t.vals
-	n := (t.mask + 1) * 2
-	t.keys = make([]uint64, n)
-	t.vals = make([]dirEntry, n)
-	t.mask = n - 1
-	for i, k := range oldK {
-		if k == 0 {
-			continue
-		}
-		j := lineHash(k) & t.mask
-		for t.keys[j] != 0 {
-			j = (j + 1) & t.mask
-		}
-		t.keys[j] = k
-		t.vals[j] = oldV[i]
+// reset forgets every entry and re-keys the table for lines of lineSize
+// bytes, keeping the leaves for the next run.
+func (t *dirTab) reset(lineSize uint64) {
+	for _, c := range t.chunks {
+		clear(c)
 	}
-}
-
-func (t *dirTab) reset() {
-	for i := range t.keys {
-		t.keys[i] = 0
-		t.vals[i] = dirEntry{}
-	}
-	t.used = 0
+	t.lineShift = uint(bits.TrailingZeros64(lineSize))
 }
 
 // timeTab maps line -> int64 with true deletion (backward-shift, so no

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The open-addressed tables replace built-in maps on the per-reference
-// hot path; this file fuzzes each against a map oracle through growth
-// and (for timeTab) backward-shift deletion.
+// The line-keyed tables replace built-in maps on the per-reference hot
+// path; this file fuzzes each against a map oracle through chunk
+// materialization, growth and (for timeTab) backward-shift deletion.
 
 func TestSeenTabAgainstMap(t *testing.T) {
 	tab := newSeenTab(64)
@@ -73,20 +73,37 @@ func TestTimeTabAgainstMap(t *testing.T) {
 	}
 }
 
-func TestDirTabEntryStable(t *testing.T) {
-	tab := newDirTab()
-	// Force growth and verify entries keep their values.
-	for i := uint64(1); i <= 5000; i++ {
-		e := tab.entry(i * 64)
-		e.sharers = uint16(i)
-	}
-	for i := uint64(1); i <= 5000; i++ {
-		if e := tab.entry(i * 64); e.sharers != uint16(i) {
-			t.Fatalf("entry %d: sharers = %d", i, e.sharers)
+// TestDirTabAgainstMap drives the chunked directory with random lines
+// against a map oracle, across a reset that re-keys it for a new line
+// size, and holds one pointer across every later insertion: leaves
+// never move.
+func TestDirTabAgainstMap(t *testing.T) {
+	tab := newDirTab(64)
+	rng := rand.New(rand.NewSource(13))
+	for _, lineSize := range []uint64{64, 16, 256} {
+		tab.reset(lineSize)
+		oracle := map[uint64]uint16{}
+		held := tab.entry(lineSize)
+		held.sharers = 0xBEEF
+		for i := 0; i < 200000; i++ {
+			// Clustered lines, with a far-away band to exercise chunk
+			// materialization.
+			k := (uint64(rng.Intn(50000)) + 2) * lineSize
+			if rng.Intn(10) == 0 {
+				k += 1 << 30
+			}
+			e := tab.entry(k)
+			if e.sharers != oracle[k] {
+				t.Fatalf("line size %d: entry(%d).sharers = %d, want %d", lineSize, k, e.sharers, oracle[k])
+			}
+			if rng.Intn(3) == 0 {
+				v := uint16(rng.Intn(1 << 16))
+				e.sharers = v
+				oracle[k] = v
+			}
 		}
-	}
-	tab.reset()
-	if e := tab.entry(64); e.sharers != 0 {
-		t.Fatal("reset did not clear entries")
+		if held.sharers != 0xBEEF || tab.entry(lineSize) != held {
+			t.Fatalf("line size %d: the first entry moved or changed", lineSize)
+		}
 	}
 }

@@ -46,7 +46,7 @@ func (s *traceStore) getReader(key string) (blobstore.Reader, bool) {
 	if s.store == nil || key == "" {
 		return nil, false
 	}
-	r, err := blobstore.OpenReader(s.store, blobstore.NSTrace, key)
+	r, err := s.store.GetReader(blobstore.NSTrace, key)
 	if err != nil {
 		s.met.misses.Inc()
 		s.mu.Lock()

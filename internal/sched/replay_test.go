@@ -222,3 +222,46 @@ func TestRunReplayMatchesRun(t *testing.T) {
 		})
 	}
 }
+
+// TestRunReplayRetagMidReplay: a lock-manager op that re-tags a page
+// (as the buffer manager does when a block changes hands) must be seen
+// by every processor's later references to that page, including one
+// that was mid-page in another processor's stream when the op ran.
+// References are charged to the category the page has when they run,
+// exactly as Run charges them.
+func TestRunReplayRetagMidReplay(t *testing.T) {
+	const nodes = 2
+	gen := func(id int, data simm.Addr) []ReplayEvent {
+		page := pageStride(3, data)
+		var evs []ReplayEvent
+		for k := 0; k < 3000; k++ {
+			evs = append(evs, ref(page+simm.Addr(k%64)*8, false))
+			if id == 0 && k%1000 == 500 {
+				cat := simm.CatIndex
+				if k > 1000 {
+					cat = simm.CatData
+				}
+				evs = append(evs, ReplayEvent{Kind: ReplayOp, Op: func(p *Proc) {
+					p.Busy(50)
+					p.eng.mem.SetPageCategory(page, simm.PageSize, cat)
+				}})
+			}
+		}
+		return evs
+	}
+	live, data, _ := rig(t, nodes)
+	live.Run([]func(*Proc){liveBody(gen(0, data)), liveBody(gen(1, data))})
+
+	rep, data, _ := rig(t, nodes)
+	if err := rep.RunReplay([]ReplaySource{sliceSource(gen(0, data), 7), sliceSource(gen(1, data), 7)}); err != nil {
+		t.Fatal(err)
+	}
+	want, got := resultOf(live), resultOf(rep)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("replay diverges from live execution\nlive:   %+v\nreplay: %+v", want, got)
+	}
+	byCat := got.Mach.ReadsByCat
+	if byCat[simm.CatIndex] == 0 || byCat[simm.CatData] <= byCat[simm.CatIndex] {
+		t.Errorf("reads by category %v: the re-tag never showed", byCat)
+	}
+}

@@ -312,7 +312,17 @@ type Proc struct {
 	spinning bool
 	inOp     bool
 	op       func(*Proc)
+	// flatRef's last page number and that page's category, so a run of
+	// references within one page resolves its category once. noPage
+	// when empty: dropped at each RunReplay entry and after every
+	// lock-manager op step, the only replay code that could re-tag a
+	// page.
+	catPage simm.Addr
+	cat     simm.Category
 }
+
+// noPage is no page number of any address.
+const noPage = ^simm.Addr(0)
 
 // ID returns the processor (node) number.
 func (p *Proc) ID() int { return p.id }
@@ -500,6 +510,7 @@ func (e *Engine) RunReplay(srcs []ReplaySource) error {
 		p.spinning, p.inOp, p.op = false, false, nil
 		e.ringInsert(p)
 	}
+	e.dropPageCats()
 outer:
 	for len(e.ring) > 0 {
 		p := e.ring[0]
@@ -513,6 +524,7 @@ outer:
 			// (mid-op, via reschedule) or finishes the op. A panicking
 			// op re-raises here.
 			p.resume()
+			e.dropPageCats()
 			continue
 		case p.spinning:
 			if p.flatSpinStep() {
@@ -592,6 +604,13 @@ func (p *Proc) runOps() {
 	}
 }
 
+// dropPageCats empties every processor's flatRef category cache.
+func (e *Engine) dropPageCats() {
+	for _, p := range e.procs {
+		p.catPage = noPage
+	}
+}
+
 // flatRef re-issues one recorded data reference on the driver's
 // goroutine: the traced accessors' exact busy charge, timing-model
 // access, and stall attribution, minus the yield (the driver re-sorts
@@ -601,10 +620,13 @@ func (p *Proc) flatRef(a simm.Addr, size int, write bool) {
 		t(p.id, a, size, write)
 	}
 	p.preAccess()
+	if pg := a >> simm.PageShift; pg != p.catPage {
+		p.catPage, p.cat = pg, p.eng.mem.CategoryOf(a)
+	}
 	if write {
-		p.charge(p.eng.mach.Write(p.id, a, size, p.clock))
+		p.charge(p.eng.mach.WriteCat(p.id, a, size, p.clock, p.cat))
 	} else {
-		p.charge(p.eng.mach.Read(p.id, a, size, p.clock))
+		p.charge(p.eng.mach.ReadCat(p.id, a, size, p.clock, p.cat))
 	}
 }
 

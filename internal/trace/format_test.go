@@ -99,14 +99,14 @@ func TestRecorderRoundTrip(t *testing.T) {
 			cur, buf := s.Cursor(), make([]sched.ReplayEvent, size)
 			var got []Event
 			for {
-				evs, err := replayBatchEvents(cur, buf)
-				if err != nil {
+				k := len(got)
+				var err error
+				if got, err = replayBatchEvents(cur, buf, got); err != nil {
 					t.Fatalf("stream %d batch %d: %v", p, size, err)
 				}
-				if len(evs) == 0 {
+				if len(got) == k {
 					break
 				}
-				got = append(got, evs...)
 			}
 			sameEvents(t, "DecodeReplayBatch", got, want[p])
 		}

@@ -85,19 +85,21 @@ func runAcrossChunks() []byte {
 // checkChunkDecode treats data as one raw stream chunk and decodes it
 // per-event and batched, in lockstep: each event Next yields is held
 // against the next one the batched cursor produced, so neither side
-// ever holds more than one 7-event batch. Both must agree event for
-// event, in count, and on whether decoding ended in an error.
+// ever holds more than one 7-event batch, and every batch is decoded
+// into the same slice. Both must agree event for event, in count, and
+// on whether decoding ended in an error.
 func checkChunkDecode(t *testing.T, data []byte) {
 	s := &Stream{Chunks: [][]byte{data}}
 	bcur := s.Cursor()
 	buf := make([]sched.ReplayEvent, 7) // odd size: batches end mid-chunk
-	var pending []Event
+	var batch, pending []Event          // pending is batch's undelivered tail
 	var batchErr error
 	batchDone := false
 	refill := func() {
 		for len(pending) == 0 && !batchDone {
 			var err error
-			pending, err = replayBatchEvents(bcur, buf)
+			batch, err = replayBatchEvents(bcur, buf, batch[:0])
+			pending = batch
 			if err != nil {
 				batchErr, batchDone = err, true
 			} else if len(pending) == 0 {

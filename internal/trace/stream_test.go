@@ -68,32 +68,36 @@ func canon(ev Event) Event {
 }
 
 // replayBatchEvents decodes one batch through DecodeReplayBatch — the
-// decoder replay runs on — and maps it back to canonical Events so it
-// can be held against Cursor.Next. mkOp records each lock operation's
-// arguments, which rejoin their ReplayOp slots in stream order.
-func replayBatchEvents(cur *Cursor, buf []sched.ReplayEvent) ([]Event, error) {
-	var ops []Event
+// decoder replay runs on — and appends it to out as canonical Events,
+// so it can be held against Cursor.Next. mkOp parks each lock
+// operation's arguments at the tail of out; they rejoin their ReplayOp
+// slots in stream order. The caller owns out: reused across batches, a
+// warm decode allocates nothing.
+func replayBatchEvents(cur *Cursor, buf []sched.ReplayEvent, out []Event) ([]Event, error) {
+	base := len(out)
 	n, err := cur.DecodeReplayBatch(buf, func(acquire bool, relID uint32, level uint8, page uint32, mode uint8) func(*sched.Proc) {
-		ops = append(ops, Event{Kind: EvLockOp, Acquire: acquire, RelID: relID, Level: level, Page: page, Mode: mode})
+		out = append(out, Event{Kind: EvLockOp, Acquire: acquire, RelID: relID, Level: level, Page: page, Mode: mode})
 		return nil
 	})
-	out := make([]Event, 0, n)
+	ops, next := len(out)-base, base
 	for _, rev := range buf[:n] {
+		var ev Event
 		switch rev.Kind {
 		case sched.ReplayRef:
-			out = append(out, Event{Kind: EvRef, Addr: rev.Addr, Size: rev.Size, Write: rev.Write})
+			ev = Event{Kind: EvRef, Addr: rev.Addr, Size: rev.Size, Write: rev.Write}
 		case sched.ReplayBusy:
-			out = append(out, Event{Kind: EvBusy, N: rev.N})
+			ev = Event{Kind: EvBusy, N: rev.N}
 		case sched.ReplaySpinAcquire:
-			out = append(out, Event{Kind: EvSpinAcquire, Addr: rev.Addr})
+			ev = Event{Kind: EvSpinAcquire, Addr: rev.Addr}
 		case sched.ReplaySpinRelease:
-			out = append(out, Event{Kind: EvSpinRelease, Addr: rev.Addr})
+			ev = Event{Kind: EvSpinRelease, Addr: rev.Addr}
 		case sched.ReplayOp:
-			out = append(out, ops[0])
-			ops = ops[1:]
+			ev = out[next]
+			next++
 		}
+		out = append(out, ev)
 	}
-	return out, err
+	return append(out[:base], out[base+ops:]...), err
 }
 
 func decodeAll(t *testing.T, cur *Cursor) []Event {
@@ -363,14 +367,14 @@ func TestDecodeBatchMatchesNext(t *testing.T) {
 			buf := make([]sched.ReplayEvent, size)
 			var got []Event
 			for {
-				evs, err := replayBatchEvents(cur, buf)
-				if err != nil {
+				k := len(got)
+				var err error
+				if got, err = replayBatchEvents(cur, buf, got); err != nil {
 					t.Fatalf("stream %d batch %d: %v", i, size, err)
 				}
-				if len(evs) == 0 {
+				if len(got) == k {
 					break
 				}
-				got = append(got, evs...)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("stream %d batch %d: %d events, want %d", i, size, len(got), len(want))
