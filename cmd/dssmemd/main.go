@@ -221,7 +221,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
 	traceDir := flag.String("trace-dir", "", "directory for captured reference-trace blobs (empty = no trace store: a sweep replays its recording in memory, and -cache-dir results carry their blob inline)")
 	walDir := flag.String("wal-dir", "", "directory for the job write-ahead log; a restarted daemon replays it and resumes pre-crash jobs (empty = no durability)")
-	walSync := flag.Duration("wal-sync", 0, "WAL group-commit window: appends within it share one fsync (0 = fsync every append)")
 	renderTimeout := flag.Duration("render-timeout", 0, "server-side bound on POST /v1/scenarios renders; exceeded renders answer 504 naming the job, which finishes in the background (0 = unbounded)")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -263,7 +262,7 @@ func main() {
 	if *walDir != "" {
 		var err error
 		journal, recovered, err = cluster.OpenJournal(wal.Options{
-			Dir: *walDir, SyncWindow: *walSync, Metrics: reg,
+			Dir: *walDir, Metrics: reg,
 		})
 		if err != nil {
 			log.Fatalf("wal %s: %v", *walDir, err)

@@ -3,61 +3,73 @@
 // as in the paper) and prints its plan, a result sample, and the full
 // memory characterization.
 //
-// With -stream it executes a multi-phase query stream instead: phases
-// separated by ';', per-processor run chains by ',', chained runs by
-// '+', an empty chain idling the processor, and a '!' prefix flushing
-// the caches at the phase boundary (phase 0 always starts cold):
+// With -stream it executes a multi-phase query stream instead and
+// prints every run's result-row count. The stream is a scenario spec
+// file whose workload carries phases — the JSON language `dssmem
+// -scenario` and dssmemd accept — so the spec's machine and database
+// replace -scale and -procs:
 //
-//	queryrun -stream 'Q6,Q6,Q6,Q6;Q3+Q6,Q12,,UF1'
+//	queryrun -stream examples/scenario-stream.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/pg/executor"
+	"repro/internal/scenario"
 	"repro/internal/simm"
 	"repro/internal/stats"
 	"repro/internal/tpcd"
 )
 
-// parseStream parses the -stream grammar into executor phases on procs
-// processors. Variants are 100*phase + 10*processor + run position, so
-// no two runs in a stream share predicate parameters.
-func parseStream(s string, procs int) ([]core.StreamPhase, error) {
-	var phases []core.StreamPhase
-	for k, phase := range strings.Split(s, ";") {
-		flush := k == 0
-		if strings.HasPrefix(phase, "!") {
-			flush = true
-			phase = phase[1:]
-		}
-		chains := strings.Split(phase, ",")
-		if len(chains) > procs {
-			return nil, fmt.Errorf("phase %d names %d processors, machine has %d", k, len(chains), procs)
-		}
-		runs := make([][]core.QueryRun, len(chains))
-		for i, chain := range chains {
-			if chain == "" {
-				continue // idle processor
-			}
-			for j, q := range strings.Split(chain, "+") {
-				if q == "" {
-					return nil, fmt.Errorf("phase %d, processor %d: empty run in chain %q", k, i, chain)
-				}
-				runs[i] = append(runs[i], core.QueryRun{
-					Query:   q,
-					Variant: uint64(100*k + 10*i + j),
-				})
-			}
-		}
-		phases = append(phases, core.StreamPhase{Flush: flush, Runs: runs})
+// loadStream reads, decodes, and validates a stream spec file: a
+// scenario whose workload is a phase sequence.
+func loadStream(path string) (*scenario.Scenario, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	return phases, nil
+	sc, err := scenario.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	if err := sc.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	if len(sc.Workload.Phases) == 0 {
+		return nil, fmt.Errorf("%s: workload has no phases", path)
+	}
+	return sc, nil
+}
+
+// runStream executes the spec's phases and prints each run's answer.
+func runStream(sc *scenario.Scenario) error {
+	s, err := core.NewScenarioSystem(*sc)
+	if err != nil {
+		return err
+	}
+	phases := core.StreamPhasesFromSpec(sc.Workload.Phases)
+	t0 := time.Now()
+	answers := s.RunStreamAnswers(phases)
+	wall := time.Since(t0).Round(time.Millisecond)
+	for k, ans := range answers {
+		boundary := "warm caches"
+		if phases[k].Flush {
+			boundary = "cold caches"
+		}
+		fmt.Printf("phase %d (%s):\n", k, boundary)
+		for _, a := range ans {
+			fmt.Printf("  proc %d: %s variant %d -> %d rows\n", a.Proc, a.Query, a.Variant, a.Rows)
+		}
+	}
+	fmt.Printf("stream of %d phases simulated in %v wall\n", len(phases), wall)
+	return nil
 }
 
 // planTree renders a plan tree as indented text, one operator per line.
@@ -97,39 +109,28 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("queryrun: ")
 	query := flag.String("q", "Q6", "query to run (Q1..Q17)")
-	stream := flag.String("stream", "", "multi-phase stream, e.g. 'Q6,Q6,Q6,Q6;Q3+Q6,Q12,,UF1' (overrides -q)")
+	stream := flag.String("stream", "", "run the phases of this scenario spec file (JSON with workload.phases) instead of -q; the spec sets machine and scale")
 	scale := flag.Float64("scale", 0.01, "TPC-D scale factor")
 	procs := flag.Int("procs", 4, "processors running the query (1..4)")
 	rows := flag.Int("rows", 10, "result rows to print (processor 0's instance)")
 	flag.Parse()
+
+	if *stream != "" {
+		sc, err := loadStream(*stream)
+		if err == nil {
+			err = runStream(sc)
+		}
+		if err != nil {
+			log.Fatalf("-stream: %v", err)
+		}
+		return
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.DB.ScaleFactor = *scale
 	s, err := core.NewSystem(cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *stream != "" {
-		phases, err := parseStream(*stream, s.Mem.Nodes())
-		if err != nil {
-			log.Fatalf("-stream: %v", err)
-		}
-		t0 := time.Now()
-		answers := s.RunStreamAnswers(phases)
-		wall := time.Since(t0).Round(time.Millisecond)
-		for k, ans := range answers {
-			boundary := "warm caches"
-			if phases[k].Flush {
-				boundary = "cold caches"
-			}
-			fmt.Printf("phase %d (%s):\n", k, boundary)
-			for _, a := range ans {
-				fmt.Printf("  proc %d: %s variant %d -> %d rows\n", a.Proc, a.Query, a.Variant, a.Rows)
-			}
-		}
-		fmt.Printf("stream of %d phases simulated in %v wall\n", len(phases), wall)
-		return
 	}
 
 	plan := tpcd.BuildQuery(s.DB, *query, 0)

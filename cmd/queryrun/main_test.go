@@ -1,7 +1,8 @@
 package main
 
 import (
-	"reflect"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,34 +10,29 @@ import (
 	"repro/internal/tpcd"
 )
 
-// TestParseStream pins the -stream grammar: ';' phases, ',' processor
-// chains, '+' chained runs, empty chains idle, '!' flushes, and the
-// 100*phase + 10*proc + run variant schedule.
-func TestParseStream(t *testing.T) {
-	got, err := parseStream("Q6,Q6;Q3+Q6,;!UF1,Q12", 2)
+// TestLoadStream: -stream reads the scenario phase language, and a
+// spec without phases is rejected rather than run as a stream.
+func TestLoadStream(t *testing.T) {
+	sc, err := loadStream("../../examples/scenario-stream.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []core.StreamPhase{
-		{Flush: true, Runs: [][]core.QueryRun{
-			{{Query: "Q6", Variant: 0}}, {{Query: "Q6", Variant: 10}},
-		}},
-		{Runs: [][]core.QueryRun{
-			{{Query: "Q3", Variant: 100}, {Query: "Q6", Variant: 101}}, nil,
-		}},
-		{Flush: true, Runs: [][]core.QueryRun{
-			{{Query: "UF1", Variant: 200}}, {{Query: "Q12", Variant: 210}},
-		}},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("parseStream:\n got %+v\nwant %+v", got, want)
+	if got := len(core.StreamPhasesFromSpec(sc.Workload.Phases)); got != 4 {
+		t.Errorf("example stream has %d phases, want 4", got)
 	}
 
-	if _, err := parseStream("Q6,Q6,Q6", 2); err == nil {
-		t.Error("three chains on two processors did not error")
+	path := filepath.Join(t.TempDir(), "cold.json")
+	if err := os.WriteFile(path, []byte(`{"workload":{"queries":["Q6"],"scale":0.001}}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := parseStream("Q6+,Q3", 2); err == nil {
-		t.Error("empty run inside a chain did not error")
+	if _, err := loadStream(path); err == nil || !strings.Contains(err.Error(), "no phases") {
+		t.Errorf("spec without phases: err = %v, want a no-phases error", err)
+	}
+	if err := os.WriteFile(path, []byte(`{"workload":{"phases":[{"runs":[[{"query":"Q99"}]]}]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadStream(path); err == nil {
+		t.Error("spec with an unknown query was accepted")
 	}
 }
 

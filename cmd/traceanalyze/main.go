@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -44,36 +45,44 @@ func main() {
 		fmt.Fprintln(os.Stderr, "unexpected arguments:", flag.Args())
 		os.Exit(2)
 	}
+	if err := run(os.Stdout, *query, *scale, *record, *replay); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run captures query at scale (saving the blob to record when set), or
+// opens the saved blob replay instead, replays it with the analyzer
+// attached and writes the analysis to w.
+func run(w io.Writer, query string, scale float64, record, replay string) error {
 	var src trace.StreamSource
-	if *replay != "" {
+	if replay != "" {
 		// Stream the saved blob: header and CRC verified up front, the
 		// chunk bytes read on demand during the replay below.
-		f, err := os.Open(*replay)
+		f, err := os.Open(replay)
 		if err != nil {
-			log.Fatalf("-replay: %v", err)
+			return fmt.Errorf("-replay: %w", err)
 		}
 		defer f.Close()
 		fi, err := f.Stat()
 		if err != nil {
-			log.Fatalf("-replay: %v", err)
+			return fmt.Errorf("-replay: %w", err)
 		}
 		rd, err := trace.OpenBlob(f, fi.Size())
 		if err != nil {
-			log.Fatalf("-replay %s: %v", *replay, err)
+			return fmt.Errorf("-replay %s: %w", replay, err)
 		}
 		src = rd
 	} else {
 		cfg := core.DefaultConfig()
-		cfg.DB.ScaleFactor = *scale
+		cfg.DB.ScaleFactor = scale
 		s, err := core.NewSystem(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		_, tr := s.RunColdRecorded(*query)
-		if *record != "" {
-			if err := os.WriteFile(*record, tr.Marshal(), 0o644); err != nil {
-				log.Fatalf("-record: %v", err)
+		_, tr := s.RunColdRecorded(query)
+		if record != "" {
+			if err := os.WriteFile(record, tr.Marshal(), 0o644); err != nil {
+				return fmt.Errorf("-record: %w", err)
 			}
 		}
 		src = tr
@@ -85,25 +94,26 @@ func main() {
 	var an *trace.Analyzer
 	if _, err := core.ReplayTraceWith(src, mcfg, func(eng *sched.Engine, mem *simm.Memory) {
 		an = trace.NewAnalyzer(mem)
-		eng.Tracer = an.Hook()
+		eng.Recorder = an
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%s: %d traced references\n\n", meta.Query, an.TotalRefs())
-	fmt.Print(an.Table())
+	fmt.Fprintf(w, "%s: %d traced references\n\n", meta.Query, an.TotalRefs())
+	fmt.Fprint(w, an.Table())
 
 	data := an.Profile(simm.CatData)
 	idx := an.Profile(simm.CatIndex)
-	fmt.Println()
+	fmt.Fprintln(w)
 	if data.Refs > 0 {
-		fmt.Printf("Data:  %.0f%% of each touched line used (spatial locality), "+
+		fmt.Fprintf(w, "Data:  %.0f%% of each touched line used (spatial locality), "+
 			"%.1f%% distant re-references (temporal)\n",
 			100*data.LineUtilization(), 100*data.DistantShare())
 	}
 	if idx.Refs > 0 {
-		fmt.Printf("Index: %.1f refs per line, %.1f%% distant re-references "+
+		fmt.Fprintf(w, "Index: %.1f refs per line, %.1f%% distant re-references "+
 			"(the upper B-tree levels are re-read per probe)\n",
 			idx.RefsPerLine(), 100*idx.DistantShare())
 	}
+	return nil
 }

@@ -1,7 +1,6 @@
 // Package blobstore is the content-addressed blob namespace behind the
-// runner's persistent tiers: one Store interface over immutable blobs,
-// with a local-directory backend that keeps the runner's on-disk cache
-// and trace layout.
+// runner's persistent tiers: immutable blobs kept in local directories
+// (LocalDir) in the runner's on-disk cache and trace layout.
 //
 // Keys are the runner's content-addressed job keys ("s1-<sha256>", see
 // internal/runner.Job.Key), which makes every entry location
@@ -34,39 +33,9 @@ const (
 	NSTrace = "trace"
 )
 
-// ErrNotExist is the miss sentinel: Get and Stat return it (possibly
-// wrapped) when the namespace holds no blob under the key.
+// ErrNotExist is the miss sentinel: Get and GetReader return it
+// (possibly wrapped) when the namespace holds no blob under the key.
 var ErrNotExist = errors.New("blobstore: blob does not exist")
-
-// Info describes one stored blob.
-type Info struct {
-	Key  string `json:"key"`
-	Size int64  `json:"size"`
-}
-
-// Store is a content-addressed blob store. Values under a key are
-// immutable — writers storing different bytes under one key is a
-// caller bug — so Put of an existing key is idempotent and concurrent
-// Puts of the same key may race freely: any winner is correct.
-//
-// Get, GetReader and Stat report misses as ErrNotExist (test with
-// errors.Is); any other error is a backend failure callers should treat
-// as a miss when the store is an optimization tier.
-//
-// GetReader opens a blob for random access, so a chunk-granular
-// consumer (the trace streamer) reads 64KB sections on demand instead
-// of materializing the whole blob.
-//
-// List returns up to limit blobs with keys strictly greater than
-// after, in ascending key order — the cursor protocol: pass the last
-// key of one page as the next call's after. limit <= 0 means no limit.
-type Store interface {
-	Get(ns, key string) ([]byte, error)
-	GetReader(ns, key string) (Reader, error)
-	Put(ns, key string, b []byte) error
-	Stat(ns, key string) (Info, error)
-	List(ns, after string, limit int) ([]Info, error)
-}
 
 // Reader is random access over one blob. Implementations must allow
 // concurrent ReadAt calls (os.File and bytes.Reader both do).

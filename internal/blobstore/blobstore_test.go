@@ -19,35 +19,35 @@ func newLocalDir(t *testing.T, ns, ext string) *LocalDir {
 	return l
 }
 
-// TestStoreBasics drives the Get/Put/Stat miss-then-hit contract over
-// the local directory backend.
+// TestStoreBasics drives the Get/Put miss-then-hit contract over the
+// local directory store.
 func TestStoreBasics(t *testing.T) {
-	stores := map[string]Store{
-		"localdir": newLocalDir(t, NSTrace, ".trace"),
-	}
-	for name, s := range stores {
-		t.Run(name, func(t *testing.T) {
-			key := "s1-abc123"
-			if _, err := s.Get(NSTrace, key); !errors.Is(err, ErrNotExist) {
-				t.Fatalf("Get before Put: err = %v, want ErrNotExist", err)
-			}
-			if _, err := s.Stat(NSTrace, key); !errors.Is(err, ErrNotExist) {
-				t.Fatalf("Stat before Put: err = %v, want ErrNotExist", err)
-			}
-			blob := []byte("payload-bytes")
-			if err := s.Put(NSTrace, key, blob); err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Get(NSTrace, key)
-			if err != nil || string(got) != string(blob) {
-				t.Fatalf("Get = %q, %v", got, err)
-			}
-			info, err := s.Stat(NSTrace, key)
-			if err != nil || info.Key != key || info.Size != int64(len(blob)) {
-				t.Fatalf("Stat = %+v, %v", info, err)
-			}
-		})
-	}
+	t.Run("localdir", func(t *testing.T) {
+		l := newLocalDir(t, NSTrace, ".trace")
+		key := "s1-abc123"
+		if _, err := l.Get(NSTrace, key); !errors.Is(err, ErrNotExist) {
+			t.Fatalf("Get before Put: err = %v, want ErrNotExist", err)
+		}
+		if _, err := l.GetReader(NSTrace, key); !errors.Is(err, ErrNotExist) {
+			t.Fatalf("GetReader before Put: err = %v, want ErrNotExist", err)
+		}
+		blob := []byte("payload-bytes")
+		if err := l.Put(NSTrace, key, blob); err != nil {
+			t.Fatal(err)
+		}
+		got, err := l.Get(NSTrace, key)
+		if err != nil || string(got) != string(blob) {
+			t.Fatalf("Get = %q, %v", got, err)
+		}
+		rd, err := l.GetReader(NSTrace, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		if rd.Size() != int64(len(blob)) {
+			t.Fatalf("GetReader size = %d, want %d", rd.Size(), len(blob))
+		}
+	})
 }
 
 // TestKeyValidation pins the traversal defence: keys that could
@@ -96,92 +96,40 @@ func TestLocalDirLayoutCompat(t *testing.T) {
 // racing one key all succeed, and the surviving value is complete —
 // one winner, never a torn mix.
 func TestConcurrentPutSameKey(t *testing.T) {
-	for name, s := range map[string]Store{
-		"localdir": newLocalDir(t, NSTrace, ".trace"),
-	} {
-		t.Run(name, func(t *testing.T) {
-			const writers = 16
-			payload := func(i int) []byte {
-				return []byte(fmt.Sprintf("writer-%02d-%s", i, strings.Repeat("x", 4096)))
-			}
-			var wg sync.WaitGroup
-			errs := make([]error, writers)
-			for i := 0; i < writers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					errs[i] = s.Put(NSTrace, "s1-contended", payload(i))
-				}(i)
-			}
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("writer %d: %v", i, err)
-				}
-			}
-			got, err := s.Get(NSTrace, "s1-contended")
-			if err != nil {
-				t.Fatal(err)
-			}
-			winner := false
-			for i := 0; i < writers; i++ {
-				if string(got) == string(payload(i)) {
-					winner = true
-					break
-				}
-			}
-			if !winner {
-				t.Fatalf("stored value is not any writer's payload (len %d)", len(got))
-			}
-		})
-	}
-}
-
-// TestStatListPagination walks a 25-key namespace in pages of 10
-// through the cursor protocol and checks Stat agrees with every page
-// entry.
-func TestStatListPagination(t *testing.T) {
-	l := newLocalDir(t, NSResult, ".gob")
-	const n = 25
-	want := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("s1-%02d", i)
-		if err := l.Put(NSResult, key, []byte(strings.Repeat("v", i+1))); err != nil {
-			t.Fatal(err)
+	t.Run("localdir", func(t *testing.T) {
+		l := newLocalDir(t, NSTrace, ".trace")
+		const writers = 16
+		payload := func(i int) []byte {
+			return []byte(fmt.Sprintf("writer-%02d-%s", i, strings.Repeat("x", 4096)))
 		}
-		want = append(want, key)
-	}
-	var got []string
-	after := ""
-	for page := 0; ; page++ {
-		infos, err := l.List(NSResult, after, 10)
+		var wg sync.WaitGroup
+		errs := make([]error, writers)
+		for i := 0; i < writers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = l.Put(NSTrace, "s1-contended", payload(i))
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("writer %d: %v", i, err)
+			}
+		}
+		got, err := l.Get(NSTrace, "s1-contended")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(infos) == 0 {
-			break
-		}
-		if len(infos) > 10 {
-			t.Fatalf("page %d has %d entries, limit 10", page, len(infos))
-		}
-		for _, info := range infos {
-			st, err := l.Stat(NSResult, info.Key)
-			if err != nil || st.Size != info.Size {
-				t.Fatalf("Stat(%s) = %+v, %v; List said size %d", info.Key, st, err, info.Size)
+		winner := false
+		for i := 0; i < writers; i++ {
+			if string(got) == string(payload(i)) {
+				winner = true
+				break
 			}
-			got = append(got, info.Key)
 		}
-		after = infos[len(infos)-1].Key
-		if page > n {
-			t.Fatal("pagination did not terminate")
+		if !winner {
+			t.Fatalf("stored value is not any writer's payload (len %d)", len(got))
 		}
-	}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("paged keys = %v, want %v", got, want)
-	}
-	// Unlimited list returns everything at once.
-	all, err := l.List(NSResult, "", 0)
-	if err != nil || len(all) != n {
-		t.Fatalf("List(limit=0) = %d entries, %v; want %d", len(all), err, n)
-	}
+	})
 }

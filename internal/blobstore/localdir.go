@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -15,10 +13,15 @@ import (
 // traces <key>.trace), so a cache directory written by an older
 // daemon reads back unchanged through the store and vice versa.
 //
-// Writes are atomic (temp file + rename within the mount directory),
-// which also makes concurrent Puts of one key safe: every writer
-// renames a complete file into place, one of them lands last, and
-// since values under a key are immutable any winner is correct.
+// Values under a key are immutable — writers storing different bytes
+// under one key is a caller bug. Writes are atomic (temp file + rename
+// within the mount directory), which also makes concurrent Puts of one
+// key safe: every writer renames a complete file into place, one of
+// them lands last, and any winner is correct.
+//
+// Get and GetReader report misses as ErrNotExist (test with
+// errors.Is); any other error is a filesystem failure, which the
+// runner's tiers treat as a miss.
 type LocalDir struct {
 	mu     sync.RWMutex
 	mounts map[string]localMount
@@ -137,60 +140,4 @@ func (l *LocalDir) Put(ns, key string, b []byte) error {
 		return cerr
 	}
 	return os.Rename(tmp.Name(), m.path(key))
-}
-
-// Stat reports the blob's size, ErrNotExist when absent.
-func (l *LocalDir) Stat(ns, key string) (Info, error) {
-	m, err := l.mount(ns)
-	if err != nil {
-		return Info{}, err
-	}
-	if err := CheckKey(key); err != nil {
-		return Info{}, err
-	}
-	fi, err := os.Stat(m.path(key))
-	if os.IsNotExist(err) {
-		return Info{}, fmt.Errorf("%s/%s: %w", ns, key, ErrNotExist)
-	}
-	if err != nil {
-		return Info{}, err
-	}
-	return Info{Key: key, Size: fi.Size()}, nil
-}
-
-// List pages through the namespace in ascending key order, skipping
-// files that do not carry the mount's extension (temp files from
-// in-flight Puts never look like blobs).
-func (l *LocalDir) List(ns, after string, limit int) ([]Info, error) {
-	m, err := l.mount(ns)
-	if err != nil {
-		return nil, err
-	}
-	ents, err := os.ReadDir(m.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []Info
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		key, ok := strings.CutSuffix(e.Name(), m.ext)
-		if !ok || CheckKey(key) != nil {
-			continue
-		}
-		if key <= after {
-			continue
-		}
-		fi, err := e.Info()
-		if err != nil {
-			continue // deleted between ReadDir and Info
-		}
-		out = append(out, Info{Key: key, Size: fi.Size()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out, nil
 }

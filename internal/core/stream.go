@@ -82,12 +82,10 @@ func (s *System) runPhase(runLists [][]QueryRun, record bool) (*Report, [][]int,
 		if record {
 			rec = trace.NewRecorder(n)
 			s.Eng.Recorder = rec
-			s.LockMgr.Tracer = lockTracer{rec: rec}
 		}
 		WithStage("live", func(context.Context) { s.Eng.Run(bodies) })
 		if record {
 			s.Eng.Recorder = nil
-			s.LockMgr.Tracer = nil
 			streams = rec.Streams()
 		}
 	}

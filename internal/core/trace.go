@@ -35,23 +35,13 @@ func WithStage(stage string, f func(context.Context)) {
 // re-executed live — its raw traffic depends on cross-processor timing
 // and must re-emerge per configuration rather than replay verbatim.
 
-// lockTracer adapts the capture recorder to the lock manager's Tracer.
-type lockTracer struct{ rec *trace.Recorder }
-
-func (t lockTracer) BeginOp(p *sched.Proc, acquire bool, tag lockmgr.Tag, mode lockmgr.Mode) {
-	t.rec.BeginLockOp(p.ID(), acquire, tag.RelID, uint8(tag.Level), tag.Page, uint8(mode))
-}
-
-func (t lockTracer) EndOp(p *sched.Proc) { t.rec.EndLockOp(p.ID()) }
-
 // phaseReplayable reports whether one phase's per-processor run lists
 // can take the record-pure capture + flat-replay path: every non-empty
 // run must be a read-only query (updates mutate shared state, so their
-// reference streams depend on the interleaving), and no external
-// observer may be attached (a Tracer or Recorder expects to see the
-// live run).
+// reference streams depend on the interleaving), and no Recorder may
+// be attached (it expects to see the live run).
 func (s *System) phaseReplayable(runLists [][]QueryRun) bool {
-	if s.Eng.Tracer != nil || s.Eng.Recorder != nil || s.LockMgr.Tracer != nil {
+	if s.Eng.Recorder != nil {
 		return false
 	}
 	any := false
@@ -113,11 +103,7 @@ func (snap *lockStateSnapshot) restore(mem *simm.Memory) {
 func (s *System) recordPure(bodies []func(*sched.Proc)) *trace.Recorder {
 	rec := trace.NewRecorder(s.Mem.Nodes())
 	s.Eng.Recorder, s.Eng.RecordPure = rec, true
-	s.LockMgr.Tracer = lockTracer{rec: rec}
-	defer func() {
-		s.Eng.Recorder, s.Eng.RecordPure = nil, false
-		s.LockMgr.Tracer = nil
-	}()
+	defer func() { s.Eng.Recorder, s.Eng.RecordPure = nil, false }()
 	WithStage("capture", func(context.Context) { s.Eng.Run(bodies) })
 	return rec
 }
@@ -342,8 +328,9 @@ func ReplayTrace(src trace.StreamSource, mcfg machine.Config) (*Report, error) {
 
 // ReplayTraceWith is ReplayTrace with an attachment hook called after
 // the skeleton is assembled and before the replay runs — the locality
-// analyzer installs its Tracer this way to analyze a saved trace
-// without re-running the executor.
+// analyzer attaches itself as the engine's Recorder this way, and sees
+// every replayed data reference of a saved trace without re-running the
+// executor.
 func ReplayTraceWith(src trace.StreamSource, mcfg machine.Config, attach func(*sched.Engine, *simm.Memory)) (*Report, error) {
 	if n := src.NumSegments(); n != 1 {
 		return nil, fmt.Errorf("core: ReplayTrace of a %d-segment stream", n)

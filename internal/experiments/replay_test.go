@@ -464,7 +464,8 @@ func TestTraceStoreServesCapture(t *testing.T) {
 	}
 	e1.Close()
 
-	e2 := NewExecConfig(runner.Config{Workers: 2, TraceDir: dir})
+	reg := metrics.New()
+	e2 := NewExecConfig(runner.Config{Workers: 2, TraceDir: dir, Metrics: reg})
 	defer e2.Close()
 	got, err := e2.RunCold(o, mcfg)
 	if err != nil {
@@ -473,8 +474,7 @@ func TestTraceStoreServesCapture(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("trace-store-served capture diverges from the executed capture")
 	}
-	st := e2.Pool().Stats()
-	if st.TraceHits == 0 {
-		t.Errorf("capture did not consult the trace store: %+v", st)
+	if got := counterValue(t, reg, "dssmem_cache_hits_total", map[string]string{"tier": "trace"}); got == 0 {
+		t.Error("capture did not consult the trace store: dssmem_cache_hits_total{tier=trace} = 0")
 	}
 }

@@ -115,18 +115,14 @@ func TestDamagedBlobFallbackMetrics(t *testing.T) {
 		t.Error("damaged-blob fallback produced a different report than the original capture")
 	}
 
-	st := e2.Pool().Stats()
-	if st.TraceHits < 1 {
-		t.Errorf("damaged blob should still count as a trace-store hit (it opened): %+v", st)
-	}
-	if st.TraceWrites < 1 {
-		t.Errorf("fallback execution should re-spill the fresh capture: %+v", st)
+	if got := counterValue(t, reg, "dssmem_trace_store_writes_total", nil); got < 1 {
+		t.Errorf("dssmem_trace_store_writes_total = %v: fallback execution should re-spill the fresh capture", got)
 	}
 	if got := counterValue(t, reg, "dssmem_trace_captures_total", nil); got < 1 {
 		t.Errorf("dssmem_trace_captures_total = %v, want >= 1 after fallback execution", got)
 	}
 	if got := counterValue(t, reg, "dssmem_cache_hits_total", map[string]string{"tier": "trace"}); got < 1 {
-		t.Errorf("dssmem_cache_hits_total{tier=trace} = %v, want >= 1 for the damaged blob", got)
+		t.Errorf("dssmem_cache_hits_total{tier=trace} = %v, want >= 1: the damaged blob opened, so it counts as a hit", got)
 	}
 }
 

@@ -70,18 +70,6 @@ func unpackLock(v uint64) (readers uint32, writer int32) {
 	return uint32(v), int32(uint32(v>>32)) - 1
 }
 
-// Tracer observes lock-manager operations for trace capture: BeginOp
-// fires before an Acquire or Release touches any shared state, EndOp
-// after it completes. A capture records the operation symbolically and
-// suppresses the bracketed raw traffic (spinlock probes, hash-table
-// walks, conflict backoff), because that traffic's shape depends on
-// cross-processor timing — a replay re-executes the operation live on a
-// real Manager instead of replaying stale probes.
-type Tracer interface {
-	BeginOp(p *sched.Proc, acquire bool, tag Tag, mode Mode)
-	EndOp(p *sched.Proc)
-}
-
 // Manager is the lock management module.
 type Manager struct {
 	lockHash *shmtab.Table
@@ -93,9 +81,6 @@ type Manager struct {
 	// RetryBackoff is the busy-wait before re-checking a conflicting
 	// data lock. Read-only DSS queries never hit this path.
 	RetryBackoff int64
-
-	// Tracer, when set, observes every Acquire/Release (trace capture).
-	Tracer Tracer
 }
 
 // New creates the module with the given table capacity (slots).
@@ -132,11 +117,13 @@ func Attach(mem *simm.Memory, capacity uint64) (*Manager, error) {
 // Acquire takes the lock named by tag in the given mode for transaction
 // xid (the simulated processor's query), spinning with backoff until any
 // conflicting holder releases. Lock-table probes and updates are traced
-// shared accesses; waiting happens with LockMgrLock released.
+// shared accesses; waiting happens with LockMgrLock released. The
+// operation is bracketed for the engine's Recorder (sched.Recorder's
+// BeginLockOp/EndLockOp), so a trace capture records it symbolically.
 func (m *Manager) Acquire(p *sched.Proc, xid int, tag Tag, mode Mode) {
-	if t := m.Tracer; t != nil {
-		t.BeginOp(p, true, tag, mode)
-		defer t.EndOp(p)
+	if r := p.Recorder(); r != nil {
+		r.BeginLockOp(p.ID(), true, tag.RelID, uint8(tag.Level), tag.Page, uint8(mode))
+		defer r.EndLockOp(p.ID())
 	}
 	k := tag.key()
 	backoff := m.RetryBackoff + int64(17*p.ID())
@@ -191,9 +178,9 @@ func (m *Manager) heldByXid(p *sched.Proc, xid int, tag Tag) bool {
 
 // Release drops one hold on the lock.
 func (m *Manager) Release(p *sched.Proc, xid int, tag Tag, mode Mode) {
-	if t := m.Tracer; t != nil {
-		t.BeginOp(p, false, tag, mode)
-		defer t.EndOp(p)
+	if r := p.Recorder(); r != nil {
+		r.BeginLockOp(p.ID(), false, tag.RelID, uint8(tag.Level), tag.Page, uint8(mode))
+		defer r.EndLockOp(p.ID())
 	}
 	k := tag.key()
 	p.Acquire(m.Lock)

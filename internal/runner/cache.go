@@ -40,7 +40,7 @@ func ValidateCacheDir(dir string) error {
 type resultCache struct {
 	mu    sync.RWMutex
 	mem   map[string]interface{}
-	store blobstore.Store // nil = memory-only
+	store *blobstore.LocalDir // nil = memory-only
 	met   cacheMetrics
 }
 
@@ -51,7 +51,7 @@ type diskEntry struct {
 	V interface{}
 }
 
-func newResultCache(store blobstore.Store, met cacheMetrics) *resultCache {
+func newResultCache(store *blobstore.LocalDir, met cacheMetrics) *resultCache {
 	return &resultCache{mem: make(map[string]interface{}), store: store, met: met}
 }
 

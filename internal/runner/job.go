@@ -78,28 +78,6 @@ func (s State) String() string {
 // terminal reports whether the state is final.
 func (s State) terminal() bool { return s == Done || s == Failed || s == Cached }
 
-// Info is the pool's bookkeeping snapshot for one job.
-type Info struct {
-	ID       JobID
-	Name     string
-	State    State
-	CacheHit bool
-
-	Submitted time.Time
-	Started   time.Time
-	Finished  time.Time
-
-	Err error
-}
-
-// Duration returns how long the job ran (zero until it finishes).
-func (i Info) Duration() time.Duration {
-	if i.Finished.IsZero() || i.Started.IsZero() {
-		return 0
-	}
-	return i.Finished.Sub(i.Started)
-}
-
 // jobRec is the pool-internal record of a submitted job.
 type jobRec struct {
 	job *Job
@@ -118,15 +96,6 @@ type jobRec struct {
 	err        error
 	cacheHit   bool
 	submitted  time.Time
-	started    time.Time
 	finished   time.Time
 	done       chan struct{} // closed on terminal state
-}
-
-func (r *jobRec) info() Info {
-	return Info{
-		ID: r.id, Name: r.job.Name, State: r.state, CacheHit: r.cacheHit,
-		Submitted: r.submitted, Started: r.started, Finished: r.finished,
-		Err: r.err,
-	}
 }

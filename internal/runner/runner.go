@@ -15,7 +15,7 @@
 // repeated submissions from memory (optionally disk) instead of
 // re-simulating, so `dssmem -exp all` computes each distinct
 // configuration once no matter how many figures reference it. The pool
-// keeps per-job timing bookkeeping, publishes a progress event
+// keeps pool-wide accounting (Stats), publishes a progress event
 // stream, and drains gracefully on shutdown.
 //
 // Simulation results are deterministic functions of a job's identity
@@ -107,7 +107,7 @@ func New(cfg Config) *Pool {
 	// Each tier is its own LocalDir mount with the historical layout. A
 	// directory that cannot be created degrades that tier to disabled;
 	// callers wanting a hard failure probe with ValidateCacheDir first.
-	var rstore, tstore blobstore.Store
+	var rstore, tstore *blobstore.LocalDir
 	if cfg.CacheDir != "" {
 		ld := blobstore.NewLocalDir()
 		if ld.Mount(blobstore.NSResult, cfg.CacheDir, ".gob") == nil {
@@ -136,7 +136,7 @@ func New(cfg Config) *Pool {
 		"In-memory result-cache entries.", func() float64 { return float64(p.cache.size()) })
 	cfg.Metrics.GaugeFunc("dssmem_trace_store_bytes",
 		"Bytes of trace blobs this process wrote to the trace store.",
-		func() float64 { return float64(p.traces.stats().Bytes) })
+		func() float64 { return float64(p.traces.bytes.Load()) })
 	for i := 0; i < n; i++ {
 		w := &worker{id: i}
 		p.wg.Add(1)
@@ -277,17 +277,6 @@ func (p *Pool) RunAll(ctx context.Context, jobs []*Job) ([]interface{}, error) {
 	return p.Wait(ctx, ids...)
 }
 
-// Info returns the bookkeeping snapshot for a job.
-func (p *Pool) Info(id JobID) (Info, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rec, ok := p.jobs[id]
-	if !ok {
-		return Info{}, false
-	}
-	return rec.info(), true
-}
-
 // Shutdown stops accepting submissions, cancels jobs that have not
 // started (they fail with ErrShutdown), drains the jobs already running
 // on workers, and waits — up to ctx — for the workers to exit.
@@ -338,12 +327,6 @@ type Stats struct {
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`
 
-	// Trace-store tier (zero when no TraceDir is configured).
-	TraceHits   int64 `json:"trace_hits"`
-	TraceMisses int64 `json:"trace_misses"`
-	TraceWrites int64 `json:"trace_writes"`
-	TraceBytes  int64 `json:"trace_bytes"`
-
 	QueueDepth int `json:"queue_depth"` // ready + dependency-blocked jobs
 	Running    int `json:"running"`
 
@@ -371,18 +354,15 @@ func (p *Pool) Stats() Stats {
 		}
 	}
 	up := time.Since(p.start)
-	ts := p.traces.stats()
 	s := Stats{
 		Workers:   p.nworkers,
 		Submitted: p.submitted, Completed: p.completed,
 		Failed:    p.failed,
 		CacheHits: p.cacheHits, CacheMisses: p.cacheMisses,
 		CacheEntries: p.cache.size(),
-		TraceHits:    ts.Hits, TraceMisses: ts.Misses,
-		TraceWrites: ts.Writes, TraceBytes: ts.Bytes,
-		QueueDepth:  len(p.ready) + pendingBlocked,
-		Running:     p.running,
-		BusySeconds: p.busy.Seconds(), UptimeSeconds: up.Seconds(),
+		QueueDepth:   len(p.ready) + pendingBlocked,
+		Running:      p.running,
+		BusySeconds:  p.busy.Seconds(), UptimeSeconds: up.Seconds(),
 	}
 	if denom := float64(p.nworkers) * up.Seconds(); denom > 0 {
 		s.Utilization = s.BusySeconds / denom
@@ -458,7 +438,6 @@ func (p *Pool) runWorker(w *worker) {
 		}
 		rec := heap.Pop(&p.ready).(*jobRec)
 		rec.state = Running
-		rec.started = time.Now()
 		p.running++
 		p.met.queueDepth.Dec()
 		p.met.running.Inc()

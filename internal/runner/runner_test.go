@@ -195,15 +195,13 @@ func TestShutdownDrain(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	for i, id := range ids[:2] {
-		info, ok := p.Info(id)
-		if !ok || info.State != Done {
-			t.Errorf("running job %d state = %v, want done", i, info.State)
+		if _, err := p.Wait(context.Background(), id); err != nil {
+			t.Errorf("running job %d: %v, want drained to completion", i, err)
 		}
 	}
 	for i, id := range ids[2:] {
-		info, ok := p.Info(id)
-		if !ok || info.State != Failed || !errors.Is(info.Err, ErrShutdown) {
-			t.Errorf("queued job %d state = %v err = %v, want failed/ErrShutdown", i, info.State, info.Err)
+		if _, err := p.Wait(context.Background(), id); !errors.Is(err, ErrShutdown) {
+			t.Errorf("queued job %d: err = %v, want ErrShutdown", i, err)
 		}
 	}
 	if _, err := p.Submit(fast("late")); !errors.Is(err, ErrShutdown) {
@@ -343,20 +341,17 @@ func TestEveryJobBuildsItsOwnSystem(t *testing.T) {
 // its dependents instead of leaving them pending forever.
 func TestDependencyFailureCascades(t *testing.T) {
 	p, _ := newTestPool(t, 2)
+	broken := errors.New("broken warmer")
 	bad := &Job{Name: "bad", NoCache: true,
-		Body: func(*Ctx) (interface{}, error) { return nil, errors.New("broken warmer") }}
+		Body: func(*Ctx) (interface{}, error) { return nil, broken }}
 	dep := &Job{Name: "dep", NoCache: true, After: []*Job{bad},
 		Body: func(*Ctx) (interface{}, error) { return "ran", nil }}
 	ids, err := p.SubmitAll([]*Job{bad, dep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Wait(context.Background(), ids[1]); err == nil {
-		t.Fatal("dependent of failed job succeeded")
-	}
-	info, _ := p.Info(ids[1])
-	if info.State != Failed {
-		t.Errorf("dependent state = %v, want failed", info.State)
+	if _, err := p.Wait(context.Background(), ids[1]); !errors.Is(err, broken) {
+		t.Fatalf("dependent of failed job: err = %v, want the dependency's error", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/blobstore"
 )
@@ -19,22 +19,12 @@ import (
 // decoder turns damage into a miss. With no store configured every
 // lookup misses and every put is dropped, uncounted.
 type traceStore struct {
-	store blobstore.Store // nil = disabled
+	store *blobstore.LocalDir // nil = disabled
 	met   traceMetrics
-
-	mu sync.Mutex
-	st TraceStats
+	bytes atomic.Int64 // bytes written by this process
 }
 
-// TraceStats is the store's accounting snapshot.
-type TraceStats struct {
-	Hits   int64
-	Misses int64
-	Writes int64
-	Bytes  int64 // bytes written by this process
-}
-
-func newTraceStore(store blobstore.Store, met traceMetrics) *traceStore {
+func newTraceStore(store *blobstore.LocalDir, met traceMetrics) *traceStore {
 	return &traceStore{store: store, met: met}
 }
 
@@ -49,15 +39,9 @@ func (s *traceStore) getReader(key string) (blobstore.Reader, bool) {
 	r, err := s.store.GetReader(blobstore.NSTrace, key)
 	if err != nil {
 		s.met.misses.Inc()
-		s.mu.Lock()
-		s.st.Misses++
-		s.mu.Unlock()
 		return nil, false
 	}
 	s.met.hits.Inc()
-	s.mu.Lock()
-	s.st.Hits++
-	s.mu.Unlock()
 	return r, true
 }
 
@@ -74,15 +58,6 @@ func (s *traceStore) put(key string, b []byte) bool {
 		return false
 	}
 	s.met.writes.Inc()
-	s.mu.Lock()
-	s.st.Writes++
-	s.st.Bytes += int64(len(b))
-	s.mu.Unlock()
+	s.bytes.Add(int64(len(b)))
 	return true
-}
-
-func (s *traceStore) stats() TraceStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st
 }

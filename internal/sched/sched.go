@@ -57,18 +57,15 @@ type Engine struct {
 	// (or, between turns, the driver) touches it.
 	ring []*Proc
 
-	// Tracer, when set, observes every traced reference in issue order
-	// (the address-trace methodology of the paper's Section 4). It runs
-	// inside the simulation and must not touch simulated state.
-	Tracer func(proc int, a simm.Addr, size int, write bool)
-
-	// Recorder, when set, observes the engine-level events a trace
-	// capture needs to reproduce a run without the executor: data
-	// references, explicit busy time, and spinlock acquire/release
-	// boundaries (recorded as operations, not as their constituent
-	// probes, so a replay under a different memory configuration re-spins
-	// them live). Like Tracer it runs inside the simulation and must not
-	// touch simulated state.
+	// Recorder, when set, observes the engine's event stream: every
+	// traced data reference in issue order (live or replayed — the
+	// address-trace methodology of the paper's Section 4), explicit busy
+	// time, spinlock acquire/release boundaries (recorded as operations,
+	// not as their constituent probes, so a replay under a different
+	// memory configuration re-spins them live), and the lock manager's
+	// operation brackets. A trace capture records the stream; the
+	// locality analyzer reads its references. It runs inside the
+	// simulation and must not touch simulated state.
 	Recorder Recorder
 
 	// RecordPure, set together with Recorder, turns a run into a pure
@@ -87,10 +84,10 @@ type Engine struct {
 	RecordPure bool
 }
 
-// Recorder receives the engine-level event stream of a recorded run.
+// Recorder receives the engine-level event stream of a run.
 // Implementations must treat the calls as read-only observations.
 type Recorder interface {
-	// Ref observes one traced data reference.
+	// Ref observes one traced data reference, executed or replayed.
 	Ref(proc int, a simm.Addr, size int, write bool)
 	// BusyEvent observes an explicit Busy(n) charge.
 	BusyEvent(proc int, n int64)
@@ -99,6 +96,15 @@ type Recorder interface {
 	SpinAcquire(proc int, a simm.Addr)
 	// SpinRelease observes a spinlock release.
 	SpinRelease(proc int, a simm.Addr)
+	// BeginLockOp fires before a lock-manager Acquire (acquire set) or
+	// Release touches any shared state, EndLockOp after it completes.
+	// A capture records the operation symbolically and suppresses the
+	// bracketed raw traffic (spinlock probes, hash-table walks,
+	// conflict backoff), because that traffic's shape depends on
+	// cross-processor timing — a replay re-executes the operation live
+	// instead of replaying stale probes.
+	BeginLockOp(proc int, acquire bool, relID uint32, level uint8, page uint32, mode uint8)
+	EndLockOp(proc int)
 }
 
 // New creates an engine with one processor per machine node.
@@ -327,6 +333,10 @@ const noPage = ^simm.Addr(0)
 // ID returns the processor (node) number.
 func (p *Proc) ID() int { return p.id }
 
+// Recorder returns the engine's attached Recorder, nil when none — the
+// lock manager reports its operation brackets through it.
+func (p *Proc) Recorder() Recorder { return p.eng.Recorder }
+
 // Clock returns the processor's local simulated time.
 func (p *Proc) Clock() int64 { return p.clock }
 
@@ -360,9 +370,6 @@ func (p *Proc) preAccess() {
 }
 
 func (p *Proc) read(a simm.Addr, size int) {
-	if t := p.eng.Tracer; t != nil {
-		t(p.id, a, size, false)
-	}
 	if r := p.eng.Recorder; r != nil {
 		r.Ref(p.id, a, size, false)
 		if p.eng.RecordPure {
@@ -377,9 +384,6 @@ func (p *Proc) read(a simm.Addr, size int) {
 // readCat is read with the first byte's category already resolved by
 // the combined load (see the Load*Cat accessors of simm.Memory).
 func (p *Proc) readCat(a simm.Addr, size int, cat simm.Category) {
-	if t := p.eng.Tracer; t != nil {
-		t(p.id, a, size, false)
-	}
 	if r := p.eng.Recorder; r != nil {
 		r.Ref(p.id, a, size, false)
 		if p.eng.RecordPure {
@@ -392,9 +396,6 @@ func (p *Proc) readCat(a simm.Addr, size int, cat simm.Category) {
 }
 
 func (p *Proc) write(a simm.Addr, size int) {
-	if t := p.eng.Tracer; t != nil {
-		t(p.id, a, size, true)
-	}
 	if r := p.eng.Recorder; r != nil {
 		r.Ref(p.id, a, size, true)
 		if p.eng.RecordPure {
@@ -407,9 +408,6 @@ func (p *Proc) write(a simm.Addr, size int) {
 }
 
 func (p *Proc) writeCat(a simm.Addr, size int, cat simm.Category) {
-	if t := p.eng.Tracer; t != nil {
-		t(p.id, a, size, true)
-	}
 	if r := p.eng.Recorder; r != nil {
 		r.Ref(p.id, a, size, true)
 		if p.eng.RecordPure {
@@ -488,8 +486,9 @@ type ReplaySource func() ([]ReplayEvent, error)
 // (Acquire's per-iteration yield point), and a lock-manager op runs real
 // code on its processor's coroutine — made at that processor's first op
 // and reused for every later one — which yields to the driver whenever
-// it must yield mid-operation. Recorders are not consulted during
-// replay.
+// it must yield mid-operation. An attached Recorder sees every
+// replayed data reference (and whatever the lock-manager ops issue
+// live); the engine must not be in RecordPure mode.
 func (e *Engine) RunReplay(srcs []ReplaySource) error {
 	if len(srcs) != len(e.procs) {
 		panic(fmt.Sprintf("sched: %d replay sources for %d processors", len(srcs), len(e.procs)))
@@ -616,8 +615,8 @@ func (e *Engine) dropPageCats() {
 // access, and stall attribution, minus the yield (the driver re-sorts
 // after every event).
 func (p *Proc) flatRef(a simm.Addr, size int, write bool) {
-	if t := p.eng.Tracer; t != nil {
-		t(p.id, a, size, write)
+	if r := p.eng.Recorder; r != nil {
+		r.Ref(p.id, a, size, write)
 	}
 	p.preAccess()
 	if pg := a >> simm.PageShift; pg != p.catPage {

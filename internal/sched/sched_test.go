@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -250,23 +251,108 @@ func TestAlignClocks(t *testing.T) {
 	}
 }
 
+// refLog is a Recorder stub that keeps each processor's data
+// references in issue order and ignores every other event.
+type refLog struct{ refs [][]ReplayEvent }
+
+func newRefLog(nodes int) *refLog { return &refLog{refs: make([][]ReplayEvent, nodes)} }
+
+func (r *refLog) Ref(proc int, a simm.Addr, size int, write bool) {
+	r.refs[proc] = append(r.refs[proc], ReplayEvent{Kind: ReplayRef, Addr: a, Size: size, Write: write})
+}
+func (r *refLog) BusyEvent(int, int64)                                {}
+func (r *refLog) SpinAcquire(int, simm.Addr)                          {}
+func (r *refLog) SpinRelease(int, simm.Addr)                          {}
+func (r *refLog) BeginLockOp(int, bool, uint32, uint8, uint32, uint8) {}
+func (r *refLog) EndLockOp(int)                                       {}
+
 func TestTracerObservesAccesses(t *testing.T) {
 	e, data, _ := rig(t, 1)
-	var reads, writes int
-	e.Tracer = func(proc int, a simm.Addr, size int, write bool) {
-		if write {
-			writes++
-		} else {
-			reads++
-		}
-	}
+	log := newRefLog(1)
+	e.Recorder = log
 	e.Run([]func(*Proc){func(p *Proc) {
 		p.Write64(data, 1)
 		p.Read64(data)
 		p.Read32(data + 8)
 	}})
+	var reads, writes int
+	for _, r := range log.refs[0] {
+		if r.Write {
+			writes++
+		} else {
+			reads++
+		}
+	}
 	if reads != 2 || writes != 1 {
-		t.Errorf("tracer saw %d reads, %d writes", reads, writes)
+		t.Errorf("recorder saw %d reads, %d writes", reads, writes)
+	}
+}
+
+// TestRecorderSeesReplayedRefs: a Recorder attached to a replaying
+// engine sees every replayed data reference, in each processor's
+// stream order, plus the references a lock-manager op issues live —
+// exactly the reference stream it sees when the same programs execute
+// under Run.
+func TestRecorderSeesReplayedRefs(t *testing.T) {
+	const nodes = 3
+	gen := func(id int, data, lock simm.Addr) []ReplayEvent {
+		base := pageStride(id, data)
+		var evs []ReplayEvent
+		for k := 0; k < 2000; k++ {
+			evs = append(evs, ref(base+simm.Addr(k%300)*8, k%7 == 0))
+			switch k % 400 {
+			case 100:
+				evs = append(evs, ReplayEvent{Kind: ReplayBusy, N: 40})
+			case 200:
+				evs = append(evs, ReplayEvent{Kind: ReplaySpinAcquire, Addr: lock},
+					ref(data+simm.Addr(id)*8, true),
+					ReplayEvent{Kind: ReplaySpinRelease, Addr: lock})
+			case 300:
+				a := data + 4*simm.PageSize + simm.Addr(id)*64
+				evs = append(evs, ReplayEvent{Kind: ReplayOp, Op: func(p *Proc) {
+					p.Read64(a)
+					p.Busy(20)
+				}})
+			}
+		}
+		return evs
+	}
+	live, data, lock := rig(t, nodes)
+	liveLog := newRefLog(nodes)
+	live.Recorder = liveLog
+	bodies := make([]func(*Proc), nodes)
+	for i := range bodies {
+		bodies[i] = liveBody(gen(i, data, lock))
+	}
+	live.Run(bodies)
+
+	rep, data, lock := rig(t, nodes)
+	repLog := newRefLog(nodes)
+	rep.Recorder = repLog
+	srcs := make([]ReplaySource, nodes)
+	for i := range srcs {
+		srcs[i] = sliceSource(gen(i, data, lock), 7)
+	}
+	if err := rep.RunReplay(srcs); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nodes; i++ {
+		var want []ReplayEvent
+		for _, ev := range gen(i, data, lock) {
+			if ev.Kind == ReplayRef {
+				want = append(want, ev)
+			}
+		}
+		// Each op issues one live read on top of the recorded refs.
+		if got := len(repLog.refs[i]); got != len(want)+5 {
+			t.Errorf("proc %d: recorder saw %d replayed refs, want %d", i, got, len(want)+5)
+		}
+		if !reflect.DeepEqual(repLog.refs[i], liveLog.refs[i]) {
+			t.Errorf("proc %d: replayed refs differ from the live run's (%d vs %d)", i, len(repLog.refs[i]), len(liveLog.refs[i]))
+		}
+	}
+	if !reflect.DeepEqual(resultOf(live), resultOf(rep)) {
+		t.Error("an attached recorder changed the replay's timing")
 	}
 }
 

@@ -3,12 +3,12 @@ package trace
 import "repro/internal/simm"
 
 // Recorder captures per-processor event streams from a live run. It
-// implements sched.Engine's Recorder hook; the lock-manager bracketing
-// (BeginLockOp/EndLockOp) is driven by core's lockmgr.Tracer adapter.
-// Everything between a lock-op bracket's Begin and End — the spinlock
-// acquire, the hash-table probes, the conflict backoff — is suppressed
-// in favor of the single symbolic lock operation, which replay
-// re-executes live.
+// implements sched.Engine's Recorder hook, whose lock-op bracket
+// (BeginLockOp/EndLockOp) the lock manager opens around every
+// operation. Everything between a bracket's Begin and End — the
+// spinlock acquire, the hash-table probes, the conflict backoff — is
+// suppressed in favor of the single symbolic lock operation, which
+// replay re-executes live.
 type Recorder struct {
 	ps []recProc
 }
@@ -59,15 +59,17 @@ func (r *Recorder) SpinRelease(proc int, a simm.Addr) {
 	p.w.op1(opSpinRel, uint64(a))
 }
 
-// BeginLockOp records a lock-manager operation symbolically and opens
-// the suppression bracket for its raw traffic.
+// BeginLockOp implements sched.Recorder: it records a lock-manager
+// operation symbolically and opens the suppression bracket for its raw
+// traffic.
 func (r *Recorder) BeginLockOp(proc int, acquire bool, relID uint32, level uint8, page uint32, mode uint8) {
 	p := &r.ps[proc]
 	p.w.lockOp(acquire, relID, level, page, mode)
 	p.suppress = true
 }
 
-// EndLockOp closes the suppression bracket.
+// EndLockOp implements sched.Recorder: it closes the suppression
+// bracket.
 func (r *Recorder) EndLockOp(proc int) {
 	r.ps[proc].suppress = false
 }

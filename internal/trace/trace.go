@@ -1,8 +1,8 @@
 // Package trace implements the address-trace analysis side of the
 // paper's methodology: Section 3 reasons about the spatial and temporal
 // locality of each data structure by inspecting the references the
-// queries issue. The Analyzer consumes the reference stream from
-// sched.Engine's Tracer hook and quantifies those claims — references
+// queries issue. The Analyzer, attached as sched.Engine's Recorder,
+// consumes the reference stream and quantifies those claims — references
 // and footprint per structure, re-reference behaviour (immediate
 // re-reads vs. distant reuse), and within-line spatial utilization.
 package trace
@@ -81,14 +81,26 @@ func NewAnalyzer(mem *simm.Memory) *Analyzer {
 	return &Analyzer{mem: mem, lines: make(map[uint64]*lineStat)}
 }
 
-// Hook returns the function to install as sched.Engine.Tracer.
-func (an *Analyzer) Hook() func(proc int, a simm.Addr, size int, write bool) {
-	return func(_ int, a simm.Addr, size int, write bool) {
-		an.record(a, size, write)
-	}
-}
+// The Analyzer implements sched.Recorder: it profiles every data
+// reference and ignores the other events.
 
-func (an *Analyzer) record(a simm.Addr, size int, write bool) {
+// BusyEvent implements sched.Recorder.
+func (an *Analyzer) BusyEvent(int, int64) {}
+
+// SpinAcquire implements sched.Recorder.
+func (an *Analyzer) SpinAcquire(int, simm.Addr) {}
+
+// SpinRelease implements sched.Recorder.
+func (an *Analyzer) SpinRelease(int, simm.Addr) {}
+
+// BeginLockOp implements sched.Recorder.
+func (an *Analyzer) BeginLockOp(int, bool, uint32, uint8, uint32, uint8) {}
+
+// EndLockOp implements sched.Recorder.
+func (an *Analyzer) EndLockOp(int) {}
+
+// Ref implements sched.Recorder: it profiles one data reference.
+func (an *Analyzer) Ref(_ int, a simm.Addr, size int, write bool) {
 	cat := an.mem.CategoryOf(a)
 	p := &an.prof[cat]
 	an.clock++

@@ -18,7 +18,7 @@ func TestRefsAndFootprint(t *testing.T) {
 	an, data, _ := analyzerRig(t)
 	// Touch 10 distinct lines once each.
 	for i := 0; i < 10; i++ {
-		an.record(data+simm.Addr(i*LineSize), 8, false)
+		an.Ref(0, data+simm.Addr(i*LineSize), 8, false)
 	}
 	p := an.Profile(simm.CatData)
 	if p.Refs != 10 || p.Lines != 10 {
@@ -34,17 +34,17 @@ func TestRefsAndFootprint(t *testing.T) {
 
 func TestImmediateVsDistantReuse(t *testing.T) {
 	an, data, _ := analyzerRig(t)
-	an.record(data, 8, false)
-	an.record(data, 8, false) // immediate re-reference
+	an.Ref(0, data, 8, false)
+	an.Ref(0, data, 8, false) // immediate re-reference
 	p := an.Profile(simm.CatData)
 	if p.ImmediateRefs != 1 || p.DistantRefs != 0 {
 		t.Errorf("imm=%d dist=%d", p.ImmediateRefs, p.DistantRefs)
 	}
 	// Push more than ImmediateWindow intervening references.
 	for i := 0; i < ImmediateWindow+10; i++ {
-		an.record(data+simm.Addr((i+1)*LineSize), 8, false)
+		an.Ref(0, data+simm.Addr((i+1)*LineSize), 8, false)
 	}
-	an.record(data, 8, false) // distant re-reference
+	an.Ref(0, data, 8, false) // distant re-reference
 	p = an.Profile(simm.CatData)
 	if p.DistantRefs != 1 {
 		t.Errorf("distant = %d, want 1", p.DistantRefs)
@@ -55,7 +55,7 @@ func TestLineUtilization(t *testing.T) {
 	an, data, _ := analyzerRig(t)
 	// Touch half the words of one line.
 	for w := 0; w < 4; w++ {
-		an.record(data+simm.Addr(w*8), 8, false)
+		an.Ref(0, data+simm.Addr(w*8), 8, false)
 	}
 	p := an.Profile(simm.CatData)
 	if got := p.LineUtilization(); got != 0.5 {
@@ -63,7 +63,7 @@ func TestLineUtilization(t *testing.T) {
 	}
 	// A 16-byte access covers two words.
 	an.Reset()
-	an.record(data, 16, false)
+	an.Ref(0, data, 16, false)
 	if got := an.Profile(simm.CatData).WordsTouched; got != 2 {
 		t.Errorf("words = %d, want 2", got)
 	}
@@ -71,8 +71,8 @@ func TestLineUtilization(t *testing.T) {
 
 func TestCategorySeparation(t *testing.T) {
 	an, data, idx := analyzerRig(t)
-	an.record(data, 8, false)
-	an.record(idx, 8, true)
+	an.Ref(0, data, 8, false)
+	an.Ref(0, idx, 8, true)
 	if an.Profile(simm.CatData).Refs != 1 || an.Profile(simm.CatIndex).Refs != 1 {
 		t.Error("categories mixed")
 	}
@@ -83,7 +83,7 @@ func TestCategorySeparation(t *testing.T) {
 
 func TestResetClears(t *testing.T) {
 	an, data, _ := analyzerRig(t)
-	an.record(data, 8, false)
+	an.Ref(0, data, 8, false)
 	an.Reset()
 	if an.TotalRefs() != 0 || an.Profile(simm.CatData).Refs != 0 {
 		t.Error("reset incomplete")
@@ -95,7 +95,7 @@ func TestLineStraddlingAccessClamped(t *testing.T) {
 	// An 8-byte access straddling a line boundary is clamped to the
 	// first line's words (the tracer emits per-aligned-piece in the
 	// engine, so this is the degenerate direct call).
-	an.record(data+simm.Addr(LineSize-4), 8, false)
+	an.Ref(0, data+simm.Addr(LineSize-4), 8, false)
 	p := an.Profile(simm.CatData)
 	if p.Lines != 1 {
 		t.Errorf("lines = %d", p.Lines)
@@ -104,8 +104,8 @@ func TestLineStraddlingAccessClamped(t *testing.T) {
 
 func TestTableRenders(t *testing.T) {
 	an, data, idx := analyzerRig(t)
-	an.record(data, 8, false)
-	an.record(idx, 8, false)
+	an.Ref(0, data, 8, false)
+	an.Ref(0, idx, 8, false)
 	tbl := an.Table()
 	if len(tbl.Rows) != 2 {
 		t.Errorf("rows = %d, want 2 (only touched categories)", len(tbl.Rows))
