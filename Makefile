@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check cover bench fuzz scenario-goldens wal-smoke stream-smoke profile loc clean
+.PHONY: all build test race vet fmt check cover bench fuzz scenario-goldens crash-smoke stream-smoke profile loc clean
 
 all: build
 
@@ -40,20 +40,21 @@ scenario-goldens:
 
 check: build fmt vet race test scenario-goldens
 
-# The durability gate: the crash matrix. A sweep job's journal is
-# killed at three points of progress read off the manager (submission
+# The durability gate: the crash matrix. A sweep job's daemon is
+# killed at three points of progress read off the manager (spec stored
 # only, the job running with at least one point stored, at least half
-# the points stored), a successor boots over the same WAL dir and the
-# cache and trace dirs as they stood at the kill, and every recovered
-# run must finish with a report byte-identical to a serial render,
-# having simulated only the points the dirs lacked. The journal tests
-# ride along, among them the append counts (exactly 2 appends and 2
-# fsyncs per warm job, exactly 2 appends for a whole sweep), a log
-# written when tasks were journaled still opening, and the wal
-# package's own fault-injection tests (every-prefix recovery, short
-# writes, failed syncs and rotations, torn tails).
-wal-smoke:
-	$(GO) test -run 'TestCrashRestartEndToEnd|TestJournal' -count=1 -v ./internal/cluster
+# the points stored), a successor boots over the spec, cache and trace
+# dirs as they stood at the kill, and every re-queued job must finish
+# under its id with a report byte-identical to a serial render, having
+# simulated only the points the dirs lacked. The spec-store tests ride
+# along: warm and concurrent resubmission (one id, one render, nothing
+# written), names in the job id, a restart re-rendering a done job's
+# report to the same bytes, and damaged spec files coming back as
+# failed jobs. So does the wal package's own fault-injection suite
+# (every-prefix recovery, short writes, failed syncs and rotations,
+# torn tails); the package stays while bench/micro.go measures it.
+crash-smoke:
+	$(GO) test -run 'TestCrashRestartEndToEnd|TestSpecStore|TestSpecBytes' -count=1 -v ./internal/cluster
 	$(GO) test -count=1 ./internal/wal
 
 # The stream gate: multi-phase query streams must be equivalent to
@@ -112,11 +113,12 @@ fuzz:
 # Coverage gate for the packages every other layer leans on:
 # internal/metrics is the one package every layer reports through,
 # internal/trace holds the one decoder that takes bytes from outside the
-# process (trace-store blobs and -replay files), and
-# internal/wal is the job journal's durability promise. Fails when any
-# package's statement coverage drops below 85%.
+# process (trace-store blobs and -replay files), internal/cluster is
+# the daemon's job API and spec store, and internal/wal is measured by
+# bench/micro.go. Fails when any package's statement coverage drops
+# below 85%.
 COVER_MIN ?= 85
-COVER_PKGS = internal/metrics internal/trace internal/wal
+COVER_PKGS = internal/metrics internal/trace internal/cluster internal/wal
 cover:
 	@for pkg in $(COVER_PKGS); do \
 		$(GO) test -coverprofile=cover.out ./$$pkg || exit 1; \

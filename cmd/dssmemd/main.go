@@ -30,13 +30,14 @@
 // gauges land on /metrics alongside the runner, cache, experiment, and
 // Go-runtime instruments.
 //
-// On SIGINT/SIGTERM the daemon stops accepting connections, lets
-// in-flight jobs finish rendering, then drains the pool. With
-// -wal-dir set, each job's submission and terminal transition are
-// journaled to a write-ahead log first, and a restarted daemon replays
-// the log: finished jobs keep serving their reports, and unfinished
-// ones re-run, resolving every point -cache-dir already holds instead
-// of simulating it again.
+// A job is its spec: its id is a content address of the submitted
+// spec, so resubmitting a spec returns the job it already has. With
+// -wal-dir set, each accepted spec is stored there, durably, before its
+// id is returned, and a restarted daemon re-queues every stored spec
+// under its id: each re-renders, resolving every point -cache-dir
+// already holds instead of simulating it again. On SIGINT/SIGTERM the
+// daemon stops accepting connections, lets in-flight jobs finish
+// rendering, then drains the pool.
 package main
 
 import (
@@ -57,7 +58,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/wal"
 )
 
 // server owns the Exec, the job manager, and the metrics registry.
@@ -70,7 +70,6 @@ type server struct {
 	httpm   *metrics.HTTPMetrics
 	start   time.Time
 	manager *cluster.Manager
-	journal *cluster.Journal // nil = not durable
 	// renderTimeout bounds how long POST /v1/scenarios waits for its job;
 	// 0 = no bound. The job outlives a 504, which names its id.
 	renderTimeout time.Duration
@@ -78,26 +77,25 @@ type server struct {
 	scRendered *metrics.CounterVec
 }
 
-// newServer builds the daemon. jl and rec may be nil (no -wal-dir):
-// jobs then live in memory only. With a journal, the manager restores
-// the recovered jobs before serving; the caller resumes unfinished jobs
-// (manager.Resume) once it is ready to run them.
-func newServer(exec *experiments.Exec, reg *metrics.Registry, renderTimeout time.Duration, jl *cluster.Journal, rec *cluster.Recovered) *server {
-	manager := cluster.NewManager(exec, reg)
-	manager.UseJournal(jl)
-	manager.Restore(rec)
+// newServer builds the daemon. specDir is the -wal-dir: the accepted
+// specs, re-queued here before anything serves ("" = jobs live in
+// memory only).
+func newServer(exec *experiments.Exec, reg *metrics.Registry, renderTimeout time.Duration, specDir string) (*server, error) {
+	manager, err := cluster.NewManager(exec, reg, specDir)
+	if err != nil {
+		return nil, err
+	}
 	return &server{
 		exec:          exec,
 		reg:           reg,
 		httpm:         metrics.NewHTTPMetrics(reg),
 		start:         time.Now(),
 		manager:       manager,
-		journal:       jl,
 		renderTimeout: renderTimeout,
 		scRendered: reg.CounterVec("dssmem_scenarios_rendered_total",
 			"Scenario specs rendered by POST /v1/scenarios, by preset name (custom specs label \"custom\").",
 			"preset"),
-	}
+	}, nil
 }
 
 // handler builds the route table. Each route is wrapped with the HTTP
@@ -134,7 +132,7 @@ func (s *server) handler() http.Handler {
 // A wait that outlasts -render-timeout answers 504 naming the job, which
 // keeps running: the client polls that id instead of resubmitting.
 func (s *server) submitScenario(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.manager.SubmitBody(w, r)
+	id, _, ok := s.manager.SubmitBody(w, r)
 	if !ok {
 		return
 	}
@@ -183,7 +181,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	recRecords, recTruncated := s.journal.Recovery()
 	resp := map[string]interface{}{
 		"pool":           ps,
 		"cache_hit_rate": ps.HitRate(),
@@ -192,26 +189,13 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 		"cluster": map[string]interface{}{
 			"jobs": s.manager.Counts(),
 		},
-		"wal": map[string]interface{}{
-			"enabled":                  s.journal != nil,
-			"recovery_records":         recRecords,
-			"recovery_truncated_bytes": recTruncated,
-			"appends":                  s.journal.Appends(),
-		},
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
 
-// drain stops accepting submissions and waits for in-flight jobs
-// (manager.Close does both). The journal closes last: the manager's
-// terminal records must land in it first.
-func (s *server) drain() {
-	s.manager.Close()
-	if err := s.journal.Close(); err != nil {
-		log.Printf("wal close: %v", err)
-	}
-}
+// drain stops accepting submissions and waits for in-flight jobs.
+func (s *server) drain() { s.manager.Close() }
 
 func main() {
 	log.SetFlags(0)
@@ -220,7 +204,7 @@ func main() {
 	jobs := flag.Int("jobs", 0, "concurrent experiment workers (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
 	traceDir := flag.String("trace-dir", "", "directory for captured reference-trace blobs (empty = no trace store: a sweep replays its recording in memory, and -cache-dir results carry their blob inline)")
-	walDir := flag.String("wal-dir", "", "directory for the job write-ahead log; a restarted daemon replays it and resumes pre-crash jobs (empty = no durability)")
+	walDir := flag.String("wal-dir", "", "directory of accepted specs: each is stored before its job id is returned, and a restarted daemon re-queues every one (empty = jobs live in memory only)")
 	renderTimeout := flag.Duration("render-timeout", 0, "server-side bound on POST /v1/scenarios renders; exceeded renders answer 504 naming the job, which finishes in the background (0 = unbounded)")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -252,35 +236,15 @@ func main() {
 	reg := metrics.New()
 	reg.CollectGoRuntime()
 
-	// Durability: open the WAL and replay it before anything serves.
-	// Unlike the cache dirs, an unusable WAL dir is fatal — silently
-	// dropping durability defeats the reason the operator asked for it.
-	// The boot snapshot compacts the replayed log into one record so it
-	// does not grow without bound across restarts.
-	var journal *cluster.Journal
-	var recovered *cluster.Recovered
-	if *walDir != "" {
-		var err error
-		journal, recovered, err = cluster.OpenJournal(wal.Options{
-			Dir: *walDir, Metrics: reg,
-		})
-		if err != nil {
-			log.Fatalf("wal %s: %v", *walDir, err)
-		}
-		records, truncated := journal.Recovery()
-		log.Printf("wal: replayed %d records (%d jobs, %d torn bytes truncated)",
-			records, len(recovered.Jobs), truncated)
-		if err := journal.Snapshot(recovered); err != nil {
-			log.Printf("wal compaction failed (log will keep growing): %v", err)
-		}
-	}
-
 	exec := experiments.NewExecConfig(runner.Config{Workers: *jobs,
 		CacheDir: *cacheDir, TraceDir: *traceDir, Metrics: reg})
-	s := newServer(exec, reg, *renderTimeout, journal, recovered)
-	// Re-run whatever had not finished; the cache dirs absorb the
-	// recompute of points finished before the crash.
-	s.manager.Resume(recovered)
+	// Unlike the cache dirs, an unusable -wal-dir is fatal: silently
+	// forgetting accepted specs defeats the reason the operator asked
+	// for it.
+	s, err := newServer(exec, reg, *renderTimeout, *walDir)
+	if err != nil {
+		log.Fatalf("wal-dir %s: %v", *walDir, err)
+	}
 
 	srv := &http.Server{
 		Addr:    *addr,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,7 +27,10 @@ func newTestServerTimeout(t *testing.T, renderTimeout time.Duration) (*server, *
 	reg := metrics.New()
 	reg.CollectGoRuntime()
 	exec := experiments.NewExecConfig(runner.Config{Workers: 2, Metrics: reg})
-	s := newServer(exec, reg, renderTimeout, nil, nil)
+	s, err := newServer(exec, reg, renderTimeout, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -277,7 +282,7 @@ func TestScenarioSubmit(t *testing.T) {
 	}
 
 	_, metricsBefore := get(t, ts.URL+"/metrics")
-	hitsBefore := counterValue(t, metricsBefore, `dssmem_cache_hits_total{tier="memory"}`)
+	submittedBefore := counterValue(t, metricsBefore, "dssmem_runner_jobs_submitted_total")
 
 	code, body = post(t, ts.URL+"/v1/scenarios", spec)
 	if code != 200 {
@@ -297,20 +302,29 @@ func TestScenarioSubmit(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/metrics: %d", code)
 	}
-	if hits := counterValue(t, metricsAfter, `dssmem_cache_hits_total{tier="memory"}`); hits <= hitsBefore {
-		t.Errorf("repeat POST not served from cache: memory hits %v -> %v", hitsBefore, hits)
-	}
 	if got := counterValue(t, metricsAfter, `dssmem_scenarios_rendered_total{preset="custom"}`); got != 2 {
 		t.Errorf(`dssmem_scenarios_rendered_total{preset="custom"} = %v, want 2`, got)
 	}
 
-	// The synchronous route is an adapter over the job API: each POST
-	// was a manager job, and its response is that job's report payload.
-	if got := counterValue(t, metricsAfter, `dssmem_cluster_jobs{state="done"}`); got != 2 {
-		t.Errorf(`dssmem_cluster_jobs{state="done"} = %v, want 2 (one per sync POST)`, got)
+	// The synchronous route is an adapter over the job API, and a job is
+	// its spec: the repeat POST was answered by the first POST's job,
+	// with no pool job submitted, and POST /v1/jobs of the same spec
+	// names that job, whose report is the sync response.
+	if got := counterValue(t, metricsAfter, "dssmem_runner_jobs_submitted_total"); got != submittedBefore {
+		t.Errorf("repeat POST submitted %v pool jobs, want 0", got-submittedBefore)
 	}
-	if code, report := get(t, ts.URL+"/v1/jobs/j-1/report"); code != 200 || report != body {
-		t.Errorf("GET /v1/jobs/j-1/report = %d, differs from the sync response:\n%s\n--- sync ---\n%s", code, report, body)
+	if got := counterValue(t, metricsAfter, `dssmem_cluster_jobs{state="done"}`); got != 1 {
+		t.Errorf(`dssmem_cluster_jobs{state="done"} = %v, want 1 (one spec, one job)`, got)
+	}
+	code, accepted := post(t, ts.URL+"/v1/jobs", spec)
+	var sub struct {
+		JobID string `json:"job_id"`
+	}
+	if err := json.Unmarshal([]byte(accepted), &sub); err != nil || code != 202 {
+		t.Fatalf("POST /v1/jobs of the same spec: %d %q", code, accepted)
+	}
+	if code, report := get(t, ts.URL+"/v1/jobs/"+sub.JobID+"/report"); code != 200 || report != body {
+		t.Errorf("GET /v1/jobs/%s/report = %d, differs from the sync response:\n%s\n--- sync ---\n%s", sub.JobID, code, report, body)
 	}
 }
 
@@ -561,5 +575,58 @@ func TestSubmitAfterDrain(t *testing.T) {
 		if code != 503 || !strings.Contains(body, "shutting down") {
 			t.Errorf("POST %s after drain: %d %q, want 503", route, code, body)
 		}
+	}
+}
+
+// TestWALDirRestart: with -wal-dir, a restarted daemon over the same
+// directory knows every accepted spec's job under its id and finishes
+// it; a -wal-dir that cannot be a directory fails the boot.
+func TestWALDirRestart(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*server, *httptest.Server) {
+		exec := experiments.NewExec(2)
+		s, err := newServer(exec, metrics.New(), 0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.handler())
+		t.Cleanup(func() {
+			ts.Close()
+			s.drain()
+			exec.Close()
+		})
+		return s, ts
+	}
+	s, ts := boot()
+	code, body := post(t, ts.URL+"/v1/jobs", `{"machine":{"processors":2},"workload":{"queries":["Q6"],"scale":0.001}}`)
+	var sub struct {
+		JobID string `json:"job_id"`
+	}
+	if err := json.Unmarshal([]byte(body), &sub); err != nil || code != 202 {
+		t.Fatalf("submit: %d %q", code, body)
+	}
+	if st := waitJob(t, ts.URL, sub.JobID); st != "done" {
+		t.Fatalf("job state = %s, want done", st)
+	}
+	_, want := get(t, ts.URL+"/v1/jobs/"+sub.JobID+"/report")
+	ts.Close()
+	s.drain()
+
+	_, ts = boot()
+	if st := waitJob(t, ts.URL, sub.JobID); st != "done" {
+		t.Fatalf("job %s after restart = %s, want done", sub.JobID, st)
+	}
+	if code, got := get(t, ts.URL+"/v1/jobs/"+sub.JobID+"/report"); code != 200 || got != want {
+		t.Errorf("report after restart = %d, differs:\n%s\n--- before ---\n%s", code, got, want)
+	}
+
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exec := experiments.NewExec(1)
+	defer exec.Close()
+	if _, err := newServer(exec, nil, 0, file); err == nil {
+		t.Error("a -wal-dir that is a file booted")
 	}
 }

@@ -10,11 +10,15 @@
 // replace -scale and -procs:
 //
 //	queryrun -stream examples/scenario-stream.json
+//
+// Host wall times go to stderr, so stdout is the same bytes on every
+// run of one spec.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -48,8 +52,9 @@ func loadStream(path string) (*scenario.Scenario, error) {
 	return sc, nil
 }
 
-// runStream executes the spec's phases and prints each run's answer.
-func runStream(sc *scenario.Scenario) error {
+// runStream executes the spec's phases and prints each run's answer to
+// w; the host wall time goes to stderr, so w's bytes are reproducible.
+func runStream(w io.Writer, sc *scenario.Scenario) error {
 	s, err := core.NewScenarioSystem(*sc)
 	if err != nil {
 		return err
@@ -63,12 +68,12 @@ func runStream(sc *scenario.Scenario) error {
 		if phases[k].Flush {
 			boundary = "cold caches"
 		}
-		fmt.Printf("phase %d (%s):\n", k, boundary)
+		fmt.Fprintf(w, "phase %d (%s):\n", k, boundary)
 		for _, a := range ans {
-			fmt.Printf("  proc %d: %s variant %d -> %d rows\n", a.Proc, a.Query, a.Variant, a.Rows)
+			fmt.Fprintf(w, "  proc %d: %s variant %d -> %d rows\n", a.Proc, a.Query, a.Variant, a.Rows)
 		}
 	}
-	fmt.Printf("stream of %d phases simulated in %v wall\n", len(phases), wall)
+	fmt.Fprintf(os.Stderr, "stream of %d phases simulated in %v wall\n", len(phases), wall)
 	return nil
 }
 
@@ -118,7 +123,7 @@ func main() {
 	if *stream != "" {
 		sc, err := loadStream(*stream)
 		if err == nil {
-			err = runStream(sc)
+			err = runStream(os.Stdout, sc)
 		}
 		if err != nil {
 			log.Fatalf("-stream: %v", err)
@@ -144,7 +149,8 @@ func main() {
 	s.ColdStart()
 	t0 := time.Now()
 	rep := s.RunQueries(runs)
-	fmt.Printf("simulated %d cycles in %v wall\n\n", rep.MaxClock(), time.Since(t0).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "simulated %d cycles in %v wall\n", rep.MaxClock(), time.Since(t0).Round(time.Millisecond))
+	fmt.Println()
 
 	printBreakdown(rep)
 	fmt.Println()

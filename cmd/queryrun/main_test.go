@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,6 +34,34 @@ func TestLoadStream(t *testing.T) {
 	}
 	if _, err := loadStream(path); err == nil {
 		t.Error("spec with an unknown query was accepted")
+	}
+}
+
+// TestStreamStdoutReproducible: two runs of one stream spec print the
+// same stdout bytes; the host wall time is not among them.
+func TestStreamStdoutReproducible(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.json")
+	spec := `{"machine":{"processors":2},"workload":{"scale":0.001,"phases":[
+		{"flush":true,"runs":[[{"query":"Q6"}],[{"query":"Q6","variant":1}]]},
+		{"runs":[[{"query":"Q3","variant":2}],[]]}]}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := loadStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs [2]bytes.Buffer
+	for i := range runs {
+		if err := runStream(&runs[i], sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs[0].String() != runs[1].String() {
+		t.Fatalf("two runs of one spec printed different stdout:\n%s\n---\n%s", runs[0].String(), runs[1].String())
+	}
+	if out := runs[0].String(); strings.Contains(out, "wall") || !strings.Contains(out, "phase 1 (warm caches):") {
+		t.Fatalf("stdout = %q, want both phases and no wall time", out)
 	}
 }
 

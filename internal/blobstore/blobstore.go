@@ -6,9 +6,9 @@
 // internal/runner.Job.Key), which makes every entry location
 // independent: a result or trace blob computed by one process is valid
 // in every later process that derives the same key, so a directory
-// written by one run serves the next. Namespaces separate the two blob
-// kinds that exist today (gob-encoded results, CRC-framed trace
-// blobs); a key is unique within its namespace.
+// written by one run serves the next. Namespaces separate the blob
+// kinds (gob-encoded results, CRC-framed trace blobs, the daemon's
+// accepted specs); a key is unique within its namespace.
 //
 // Integrity is the payload's own concern: trace blobs carry a magic
 // and checksum (internal/trace), gob results fail to decode when
@@ -23,7 +23,8 @@ import (
 	"io"
 )
 
-// The blob namespaces used by the runner's cache tiers.
+// The blob namespaces: the runner's two cache tiers and dssmemd's
+// accepted specs.
 const (
 	// NSResult holds gob-encoded job results (the disk tier of the
 	// runner's result cache).
@@ -31,6 +32,9 @@ const (
 	// NSTrace holds CRC-framed reference-trace blobs (the runner's
 	// trace store).
 	NSTrace = "trace"
+	// NSSpec holds the specs dssmemd accepted as jobs, keyed by job id
+	// (internal/cluster).
+	NSSpec = "spec"
 )
 
 // ErrNotExist is the miss sentinel: Get and GetReader return it

@@ -15,9 +15,10 @@ import (
 //
 // Values under a key are immutable — writers storing different bytes
 // under one key is a caller bug. Writes are atomic (temp file + rename
-// within the mount directory), which also makes concurrent Puts of one
-// key safe: every writer renames a complete file into place, one of
-// them lands last, and any winner is correct.
+// within the mount directory) and durable (file and directory synced),
+// which also makes concurrent Puts of one key safe: every writer
+// renames a complete file into place, one of them lands last, and any
+// winner is correct.
 //
 // Get and GetReader report misses as ErrNotExist (test with
 // errors.Is); any other error is a filesystem failure, which the
@@ -118,7 +119,9 @@ type fileReader struct {
 
 func (f fileReader) Size() int64 { return f.size }
 
-// Put stores the blob atomically.
+// Put stores the blob atomically and durably: the temp file is synced
+// before the rename, and the directory after it, so a blob Put
+// returned for survives a power loss, not only a process kill.
 func (l *LocalDir) Put(ns, key string, b []byte) error {
 	m, err := l.mount(ns)
 	if err != nil {
@@ -132,12 +135,26 @@ func (l *LocalDir) Put(ns, key string, b []byte) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	_, werr := tmp.Write(b)
-	if cerr := tmp.Close(); werr != nil || cerr != nil {
-		if werr != nil {
-			return werr
-		}
-		return cerr
+	_, err = tmp.Write(b)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	return os.Rename(tmp.Name(), m.path(key))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), m.path(key))
+	}
+	if err != nil {
+		return err
+	}
+	dir, err := os.Open(m.dir)
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -12,35 +12,38 @@ import (
 // SubmitBody is the one way a spec enters the daemon: read the request
 // body (1 MB cap), decode and validate it as a scenario spec, and
 // submit it as a job. On failure it has already answered — 400 for a
-// bad spec, 503 when the manager is shutting down — and ok is false.
-func (m *Manager) SubmitBody(w http.ResponseWriter, r *http.Request) (id string, ok bool) {
+// bad spec, 503 when the manager is shutting down or cannot store the
+// spec — and ok is false. state is the job's as the submission found
+// it: queued for a new job, the existing job's for a resubmitted spec.
+func (m *Manager) SubmitBody(w http.ResponseWriter, r *http.Request) (id, state string, ok bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return "", false
+		return "", "", false
 	}
 	sc, err := scenario.Decode(body)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, err.Error())
-		return "", false
+		return "", "", false
 	}
 	if err := sc.Validate(); err != nil {
 		apiError(w, http.StatusBadRequest, err.Error())
-		return "", false
+		return "", "", false
 	}
-	id, err = m.Submit(*sc)
+	id, state, err = m.Submit(*sc)
 	if err != nil {
 		apiError(w, http.StatusServiceUnavailable, err.Error())
-		return "", false
+		return "", "", false
 	}
-	return id, true
+	return id, state, true
 }
 
 // HandleSubmit is POST /v1/jobs: a scenario spec body accepted as an
-// async job — 202 with the id to poll.
+// async job — 202 with the id to poll and the job's state, which for a
+// resubmitted spec may already be done.
 func (m *Manager) HandleSubmit(w http.ResponseWriter, r *http.Request) {
-	if id, ok := m.SubmitBody(w, r); ok {
-		writeJSON(w, http.StatusAccepted, map[string]string{"job_id": id, "state": StateQueued})
+	if id, state, ok := m.SubmitBody(w, r); ok {
+		writeJSON(w, http.StatusAccepted, map[string]string{"job_id": id, "state": state})
 	}
 }
 

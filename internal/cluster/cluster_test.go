@@ -50,6 +50,16 @@ func metricValue(t *testing.T, reg *metrics.Registry, family, label, value strin
 	return sum
 }
 
+// newManager is NewManager for tests that cannot fail to boot.
+func newManager(t *testing.T, exec *experiments.Exec, reg *metrics.Registry, dir string) *Manager {
+	t.Helper()
+	m, err := NewManager(exec, reg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -70,11 +80,11 @@ func TestManagerStandalone(t *testing.T) {
 	}
 	exec := experiments.NewExec(2)
 	defer exec.Close()
-	m := NewManager(exec, nil)
+	m := newManager(t, exec, nil, "")
 	defer m.Close()
 
 	sc := coldSpec()
-	id, err := m.Submit(sc)
+	id, _, err := m.Submit(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +144,7 @@ func TestManagerOverlappingJobs(t *testing.T) {
 	}
 	exec := experiments.NewExec(2)
 	defer exec.Close()
-	m := NewManager(exec, nil)
+	m := newManager(t, exec, nil, "")
 	defer m.Close()
 
 	a, b := coldSpec(), coldSpec()
@@ -143,7 +153,7 @@ func TestManagerOverlappingJobs(t *testing.T) {
 	specs := []scenario.Scenario{a, b}
 	var ids []string
 	for _, sc := range specs {
-		id, err := m.Submit(sc)
+		id, _, err := m.Submit(sc)
 		if err != nil {
 			t.Fatal(err)
 		}

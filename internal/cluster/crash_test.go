@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,49 +11,37 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/runner"
-	"repro/internal/wal"
 )
 
 // daemon is one dssmemd incarnation scaled down to one process: its
-// journal, its manager, and an Exec whose result cache and trace store
-// live under one state directory — so the test can crash it and boot a
-// successor at will.
+// manager over a spec directory, and an Exec whose result cache and
+// trace store live beside it under one state directory — so the test
+// can crash it and boot a successor at will.
 type daemon struct {
 	reg  *metrics.Registry
-	jl   *Journal
 	m    *Manager
 	exec *experiments.Exec
 }
 
-// bootDaemon opens the WAL dir, recovers, compacts, and brings up the
-// manager over the cache and trace dirs under state — the dssmemd boot
-// sequence. A test crashes it by killing its journal (Journal.Kill);
-// the daemon keeps running in-memory past the kill, exactly like a
-// daemon whose disk stopped mattering the instant before power loss.
-func bootDaemon(t *testing.T, walDir, state string) *daemon {
+// bootDaemon brings up the manager over the spec, cache and trace dirs
+// under state — the dssmemd boot sequence, which re-queues every stored
+// spec.
+func bootDaemon(t *testing.T, state string) *daemon {
 	t.Helper()
 	d := &daemon{reg: metrics.New()}
-	jl, rec, err := OpenJournal(wal.Options{Dir: walDir, Metrics: d.reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.jl = jl
-	if err := jl.Snapshot(rec); err != nil {
-		t.Fatal(err)
-	}
 	d.exec = experiments.NewExecConfig(runner.Config{Workers: 2,
 		CacheDir: filepath.Join(state, "cache"), TraceDir: filepath.Join(state, "trace"),
 		Metrics: d.reg})
-	d.m = NewManager(d.exec, d.reg)
-	d.m.UseJournal(jl)
-	d.m.Restore(rec)
-	d.m.Resume(rec)
+	m, err := NewManager(d.exec, d.reg, filepath.Join(state, "spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.m = m
 	return d
 }
 
-// abandon tears the doomed incarnation down with no drain ordering —
-// its journal is already dead, so nothing here reaches the log; this
-// only exists so the test process doesn't leak goroutines. The pool
+// abandon tears the doomed incarnation down with no drain ordering;
+// it only exists so the test process doesn't leak goroutines. The pool
 // closes before the manager, so the in-flight render's queued points
 // are cancelled instead of waited out.
 func (d *daemon) abandon() {
@@ -62,14 +49,10 @@ func (d *daemon) abandon() {
 	d.m.Close()
 }
 
-// shutdown is the clean dssmemd drain order: jobs settle, the journal
-// closes, the pool drains.
-func (d *daemon) shutdown(t *testing.T) {
-	t.Helper()
+// shutdown is the clean dssmemd drain order: jobs settle, the pool
+// drains.
+func (d *daemon) shutdown() {
 	d.m.Close()
-	if err := d.jl.Close(); err != nil {
-		t.Errorf("journal close: %v", err)
-	}
 	d.exec.Close()
 }
 
@@ -81,7 +64,7 @@ func (d *daemon) shutdown(t *testing.T) {
 func crashImage(t *testing.T, state string) string {
 	t.Helper()
 	img := t.TempDir()
-	for _, sub := range []string{"cache", "trace"} {
+	for _, sub := range []string{"cache", "trace", "spec"} {
 		if err := os.MkdirAll(filepath.Join(img, sub), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +73,7 @@ func crashImage(t *testing.T, state string) string {
 			t.Fatal(err)
 		}
 		for _, e := range ents {
-			if ext := filepath.Ext(e.Name()); ext != ".gob" && ext != ".trace" {
+			if ext := filepath.Ext(e.Name()); ext != ".gob" && ext != ".trace" && ext != specExt {
 				continue
 			}
 			if err := copyFile(filepath.Join(state, sub, e.Name()), filepath.Join(img, sub, e.Name())); err != nil {
@@ -120,17 +103,16 @@ func copyFile(from, to string) error {
 
 // TestCrashRestartEndToEnd is the durability contract end to end: a
 // sweep job's daemon is crashed at three points of progress, a
-// successor boots over the same WAL dir, and the recovered job must
-// finish with a report byte-identical to a serial render. Each crash
-// point is reached by polling the manager's progress, which counts a
-// point only once the pool has settled it — after its result is on
-// disk — and then killing the journal: with only the submission
-// durable, with the job running and at least one point stored, and
-// with at least half the points stored. The journal holds the same two
-// records in all three; what differs is how much of the sweep the
-// successor finds in the cache and trace dirs, and every point it finds
-// there is served, not simulated again. Only the WAL dir and those
-// dirs survive each crash, each as it stood at the kill.
+// successor boots over what the crash left on disk, and the re-queued
+// job must finish under its id with a report byte-identical to a
+// serial render. Each crash point is reached by polling the manager's
+// progress, which counts a point only once the pool has settled it —
+// after its result is on disk: with only the spec stored, with the job
+// running and at least one point stored, and with at least half the
+// points stored. The spec directory is the same in all three; what
+// differs is how much of the sweep the successor finds in the cache
+// and trace dirs, and every point it finds there is served, not
+// simulated again.
 func TestCrashRestartEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep with crash-restart")
@@ -152,7 +134,7 @@ func TestCrashRestartEndToEnd(t *testing.T) {
 		name  string
 		crash func(JobStatus) bool
 	}{
-		// Submit returns only once its record is durable.
+		// Submit returns only once the spec is durable.
 		{"kill-after-submit", func(JobStatus) bool { return true }},
 		{"kill-with-one-point-stored", func(st JobStatus) bool {
 			return st.State == StateRunning && st.Progress.Done >= 1
@@ -162,10 +144,9 @@ func TestCrashRestartEndToEnd(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			walDir, state := t.TempDir(), t.TempDir()
-
-			doomed := bootDaemon(t, walDir, state)
-			id, err := doomed.m.Submit(sc)
+			state := t.TempDir()
+			doomed := bootDaemon(t, state)
+			id, _, err := doomed.m.Submit(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +155,6 @@ func TestCrashRestartEndToEnd(t *testing.T) {
 				atKill, _ = doomed.m.Status(id)
 				return tc.crash(atKill)
 			})
-			doomed.jl.Kill()
 			survivor := crashImage(t, state)
 			doomed.abandon()
 			// Points whose result reached the disk: every point settled
@@ -188,17 +168,14 @@ func TestCrashRestartEndToEnd(t *testing.T) {
 			if stored < atKill.Progress.Done {
 				t.Fatalf("%d points stored after a kill with %d settled", stored, atKill.Progress.Done)
 			}
+			if specs, _ := os.ReadDir(filepath.Join(survivor, "spec")); len(specs) != 1 || specs[0].Name() != id+specExt {
+				t.Fatalf("spec dir at the kill = %v, want %s%s alone", specs, id, specExt)
+			}
 
-			d := bootDaemon(t, walDir, survivor)
-			defer d.shutdown(t)
-			if n, _ := d.jl.Recovery(); n != 2 {
-				t.Fatalf("restart replayed %d records, want the boot snapshot and the submission", n)
-			}
-			if n := metricValue(t, d.reg, "dssmem_wal_recovery_records", "", ""); n != 2 {
-				t.Fatalf("dssmem_wal_recovery_records = %v on the restart registry, want 2", n)
-			}
-			if _, ok := d.m.Status(id); !ok {
-				t.Fatalf("job %s unknown after restart", id)
+			d := bootDaemon(t, survivor)
+			defer d.shutdown()
+			if st, ok := d.m.Status(id); !ok || st.State == StateFailed {
+				t.Fatalf("job %s after restart: %+v (known %v), want re-queued", id, st, ok)
 			}
 			var st JobStatus
 			waitFor(t, 4*time.Minute, "recovered job to finish", func() bool {
@@ -230,39 +207,5 @@ func TestCrashRestartEndToEnd(t *testing.T) {
 					report, want.String())
 			}
 		})
-	}
-}
-
-// TestJournalSweepAppends pins the journal cost of a sweep: the
-// 10-point sweep appends exactly two records beyond the boot snapshot —
-// its submission and its terminal transition. Its points leave no trace
-// in the log.
-func TestJournalSweepAppends(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep")
-	}
-	if raceEnabled {
-		t.Skip("full sweep is too slow under -race")
-	}
-	d := bootDaemon(t, t.TempDir(), t.TempDir())
-	defer d.shutdown(t)
-	boot := d.jl.Appends()
-	sc := sweepSpec()
-	id, err := d.m.Submit(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.m.Wait(context.Background(), id) {
-		t.Fatalf("job %s never finished", id)
-	}
-	st, _ := d.m.Status(id)
-	if st.State != StateDone {
-		t.Fatalf("job %s = %s (%s), want done", id, st.State, st.Error)
-	}
-	if plans, _ := experiments.PlanScenario(sc); st.Progress.Done != len(plans) || len(plans) != 10 {
-		t.Fatalf("sweep settled %d of %d points, want 10 of 10", st.Progress.Done, len(plans))
-	}
-	if got := d.jl.Appends() - boot; got != 2 {
-		t.Fatalf("sweep appended %d records beyond the boot snapshot, want 2", got)
 	}
 }

@@ -2,12 +2,17 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/blobstore"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/runner"
@@ -49,15 +54,15 @@ type Progress struct {
 
 // Manager owns the async job API: scenarios submitted as jobs render
 // in the background (RenderScenario on the daemon's Exec) while clients
-// poll, stream events, and fetch the finished report.
+// poll, stream events, and fetch the finished report. A job is its spec
+// (see the package doc).
 type Manager struct {
 	exec   *experiments.Exec
 	gauges map[string]*metrics.Gauge // dssmem_cluster_jobs{state}
-	jl     *Journal                  // nil = not durable
+	specs  *blobstore.LocalDir       // nil = jobs live in memory only
 
 	mu     sync.Mutex
 	jobs   map[string]*jobRec
-	next   int
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -73,7 +78,7 @@ type jobRec struct {
 	finished  time.Time
 
 	total   int
-	done    int             // settled points (seen's size, or recovered)
+	done    int             // settled points (seen's size)
 	seen    map[string]bool // progress keys already counted
 	events  []Event
 	subs    map[int]chan Event
@@ -81,16 +86,102 @@ type jobRec struct {
 	seq     int
 }
 
+// specExt names a stored spec's file: <job id>.json.
+const specExt = ".json"
+
 // NewManager builds a manager over exec, registering the job family on
 // reg (nil = unmetered). The per-state children are created eagerly so
-// every state is visible on /metrics from the first scrape.
-func NewManager(exec *experiments.Exec, reg *metrics.Registry) *Manager {
+// every state is visible on /metrics from the first scrape. With dir
+// set, accepted specs are stored there, and every spec already in it is
+// re-queued under its id before NewManager returns. A stored spec that
+// no longer decodes, or whose bytes do not hash to its file name, comes
+// back as a failed job under that id.
+func NewManager(exec *experiments.Exec, reg *metrics.Registry, dir string) (*Manager, error) {
 	vec := reg.GaugeVec("dssmem_cluster_jobs", "Async jobs by lifecycle state.", "state")
 	m := &Manager{exec: exec, jobs: make(map[string]*jobRec), gauges: make(map[string]*metrics.Gauge)}
 	for _, st := range []string{StateQueued, StateRunning, StateDone, StateFailed} {
 		m.gauges[st] = vec.With(st)
 	}
-	return m
+	if dir == "" {
+		return m, nil
+	}
+	m.specs = blobstore.NewLocalDir()
+	if err := m.specs.Mount(blobstore.NSSpec, dir, specExt); err != nil {
+		return nil, err
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range ents {
+		id, ok := strings.CutSuffix(e.Name(), specExt)
+		if !ok || e.IsDir() {
+			continue // the store's temp files, or not the store's
+		}
+		submitted := time.Now()
+		if info, err := e.Info(); err == nil {
+			submitted = info.ModTime()
+		}
+		sc, err := m.loadSpec(id)
+		j := newJob(id, sc, submitted)
+		if err != nil {
+			j.state, j.errText, j.finished = StateFailed, err.Error(), time.Now()
+			m.publishLocked(j, Event{JobID: id, Kind: "state", State: StateFailed, Error: j.errText})
+			m.jobs[id] = j
+			m.moveJob("", StateFailed)
+			continue
+		}
+		m.startLocked(j)
+	}
+	return m, nil
+}
+
+// loadSpec reads a stored spec back: its bytes must hash to its id,
+// and decode and validate as a spec.
+func (m *Manager) loadSpec(id string) (scenario.Scenario, error) {
+	b, err := m.specs.Get(blobstore.NSSpec, id)
+	if err != nil {
+		return scenario.Scenario{}, fmt.Errorf("stored spec unreadable: %w", err)
+	}
+	if jobID(b) != id {
+		return scenario.Scenario{}, errors.New("stored spec does not hash to its job id")
+	}
+	sc, err := scenario.Decode(b)
+	if err == nil {
+		err = sc.Validate()
+	}
+	if err != nil {
+		return scenario.Scenario{}, fmt.Errorf("stored spec no longer decodes: %w", err)
+	}
+	return *sc, nil
+}
+
+// specBytes is a spec as the store holds it and its id hashes it: the
+// canonical encoding with the name as its first field. Canonical leaves
+// the name out, but the report header prints it, so two specs that
+// differ only in name are two jobs.
+func specBytes(sc *scenario.Scenario) []byte {
+	name, _ := json.Marshal(sc.Name) // a string always marshals
+	c := sc.Canonical()
+	b := append([]byte(`{"name":`), name...)
+	b = append(b, ',')
+	return append(b, c[1:]...)
+}
+
+// jobID is the content address of a spec's stored bytes.
+func jobID(spec []byte) string {
+	sum := sha256.Sum256(spec)
+	return "j-" + hex.EncodeToString(sum[:])
+}
+
+func newJob(id string, sc scenario.Scenario, submitted time.Time) *jobRec {
+	return &jobRec{
+		id: id, spec: sc, preset: experiments.ScenarioLabel(sc),
+		state: StateQueued, submitted: submitted,
+		seen: make(map[string]bool), subs: make(map[int]chan Event),
+	}
 }
 
 // moveJob shifts one job between state gauges ("" = no gauge).
@@ -111,121 +202,60 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-// UseJournal makes the manager durable: each job appends two records
-// to jl — its submission and its terminal transition — and Restore
-// replays them after a restart.
-// Call before the first Submit or Restore.
-func (m *Manager) UseJournal(jl *Journal) { m.jl = jl }
-
-// Restore installs journal-recovered jobs. Terminal jobs come back
-// whole — state, error, report, progress — and keep serving status and
-// report reads; anything that had not finished is re-queued for Resume
-// to re-run from scratch (every point the persistent cache tiers held
-// at the crash resolves by content-addressed key); its progress reads 0
-// of the spec's planned total until then. Event history is not
-// persisted; terminal jobs get one synthetic state event so late
-// subscribers still see an ending.
-func (m *Manager) Restore(rec *Recovered) {
-	if rec == nil {
-		return
+// Submit accepts a validated spec as an async job and returns its id
+// and its state as the submission found it. A spec that already has a
+// queued, running or done job gets that job back, with nothing run or
+// written; a spec whose job failed re-runs under the same id. A new
+// job's spec is stored, durably, before its id is returned, and its
+// state is queued.
+func (m *Manager) Submit(sc scenario.Scenario) (id, state string, err error) {
+	b := specBytes(&sc)
+	id = jobID(b)
+	m.mu.Lock()
+	state, err = m.admitLocked(id)
+	m.mu.Unlock()
+	if state != "" || err != nil {
+		return id, state, err
+	}
+	if m.specs != nil {
+		// Concurrent first submissions of one spec may each write it:
+		// the bytes are equal, and the store's writes are atomic.
+		if err := m.specs.Put(blobstore.NSSpec, id, b); err != nil {
+			return "", "", fmt.Errorf("cluster: storing the spec: %w", err)
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, rj := range rec.Jobs {
-		if rj.ID == "" || m.jobs[rj.ID] != nil {
-			continue
-		}
-		var n int
-		if _, err := fmt.Sscanf(rj.ID, "j-%d", &n); err == nil && n > m.next {
-			m.next = n
-		}
-		j := &jobRec{
-			id: rj.ID, state: StateQueued, submitted: rj.Submitted,
-			seen: make(map[string]bool),
-			subs: make(map[int]chan Event),
-		}
-		if sc, err := scenario.Decode([]byte(rj.Spec)); err != nil {
-			// The WAL's CRC vouches for these bytes, so a decode failure
-			// means the spec grammar changed underneath the log. Surface
-			// it as a failed job rather than dropping the id.
-			j.state = StateFailed
-			j.errText = "recovered job spec no longer decodes: " + err.Error()
-			j.finished = time.Now()
-		} else {
-			j.spec = *sc
-			j.preset = experiments.ScenarioLabel(*sc)
-			if rj.State == StateDone || rj.State == StateFailed {
-				j.state = rj.State
-				j.errText = rj.Error
-				j.report = rj.Report
-				j.done, j.total = rj.Done, rj.Total
-				j.finished = rj.Finished
-			} else {
-				// No record carries an unfinished job's total; the
-				// spec's plan does.
-				j.total = len(experiments.ProgressKeys(j.spec))
-			}
-		}
-		if j.state == StateDone || j.state == StateFailed {
-			m.publishLocked(j, Event{JobID: j.id, Kind: "state", Done: j.done,
-				Total: j.total, State: j.state, Error: j.errText})
-		}
-		m.jobs[j.id] = j
-		m.moveJob("", j.state)
+	if state, err = m.admitLocked(id); state != "" || err != nil {
+		return id, state, err // a concurrent submission of this spec won
 	}
+	m.startLocked(newJob(id, sc, time.Now()))
+	return id, StateQueued, nil
 }
 
-// Resume re-runs every restored job that had not finished, in log
-// order. Call after Restore — and after the boot snapshot, so the
-// re-run's transitions land in the compacted log's fresh segment.
-func (m *Manager) Resume(rec *Recovered) {
-	if rec == nil {
-		return
-	}
-	m.mu.Lock()
-	var pend []*jobRec
-	for _, rj := range rec.Jobs {
-		j := m.jobs[rj.ID]
-		if j == nil || j.state != StateQueued {
-			continue
-		}
-		m.wg.Add(1)
-		pend = append(pend, j)
-	}
-	m.mu.Unlock()
-	for _, j := range pend {
-		go m.run(j)
-	}
-}
-
-// Submit accepts a validated spec as an async job and returns its id.
-func (m *Manager) Submit(sc scenario.Scenario) (string, error) {
-	m.mu.Lock()
+// admitLocked returns the state of the job a submission under id gets
+// back, "" when the submission must start one (no job, or a failed
+// one), or an error once the manager is closed. Caller holds m.mu.
+func (m *Manager) admitLocked(id string) (string, error) {
 	if m.closed {
-		m.mu.Unlock()
 		return "", errors.New("cluster: manager is shutting down")
 	}
-	m.next++
-	j := &jobRec{
-		id:        fmt.Sprintf("j-%d", m.next),
-		spec:      sc,
-		preset:    experiments.ScenarioLabel(sc),
-		state:     StateQueued,
-		submitted: time.Now(),
-		seen:      make(map[string]bool),
-		subs:      make(map[int]chan Event),
+	if j := m.jobs[id]; j != nil && j.state != StateFailed {
+		return j.state, nil
+	}
+	return "", nil
+}
+
+// startLocked installs j, replacing a failed job under its id, and
+// runs it. Caller holds m.mu.
+func (m *Manager) startLocked(j *jobRec) {
+	if old := m.jobs[j.id]; old != nil {
+		m.moveJob(old.state, "")
 	}
 	m.jobs[j.id] = j
-	m.wg.Add(1)
-	m.mu.Unlock()
 	m.moveJob("", StateQueued)
-	// Journal before the id escapes to the client: a crash after this
-	// append replays the submission; a crash before it means the caller
-	// never saw the id accepted.
-	m.jl.append(journalRecord{Kind: recJobSubmit, Job: j.id, Name: sc.Name,
-		Spec: string(j.spec.Canonical()), Submitted: j.submitted})
+	m.wg.Add(1)
 	go m.run(j)
-	return j.id, nil
 }
 
 func (m *Manager) run(j *jobRec) {
@@ -235,9 +265,6 @@ func (m *Manager) run(j *jobRec) {
 	for _, k := range keys {
 		keySet[k] = true
 	}
-	// The running transition is not journaled: recovery re-runs a
-	// running job exactly like a queued one, and the total it would
-	// carry is recomputed from the spec.
 	m.mu.Lock()
 	j.state = StateRunning
 	j.total = len(keys)
@@ -259,32 +286,17 @@ func (m *Manager) run(j *jobRec) {
 	err := m.exec.RenderScenario(&buf, j.spec)
 	cancel()
 
-	finished := time.Now()
-	final := StateDone
-	var errText, report string
-	if err != nil {
-		final = StateFailed
-		errText = err.Error()
-	} else {
-		report = buf.String()
-	}
-	// Write ahead: the terminal record (which carries the report text,
-	// so a restarted daemon serves pre-crash reports straight from the
-	// journal) must be durable before the state flip is observable — a
-	// crash in between must resurrect the job, never lose a finish the
-	// client already saw. j.done is stable here: the pool listener is
-	// cancelled, and cancel returns only once no call is in flight.
-	m.jl.append(journalRecord{Kind: recJobState, Job: j.id, State: final,
-		Error: errText, Report: report, Done: j.done, Total: j.total,
-		Finished: finished})
-
 	m.mu.Lock()
-	j.finished = finished
+	j.finished = time.Now()
+	final := StateDone
+	if err != nil {
+		final, j.errText = StateFailed, err.Error()
+	} else {
+		j.report = buf.String()
+	}
 	j.state = final
-	j.errText = errText
-	j.report = report
 	m.publishLocked(j, Event{JobID: j.id, Kind: "state", Done: j.done,
-		Total: j.total, State: final, Error: errText})
+		Total: j.total, State: final, Error: j.errText})
 	for id, sub := range j.subs {
 		close(sub)
 		delete(j.subs, id)

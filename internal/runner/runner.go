@@ -84,6 +84,7 @@ type Pool struct {
 	nworkers int
 
 	// Counters (guarded by mu).
+	pending     int // jobs waiting on dependencies
 	submitted   int64
 	completed   int64
 	failed      int64
@@ -168,12 +169,10 @@ func (p *Pool) SubmitAll(jobs []*Job) ([]JobID, error) {
 			return nil, fmt.Errorf("runner: job %q submitted twice in one batch", j.Name)
 		}
 		rec := &jobRec{
-			job: j, id: p.nextID, key: j.Key(),
+			job: j, id: p.nextID + JobID(i), key: j.Key(),
 			state: Pending, submitted: now, done: make(chan struct{}),
 		}
-		p.nextID++
 		recs[i], byJob[j], ids[i] = rec, rec, rec.id
-		p.jobs[rec.id] = rec
 	}
 
 	// Wire the dependency graph.
@@ -191,7 +190,12 @@ func (p *Pool) SubmitAll(jobs []*Job) ([]JobID, error) {
 		}
 	}
 
-	// The batch is now structurally valid; account every job.
+	// The batch is now structurally valid; record and account every job.
+	for _, rec := range recs {
+		p.jobs[rec.id] = rec
+	}
+	p.nextID += JobID(len(recs))
+	p.pending += len(recs)
 	p.submitted += int64(len(recs))
 	p.met.jobsSubmitted.Add(float64(len(recs)))
 	p.met.queueDepth.Add(float64(len(recs)))
@@ -269,11 +273,20 @@ func (p *Pool) Wait(ctx context.Context, ids ...JobID) ([]interface{}, error) {
 // RunAll submits a batch and waits for it, returning results in
 // submission order — the deterministic reassembly the experiment
 // harnesses rely on for byte-identical output at any worker count.
+// The batch's records are dropped once Wait returns: their ids were
+// never handed out, so a long-lived pool keeps none of them.
 func (p *Pool) RunAll(ctx context.Context, jobs []*Job) ([]interface{}, error) {
 	ids, err := p.SubmitAll(jobs)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		p.mu.Lock()
+		for _, id := range ids {
+			delete(p.jobs, id)
+		}
+		p.mu.Unlock()
+	}()
 	return p.Wait(ctx, ids...)
 }
 
@@ -347,12 +360,6 @@ func (s Stats) HitRate() float64 {
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pendingBlocked := 0
-	for _, rec := range p.jobs {
-		if rec.state == Pending {
-			pendingBlocked++
-		}
-	}
 	up := time.Since(p.start)
 	s := Stats{
 		Workers:   p.nworkers,
@@ -360,7 +367,7 @@ func (p *Pool) Stats() Stats {
 		Failed:    p.failed,
 		CacheHits: p.cacheHits, CacheMisses: p.cacheMisses,
 		CacheEntries: p.cache.size(),
-		QueueDepth:   len(p.ready) + pendingBlocked,
+		QueueDepth:   len(p.ready) + p.pending,
 		Running:      p.running,
 		BusySeconds:  p.busy.Seconds(), UptimeSeconds: up.Seconds(),
 	}
@@ -375,6 +382,7 @@ func (p *Pool) Stats() Stats {
 
 // enqueueLocked moves a Pending job into the ready queue.
 func (p *Pool) enqueueLocked(rec *jobRec) {
+	p.pending--
 	rec.state = Ready
 	heap.Push(&p.ready, rec)
 	p.publish(Event{Kind: JobQueued, Job: rec.id, Name: rec.job.Name, State: Ready, Key: rec.key})
@@ -388,6 +396,9 @@ func (p *Pool) enqueueLocked(rec *jobRec) {
 // caller whose Wait returned has already had every finished event of
 // the jobs it waited on delivered to each progress listener.
 func (p *Pool) settleLocked(rec *jobRec, st State) {
+	if rec.state == Pending {
+		p.pending--
+	}
 	rec.state = st
 	rec.finished = time.Now()
 	p.met.queueDepth.Dec() // settled jobs were Pending or Ready

@@ -545,3 +545,51 @@ func TestBadSubmissions(t *testing.T) {
 		t.Error("unknown job id accepted")
 	}
 }
+
+// TestRunAllForgetsItsBatch: a long-lived pool keeps no record of the
+// batches RunAll has returned, and Stats still counts every job —
+// including a dependency-blocked one, and none of a rejected batch.
+func TestRunAllForgetsItsBatch(t *testing.T) {
+	p, _ := newTestPool(t, 1)
+	const runs = 5000
+	for i := 0; i < runs; i++ {
+		j := &Job{Name: "one", NoCache: true, Body: func(*Ctx) (interface{}, error) { return i, nil }}
+		res, err := p.RunAll(context.Background(), []*Job{j})
+		if err != nil || res[0] != i {
+			t.Fatalf("run %d = %v, %v", i, res, err)
+		}
+	}
+	p.mu.Lock()
+	kept := len(p.jobs)
+	p.mu.Unlock()
+	if kept != 0 {
+		t.Fatalf("%d job records kept after %d RunAll calls, want 0", kept, runs)
+	}
+	if st := p.Stats(); st.Submitted != runs || st.Completed != runs || st.QueueDepth != 0 || st.Running != 0 {
+		t.Fatalf("stats after %d runs = %+v", runs, st)
+	}
+
+	if _, err := p.SubmitAll([]*Job{{Name: "ok", Body: func(*Ctx) (interface{}, error) { return nil, nil }}, {Name: "nobody"}}); err == nil {
+		t.Fatal("batch with a bodiless job accepted")
+	}
+	release := make(chan struct{})
+	first := &Job{Name: "first", NoCache: true, Body: func(*Ctx) (interface{}, error) { <-release; return nil, nil }}
+	second := &Job{Name: "second", NoCache: true, After: []*Job{first},
+		Body: func(*Ctx) (interface{}, error) { return nil, nil }}
+	done := make(chan error)
+	go func() {
+		_, err := p.RunAll(context.Background(), []*Job{first, second})
+		done <- err
+	}()
+	waitRunning(t, p, 1)
+	if st := p.Stats(); st.QueueDepth != 1 || st.Submitted != runs+2 {
+		t.Errorf("with one job running and one blocked: stats %+v, want queue depth 1", st)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.QueueDepth != 0 || st.Completed != runs+2 {
+		t.Errorf("stats after the blocked batch = %+v", st)
+	}
+}
