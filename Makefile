@@ -113,12 +113,13 @@ fuzz:
 # Coverage gate for the packages every other layer leans on:
 # internal/metrics is the one package every layer reports through,
 # internal/trace holds the one decoder that takes bytes from outside the
-# process (trace-store blobs and -replay files), internal/cluster is
-# the daemon's job API and spec store, and internal/wal is measured by
-# bench/micro.go. Fails when any package's statement coverage drops
-# below 85%.
+# process (trace-store blobs and -replay files), internal/machine and
+# internal/sched are the timing model and the driver every simulated
+# cycle comes from, internal/cluster is the daemon's job API and spec
+# store, and internal/wal is measured by bench/micro.go. Fails when any
+# package's statement coverage drops below 85%.
 COVER_MIN ?= 85
-COVER_PKGS = internal/metrics internal/trace internal/cluster internal/wal
+COVER_PKGS = internal/metrics internal/trace internal/machine internal/sched internal/cluster internal/wal
 cover:
 	@for pkg in $(COVER_PKGS); do \
 		$(GO) test -coverprofile=cover.out ./$$pkg || exit 1; \

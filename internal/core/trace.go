@@ -138,9 +138,12 @@ func (s *System) queryTrace(query string, rows []int, streams []trace.Stream) *t
 	}
 }
 
-// replayBatch is the replay's unit of decode: events per batch. A 64KB
-// chunk of typical 2-3-byte ref events decodes to ~2.5 batches.
-const replayBatch = 8192
+// replayBatch is the replay's unit of decode: events per batch, so each
+// processor's buffer holds 1024 48-byte events (48 KB). It is the
+// smallest batch that costs the replay no CPU: in BenchmarkReplay
+// (Q6 and Q3 at scale 0.002), 1024 and 2048 read as 8192 did within
+// host noise, while 512 was slower on Q3.
+const replayBatch = 1024
 
 // Skeleton-arena reuse counters (package-wide, atomic), surfaced as
 // gauges by the experiments layer.
@@ -180,7 +183,7 @@ func decodeInto(cur *trace.Cursor, lm *lockmgr.Manager, out []sched.ReplayEvent)
 // decodeBufs holds one replayBatch-event decode buffer per processor.
 // They belong to whoever owns the replaying engine — a pooled skeleton,
 // or a System for its self-replays — so consecutive replays decode into
-// the same buffers instead of allocating 4 x 384 KB per segment.
+// the same buffers instead of allocating 4 x 48 KB per segment.
 type decodeBufs [][]sched.ReplayEvent
 
 func (b *decodeBufs) proc(i int) []sched.ReplayEvent {

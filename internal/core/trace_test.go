@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -151,6 +152,38 @@ func TestSecondReplayReusesItsBuffers(t *testing.T) {
 	t.Logf("second replay allocated %d bytes", alloc)
 	if alloc >= 256<<10 {
 		t.Errorf("second replay allocated %d bytes, want < %d", alloc, 256<<10)
+	}
+}
+
+// TestDecodeBufferFootprint pins the decode buffers a replaying engine
+// owns: one replayBatch-event buffer per processor, for a System's
+// self-replays and for a pooled skeleton's replays alike.
+func TestDecodeBufferFootprint(t *testing.T) {
+	s, err := NewSystem(testConfig(0.002))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr := s.RunColdRecorded("Q3")
+	if _, err := ReplayTrace(tr, s.Cfg.Machine); err != nil {
+		t.Fatal(err)
+	}
+	sk, err := acquireSkeleton(tr.Layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer releaseSkeleton(sk)
+	const want = 4 * 1024 * 48 // processors x replayBatch x sizeof(sched.ReplayEvent)
+	for _, c := range []struct {
+		owner string
+		bufs  decodeBufs
+	}{{"system", s.decode}, {"skeleton", sk.decode}} {
+		got := 0
+		for _, b := range c.bufs {
+			got += cap(b) * int(unsafe.Sizeof(b[0]))
+		}
+		if got != want {
+			t.Errorf("%s decode buffers hold %d B, want %d B", c.owner, got, want)
+		}
 	}
 }
 

@@ -36,8 +36,10 @@ type node struct {
 	// pfReady records when a prefetched primary line's data actually
 	// arrives; a demand access before that stalls for the remainder.
 	// It is empty unless prefetching is enabled, and the hot path gates
-	// on its length before probing.
+	// on pfOut, its length kept inline here (every set, del and reset
+	// of pfReady refreshes it), before probing.
 	pfReady *timeTab
+	pfOut   int
 	// pfQueue holds outstanding prefetches in issue order, backing
 	// pfReady's expiry: a node is probed only by its own processor,
 	// whose clock never decreases, so once now passes an entry's
@@ -58,12 +60,13 @@ type pfEntry struct {
 // expirePrefetches purges prefetches that have arrived by now. Issue
 // order is only approximately arrival order (fetch latency varies), so
 // the scan stops at the first still-outstanding entry; stragglers
-// behind it expire on a later call.
-func (nd *node) expirePrefetches(now int64) {
+// behind it expire on a later call. It returns the count still
+// outstanding.
+func (nd *node) expirePrefetches(now int64) int {
 	for nd.pfHead < len(nd.pfQueue) {
 		e := nd.pfQueue[nd.pfHead]
 		if e.ready > now {
-			return
+			return nd.pfOut
 		}
 		nd.pfHead++
 		// Delete only if the table still holds this issue's arrival
@@ -71,10 +74,12 @@ func (nd *node) expirePrefetches(now int64) {
 		// re-prefetch superseded it.
 		if v, ok := nd.pfReady.get(e.line); ok && v == e.ready {
 			nd.pfReady.del(e.line)
+			nd.pfOut = nd.pfReady.len()
 		}
 	}
 	nd.pfQueue = nd.pfQueue[:0]
 	nd.pfHead = 0
+	return nd.pfOut
 }
 
 // AccessResult reports the outcome of one processor memory reference:
@@ -197,6 +202,7 @@ func (m *Machine) Flush() {
 		n.wb = n.wb[:0]
 		n.pruneAt = 0
 		n.pfReady.reset()
+		n.pfOut = 0
 		n.pfQueue = n.pfQueue[:0]
 		n.pfHead = 0
 	}
@@ -353,8 +359,9 @@ func (m *Machine) Read(n int, a simm.Addr, size int, now int64) AccessResult {
 func (m *Machine) ReadCat(n int, a simm.Addr, size int, now int64, firstCat simm.Category) AccessResult {
 	nd := m.nodes[n]
 	addr := uint64(a)
-	if nd.pfReady.len() > 0 {
-		nd.expirePrefetches(now)
+	pending := nd.pfOut
+	if pending > 0 {
+		pending = nd.expirePrefetches(now)
 	}
 	// Fast path for the overwhelmingly common reference: a single-line
 	// access that hits the primary cache while no prefetch is
@@ -364,7 +371,7 @@ func (m *Machine) ReadCat(n int, a simm.Addr, size int, now int64, firstCat simm
 	// only the L1 tag array — no page-table walk, no table lookups, no
 	// allocation, no stall.
 	if first := addr &^ (nd.l1.lineSize - 1); addr+uint64(size) <= first+nd.l1.lineSize &&
-		nd.pfReady.len() == 0 && nd.l1.lines[nd.l1.setOf(first)] == first {
+		pending == 0 && nd.l1.lines[nd.l1.setOf(first)] == first {
 		if now > nd.pruneAt {
 			nd.pruneAt = now
 		}
@@ -391,13 +398,14 @@ func (m *Machine) ReadCat(n int, a simm.Addr, size int, now int64, firstCat simm
 			// A prefetched line may not have arrived yet: stall for
 			// the remainder (a late prefetch hides only part of the
 			// miss latency).
-			if nd.pfReady.len() > 0 {
+			if nd.pfOut > 0 {
 				if ready, ok := nd.pfReady.get(line); ok {
 					if ready > now {
 						res.Stall += ready - now
 						m.st.LatePrefetches++
 					}
 					nd.pfReady.del(line)
+					nd.pfOut = nd.pfReady.len()
 				}
 			}
 			continue
@@ -551,6 +559,7 @@ func (m *Machine) prefetch(n int, l1line uint64, now int64) {
 		}
 		nd.l1.fill(pa)
 		nd.pfReady.set(pa, now+lat)
+		nd.pfOut = nd.pfReady.len()
 		nd.pfQueue = append(nd.pfQueue, pfEntry{line: pa, ready: now + lat})
 	}
 }

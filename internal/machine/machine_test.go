@@ -560,3 +560,54 @@ func TestSnoopingBusCoherence(t *testing.T) {
 		t.Errorf("coherence misses = %d, want 1", got)
 	}
 }
+
+// TestPrefetchCountTracksTable drives a seeded script with prefetching
+// on and checks, after every access, that each node's inline
+// outstanding-prefetch count equals its table's length — across
+// expiry, demand probes, re-prefetches, Flush and a NewReusing
+// configuration change.
+func TestPrefetchCountTracksTable(t *testing.T) {
+	mem := simm.New(Baseline().Nodes)
+	data := mem.AllocRegion("data", 1<<20, simm.CatData, simm.AnyNode)
+	rng := rand.New(rand.NewSource(5))
+	var m *Machine
+	outstanding := 0
+	for _, line := range []int{64, 64, 16, 128} {
+		cfg := Baseline().WithLineSize(line)
+		cfg.PrefetchData = true
+		var err error
+		if m, err = NewReusing(cfg, mem, m); err != nil {
+			t.Fatal(err)
+		}
+		now := int64(0)
+		for i := 0; i < 20000; i++ {
+			n := rng.Intn(cfg.Nodes)
+			a := data.Base + simm.Addr(rng.Intn(int(data.Size)/8-8)*8)
+			if rng.Intn(2) == 0 {
+				a = data.Base + simm.Addr(rng.Intn(4096)*8) // dense, re-read
+			}
+			now += int64(rng.Intn(40))
+			if rng.Intn(8) == 0 {
+				m.Write(n, a, 8, now)
+			} else {
+				m.Read(n, a, 8+rng.Intn(2)*24, now)
+			}
+			for q, nd := range m.nodes {
+				if nd.pfOut != nd.pfReady.len() {
+					t.Fatalf("L2 line %d, access %d: node %d counts %d outstanding, table holds %d",
+						line, i, q, nd.pfOut, nd.pfReady.len())
+				}
+				outstanding += nd.pfOut
+			}
+		}
+		m.Flush()
+		for q, nd := range m.nodes {
+			if nd.pfOut != 0 || nd.pfReady.len() != 0 {
+				t.Fatalf("L2 line %d: node %d holds %d (table %d) after Flush", line, q, nd.pfOut, nd.pfReady.len())
+			}
+		}
+	}
+	if outstanding == 0 {
+		t.Fatal("the script never had a prefetch outstanding")
+	}
+}

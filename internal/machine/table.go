@@ -22,18 +22,26 @@ func lineHash(line uint64) uint64 {
 
 const tableInitSize = 1024 // slots; must be a power of two
 
-// seenChunkBits sizes the leaves of seenTab: 1<<16 lines (a 64-KB byte
-// array) per chunk.
+// seenChunkBits sizes the leaves of seenTab: 1<<16 lines per chunk, at
+// seenBits bits per line (a 16-KB byte array).
 const seenChunkBits = 16
 
-// seenTab maps line -> uint8 with 0-valued absence: a get on a missing
-// key returns 0, which the miss classifier reads as "never seen"
-// (cold). It backs the per-cache seen history. Because the simulated
-// address space is a dense linear span and a running query touches most
-// lines of the regions it visits, the history is stored as a two-level
-// chunked array indexed by line number — two dependent loads, no
-// hashing, no probe chains, no rehash pauses — materializing 64-KB
-// leaf chunks only for address ranges actually referenced.
+// seenBits is the history width: a line is never seen (0),
+// absentReplaced, absentInvalidated or present — four states, two bits,
+// four lines per byte.
+const (
+	seenBits = 2
+	seenMask = 1<<seenBits - 1
+)
+
+// seenTab maps line -> 2-bit history with 0-valued absence: a get on a
+// missing key returns 0, which the miss classifier reads as "never
+// seen" (cold). It backs the per-cache seen history. Because the
+// simulated address space is a dense linear span and a running query
+// touches most lines of the regions it visits, the history is stored as
+// a two-level chunked array indexed by line number — two dependent
+// loads, no hashing, no probe chains, no rehash pauses — materializing
+// 16-KB leaf chunks only for address ranges actually referenced.
 type seenTab struct {
 	lineShift uint
 	chunks    [][]uint8
@@ -43,13 +51,21 @@ func newSeenTab(lineSize uint64) *seenTab {
 	return &seenTab{lineShift: uint(bits.TrailingZeros64(lineSize))}
 }
 
+// seenSlot splits a line index into its leaf's byte offset and the bit
+// shift of its history within that byte.
+func seenSlot(idx uint64) (byteOff uint64, shift uint) {
+	off := idx & (1<<seenChunkBits - 1)
+	return off / (8 / seenBits), uint(off%(8/seenBits)) * seenBits
+}
+
 func (t *seenTab) get(line uint64) uint8 {
 	idx := line >> t.lineShift
 	ci := idx >> seenChunkBits
 	if ci >= uint64(len(t.chunks)) || t.chunks[ci] == nil {
 		return 0
 	}
-	return t.chunks[ci][idx&(1<<seenChunkBits-1)]
+	b, sh := seenSlot(idx)
+	return t.chunks[ci][b] >> sh & seenMask
 }
 
 func (t *seenTab) set(line uint64, v uint8) {
@@ -60,10 +76,11 @@ func (t *seenTab) set(line uint64, v uint8) {
 	}
 	c := t.chunks[ci]
 	if c == nil {
-		c = make([]uint8, 1<<seenChunkBits)
+		c = make([]uint8, (1<<seenChunkBits)*seenBits/8)
 		t.chunks[ci] = c
 	}
-	c[idx&(1<<seenChunkBits-1)] = v
+	b, sh := seenSlot(idx)
+	c[b] = c[b]&^(seenMask<<sh) | v<<sh
 }
 
 func (t *seenTab) reset() {
@@ -108,12 +125,21 @@ func (t *dirTab) entry(line uint64) *dirEntry {
 }
 
 // reset forgets every entry and re-keys the table for lines of lineSize
-// bytes, keeping the leaves for the next run.
+// bytes. It keeps the leaves for the next run only when the line size is
+// unchanged. A leaf holds 1<<dirChunkBits lines, so one address range
+// takes sixteen 16-byte-line leaves for each 256-byte-line one: leaves
+// kept from a finer line size would mostly sit unused, so a new line
+// size drops them and makes its own on first touch.
 func (t *dirTab) reset(lineSize uint64) {
+	shift := uint(bits.TrailingZeros64(lineSize))
+	if shift != t.lineShift {
+		t.chunks = nil
+		t.lineShift = shift
+		return
+	}
 	for _, c := range t.chunks {
 		clear(c)
 	}
-	t.lineShift = uint(bits.TrailingZeros64(lineSize))
 }
 
 // timeTab maps line -> int64 with true deletion (backward-shift, so no
