@@ -152,3 +152,32 @@ func TestAllQueriesThroughCore(t *testing.T) {
 		}
 	}
 }
+
+// TestNewFromLayoutAllocs pins what rebuilding the default
+// configuration's address space from its layout allocates, as a replay
+// skeleton does: the Memory, its three page tables (made, then grown
+// once for the whole layout), its region table, and for each of the 18
+// regions a descriptor and a chunk index. Before the page tables grew
+// once, every page appended to each of them, 121 allocations in all.
+func TestNewFromLayoutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes the allocation count")
+	}
+	s, err := NewSystem(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := s.Mem.Layout()
+	if len(l.Regions) != 18 {
+		t.Fatalf("default layout has %d regions, want 18", len(l.Regions))
+	}
+	const want = 1 + 3 + 3 + 1 + 18*2
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := simm.NewFromLayout(l); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != want {
+		t.Errorf("NewFromLayout of the default layout: %v allocations, want %d", got, want)
+	}
+}

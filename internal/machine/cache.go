@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/stats"
@@ -45,9 +47,14 @@ type l1Cache struct {
 	lineShift uint
 	sets      uint64
 	setMask   uint64   // sets-1 when sets is a power of two, else 0
-	lines     []uint64 // line address per set; 0 = invalid
+	lines     []uint64 // line address per set; l1Free = invalid
 	seen      *seenTab
 }
+
+// l1Free marks an empty primary-cache set. No line address equals it,
+// line 0 included, which holds mapped data once a line is longer than a
+// simm page.
+const l1Free = ^uint64(0)
 
 func newL1(bytes, line int) *l1Cache {
 	sets := uint64(bytes / line)
@@ -61,6 +68,7 @@ func newL1(bytes, line int) *l1Cache {
 	if sets&(sets-1) == 0 {
 		c.setMask = sets - 1
 	}
+	c.flush()
 	return c
 }
 
@@ -79,7 +87,7 @@ func (c *l1Cache) fill(a uint64) {
 	line := c.lineOf(a)
 	s := c.setOf(line)
 	v := c.lines[s]
-	if v != 0 && v != line {
+	if v != l1Free && v != line {
 		c.seen.set(v, absentReplaced)
 	}
 	c.lines[s] = line
@@ -92,7 +100,7 @@ func (c *l1Cache) invalidateRange(a, n uint64, reason uint8) {
 	for line := c.lineOf(a); line < a+n; line += c.lineSize {
 		s := c.setOf(line)
 		if c.lines[s] == line {
-			c.lines[s] = 0
+			c.lines[s] = l1Free
 			c.seen.set(line, reason)
 		}
 	}
@@ -100,7 +108,7 @@ func (c *l1Cache) invalidateRange(a, n uint64, reason uint8) {
 
 func (c *l1Cache) flush() {
 	for i := range c.lines {
-		c.lines[i] = 0
+		c.lines[i] = l1Free
 	}
 	c.seen.reset()
 }
@@ -112,149 +120,224 @@ const (
 	stModified = uint8(2)
 )
 
+// l2LeafBits sizes the leaves of l2Cache: 1<<8 sets per leaf (fewer in
+// a cache with fewer sets in all), so a 2-way leaf is 3 KB.
+const l2LeafBits = 8
+
 // l2Cache is the set-associative secondary cache; its lines carry the
-// MSI coherence state. Recency is a per-set rank permutation (one byte
-// per way) rather than a global timestamp array: rank 0 is the LRU
-// way, ways-1 the MRU. This is exactly equivalent to timestamp LRU
-// with first-lowest-index tie-breaking — the victim scan only runs
-// when every way is valid (invalid ways are claimed by the free-slot
-// scan first), and among filled ways ranks order exactly as unique
-// timestamps would — while costing 1 byte per line instead of 8, which
-// is what keeps the warm-cache experiments' 32MB-L2 machines cheap to
-// construct.
+// MSI coherence state. Its sets live in fixed-size leaves made on first
+// fill, like the leaves of seenTab and dirTab: a probe of a set whose
+// leaf was never made is a miss, and until then the set costs only its
+// share of one leaf pointer. The warm-cache experiments' 32-MB and the
+// cache sweep's 8-MB secondary caches are thereby sized by the sets a
+// run touches, not by the sets it configures.
+//
+// A made leaf holds 6 bytes per line. The tag is the set-relative part
+// of the line number, (line >> lineShift) / sets, plus one, in 32 bits:
+// the set index holds the rest, so a line comes back exactly from its
+// set and tag. The plus one keeps every line's tag nonzero, line 0's
+// too (mapped data shares it once a line is longer than a simm page),
+// so a zero tag is a free way: invalidation zeroes it, and no state
+// needs reading to tell a free way from a resident one. 32 bits tag
+// every address below Config.TagReach, 2^32-1 times the bytes of one
+// way (32 GB at the smallest geometry, 128 GB at 32-byte ways); fill
+// panics on a line past it rather than store an aliased tag.
+//
+// Recency is a per-set rank permutation (one byte per way) rather than a
+// global timestamp array: rank 0 is the LRU way, ways-1 the MRU. This is
+// exactly equivalent to timestamp LRU with first-lowest-index
+// tie-breaking — the victim scan only runs when every way is valid (free
+// ways are claimed by the free-slot scan first), and among filled ways
+// ranks order exactly as unique timestamps would.
 type l2Cache struct {
 	lineSize  uint64
 	lineShift uint
 	sets      uint64
-	setMask   uint64
+	setMask   uint64 // sets-1 when sets is a power of two, else 0
+	setShift  uint   // log2(sets) when sets is a power of two
 	ways      int
-	tags      []uint64 // sets*ways; 0 = invalid
-	state     []uint8
-	order     []uint8 // recency rank within the set: 0 = LRU, ways-1 = MRU
+	leaves    []*l2Leaf // set s lives in leaves[s>>l2LeafBits]; nil until its first fill
 	seen      *seenTab
+}
+
+// l2Leaf holds 1<<l2LeafBits consecutive sets, ways entries each.
+type l2Leaf struct {
+	tags  []uint32 // set-relative line number plus one; 0 = free
+	state []uint8  // MSI state of a resident line
+	order []uint8  // recency rank within the set: 0 = LRU, ways-1 = MRU
 }
 
 func newL2(bytes, line, ways int) *l2Cache {
 	sets := uint64(bytes / (line * ways))
-	n := sets * uint64(ways)
 	c := &l2Cache{
 		lineSize:  uint64(line),
 		lineShift: uint(bits.TrailingZeros64(uint64(line))),
 		sets:      sets,
 		ways:      ways,
-		tags:      make([]uint64, n),
-		state:     make([]uint8, n),
-		order:     make([]uint8, n),
+		leaves:    make([]*l2Leaf, (sets+1<<l2LeafBits-1)>>l2LeafBits),
 		seen:      newSeenTab(uint64(line)),
 	}
-	c.resetOrder()
 	if sets&(sets-1) == 0 {
 		c.setMask = sets - 1
+		c.setShift = uint(bits.TrailingZeros64(sets))
 	}
 	return c
+}
+
+// makeLeaf makes leaf li, every set of it in the flush state.
+func (c *l2Cache) makeLeaf(li uint64) *l2Leaf {
+	sets := min(c.sets-li<<l2LeafBits, 1<<l2LeafBits)
+	n := int(sets) * c.ways
+	meta := make([]uint8, 2*n)
+	lf := &l2Leaf{tags: make([]uint32, n), state: meta[:n:n], order: meta[n:]}
+	lf.resetOrder(c.ways)
+	c.leaves[li] = lf
+	return lf
 }
 
 // resetOrder restores the identity ranking in every set, the flush
 // state: untouched ways are evicted lowest-index-first, matching the
 // timestamp scan's tie-break over all-zero timestamps.
-func (c *l2Cache) resetOrder() {
-	for i := range c.order {
-		c.order[i] = uint8(i % c.ways)
+func (lf *l2Leaf) resetOrder(ways int) {
+	for i := range lf.order {
+		lf.order[i] = uint8(i % ways)
 	}
 }
 
-// touch marks slot i most recently used within its set (base is the
-// set's first slot): ranks above its old rank slide down one,
+// touch marks way i most recently used within its set (base is the
+// set's first way): ranks above its old rank slide down one,
 // preserving their relative order.
-func (c *l2Cache) touch(base, i int) {
-	r := c.order[i]
-	if int(r) == c.ways-1 {
+func (lf *l2Leaf) touch(base, i, ways int) {
+	r := lf.order[i]
+	if int(r) == ways-1 {
 		return // already MRU; ranks are unchanged
 	}
-	for w := 0; w < c.ways; w++ {
-		if c.order[base+w] > r {
-			c.order[base+w]--
+	for w := base; w < base+ways; w++ {
+		if lf.order[w] > r {
+			lf.order[w]--
 		}
 	}
-	c.order[i] = uint8(c.ways - 1)
+	lf.order[i] = uint8(ways - 1)
 }
 
 func (c *l2Cache) lineOf(a uint64) uint64 { return a &^ (c.lineSize - 1) }
-func (c *l2Cache) setOf(line uint64) uint64 {
-	return setIndex(line, c.lineShift, c.sets, c.setMask)
+
+// set returns the index of line's set and line's tag. The tag is
+// returned in 64 bits: one past 32 bits matches no stored tag, and fill
+// refuses to store it.
+func (c *l2Cache) set(line uint64) (s, tag uint64) {
+	n := line >> c.lineShift
+	if c.setMask != 0 {
+		return n & c.setMask, n>>c.setShift + 1
+	}
+	return n % c.sets, n/c.sets + 1
 }
 
-// find returns the way index of the line, or -1.
-func (c *l2Cache) find(line uint64) int {
-	base := int(c.setOf(line)) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line && c.state[base+w] != stInvalid {
-			return base + w
+// tagReach is the first address that a secondary cache whose ways hold
+// the given bytes cannot tag: a line's tag, its set-relative line number
+// plus one, passes 32 bits there.
+func tagReach(wayBytes uint64) uint64 {
+	if wayBytes > math.MaxUint64/math.MaxUint32 {
+		return math.MaxUint64
+	}
+	return wayBytes * math.MaxUint32
+}
+
+// lineAt is the line held in set s under the given tag, the inverse of
+// set.
+func (c *l2Cache) lineAt(s uint64, tag uint32) uint64 {
+	return ((uint64(tag)-1)*c.sets + s) << c.lineShift
+}
+
+// find returns the line's leaf, the index of its set's first way in the
+// leaf and its own way, or a nil leaf when the line is not resident.
+func (c *l2Cache) find(line uint64) (lf *l2Leaf, base, i int) {
+	s, tag := c.set(line)
+	if lf = c.leaves[s>>l2LeafBits]; lf != nil {
+		base = int(s&(1<<l2LeafBits-1)) * c.ways
+		for i = base; i < base+c.ways; i++ {
+			if uint64(lf.tags[i]) == tag {
+				return lf, base, i
+			}
 		}
 	}
-	return -1
+	return nil, 0, -1
 }
 
 // lookup probes for the line and refreshes LRU on a hit, returning the
 // line's state (stInvalid on miss).
 func (c *l2Cache) lookup(line uint64) uint8 {
-	if i := c.find(line); i >= 0 {
-		c.touch(i-i%c.ways, i)
-		return c.state[i]
+	lf, base, i := c.find(line)
+	if lf == nil {
+		return stInvalid
 	}
-	return stInvalid
+	lf.touch(base, i, c.ways)
+	return lf.state[i]
 }
 
 // fill inserts the line in the given state and returns the victim line
-// address and state (victim==0 if the slot was free).
+// address and state (victimState stInvalid if the slot was free). It
+// panics on a line at or past Config.TagReach, whose tag 32 bits cannot
+// hold.
 func (c *l2Cache) fill(line uint64, st uint8) (victim uint64, victimState uint8) {
-	base := int(c.setOf(line)) * c.ways
+	s, tag := c.set(line)
+	if tag > math.MaxUint32 {
+		panic(fmt.Sprintf("machine: line %#x is past the %#x bytes the secondary cache's 32-bit tags reach",
+			line, tagReach(c.sets*c.lineSize)))
+	}
+	li, base := s>>l2LeafBits, int(s&(1<<l2LeafBits-1))*c.ways
+	lf := c.leaves[li]
+	if lf == nil {
+		lf = c.makeLeaf(li)
+	}
 	slot := -1
-	for w := 0; w < c.ways; w++ {
-		if c.state[base+w] == stInvalid {
-			slot = base + w
+	for w := base; w < base+c.ways; w++ {
+		if lf.tags[w] == 0 {
+			slot = w
 			break
 		}
 	}
 	if slot < 0 {
-		for w := 0; w < c.ways; w++ {
-			if c.order[base+w] == 0 {
-				slot = base + w
+		for w := base; w < base+c.ways; w++ {
+			if lf.order[w] == 0 {
+				slot = w
 				break
 			}
 		}
-		victim, victimState = c.tags[slot], c.state[slot]
+		victim, victimState = c.lineAt(s, lf.tags[slot]), lf.state[slot]
 		c.seen.set(victim, absentReplaced)
 	}
-	c.tags[slot] = line
-	c.state[slot] = st
-	c.touch(base, slot)
+	lf.tags[slot] = uint32(tag)
+	lf.state[slot] = st
+	lf.touch(base, slot, c.ways)
 	c.seen.set(line, present)
 	return victim, victimState
 }
 
 // setState changes the state of a resident line.
 func (c *l2Cache) setState(line uint64, st uint8) {
-	if i := c.find(line); i >= 0 {
-		c.state[i] = st
+	if lf, _, i := c.find(line); lf != nil {
+		lf.state[i] = st
 	}
 }
 
 // invalidate drops the line for a coherence reason.
-func (c *l2Cache) invalidate(line uint64) bool {
-	if i := c.find(line); i >= 0 {
-		c.state[i] = stInvalid
+func (c *l2Cache) invalidate(line uint64) {
+	if lf, _, i := c.find(line); lf != nil {
+		lf.tags[i] = 0
 		c.seen.set(line, absentInvalidated)
-		return true
 	}
-	return false
 }
 
+// flush empties every set. It zeroes the leaves that were made and
+// keeps them, so a rerun over the same sets allocates nothing.
 func (c *l2Cache) flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.state[i] = stInvalid
+	for _, lf := range c.leaves {
+		if lf != nil {
+			clear(lf.tags)
+			clear(lf.state)
+			lf.resetOrder(c.ways)
+		}
 	}
-	c.resetOrder()
 	c.seen.reset()
 }

@@ -100,6 +100,13 @@ func (c Config) WithCacheSizes(l1, l2 int) Config {
 	return c
 }
 
+// TagReach is the first address the secondary cache cannot hold: its
+// 32-bit tags reach 2^32-1 times the bytes of one way. Every address a
+// machine touches must lie below it.
+func (c Config) TagReach() uint64 {
+	return tagReach(uint64(c.L2Bytes / c.L2Ways))
+}
+
 // Validate checks structural invariants.
 func (c Config) Validate() error {
 	switch {

@@ -223,6 +223,13 @@ func (m *Machine) dirQueue(home int, now int64) int64 {
 	return start - now
 }
 
+// homeOf returns the home node of a secondary-cache line, the home of
+// its first mapped page: line 0 starts on page 0, which simm never maps,
+// and holds mapped pages once a line is longer than a page.
+func (m *Machine) homeOf(line uint64) int {
+	return m.mem.HomeOf(simm.Addr(max(line, simm.PageSize)))
+}
+
 // invalidateOthers removes every copy of the line except node n's,
 // marking the victims as coherence-invalidated.
 func (m *Machine) invalidateOthers(n int, line uint64, e *dirEntry) {
@@ -263,7 +270,7 @@ func (m *Machine) fetchLine(n int, line uint64, now int64, exclusive bool) int64
 		queue = m.busQueue(now)
 		lat = m.cfg.BusLat + m.cfg.LocalMem
 	} else {
-		home := m.mem.HomeOf(simm.Addr(line))
+		home := m.homeOf(line)
 		queue = m.dirQueue(home, now)
 		switch {
 		case forward:
@@ -304,7 +311,7 @@ func (m *Machine) fetchLine(n int, line uint64, now int64, exclusive bool) int64
 func (m *Machine) insertL2(n int, line uint64, st uint8) {
 	nd := m.nodes[n]
 	victim, vstate := nd.l2.fill(line, st)
-	if victim == 0 {
+	if vstate == stInvalid {
 		return
 	}
 	ve := m.dir.entry(victim)
@@ -481,7 +488,7 @@ func (m *Machine) exclusiveLatency(n int, g uint64, now int64) int64 {
 			queue = m.busQueue(now)
 			lat = m.cfg.BusLat
 		} else {
-			home := m.mem.HomeOf(simm.Addr(g))
+			home := m.homeOf(g)
 			queue = m.dirQueue(home, now)
 			if home == n {
 				lat = m.cfg.LocalMem

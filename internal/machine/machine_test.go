@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -609,5 +610,57 @@ func TestPrefetchCountTracksTable(t *testing.T) {
 	}
 	if outstanding == 0 {
 		t.Fatal("the script never had a prefetch outstanding")
+	}
+}
+
+// TestTagWidth pins that a secondary-cache tag, the set-relative line
+// number plus one in 32 bits, is exact up to Config.TagReach and refused
+// loudly past it. At the smallest geometry (one set of two 8-byte ways)
+// the top line below the reach leaves the set as the victim it went in
+// as, a line at the reach misses where a truncated tag would match a
+// free way, and filling it panics. At lines longer than a page, line 0
+// holds mapped data, and it is tagged, evicted and invalidated like any
+// other line.
+func TestTagWidth(t *testing.T) {
+	if got, want := Baseline().TagReach(), uint64(64<<10)*math.MaxUint32; got != want {
+		t.Errorf("baseline tag reach %#x, want %#x", got, want)
+	}
+
+	c := newL2(16, 8, 2)
+	reach := tagReach(8)
+	top := reach - 8
+	c.fill(top, stModified)
+	if st := c.lookup(top); st != stModified {
+		t.Fatalf("top line reads state %d after its fill, want %d", st, stModified)
+	}
+	if st := c.lookup(reach); st != stInvalid {
+		t.Errorf("line %#x past the reach reads state %d", reach, st)
+	}
+	c.fill(8, stShared)
+	if victim, st := c.fill(16, stShared); victim != top || st != stModified {
+		t.Errorf("victim %#x in state %d, want the top line %#x in state %d", victim, st, top, stModified)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("line %#x past the reach %#x was filled", reach, reach)
+			}
+		}()
+		c.fill(reach, stShared)
+	}()
+
+	c = newL2(32<<10, 8<<10, 2)
+	if st := c.lookup(0); st != stInvalid {
+		t.Fatalf("line 0 reads state %d in a cold cache", st)
+	}
+	c.fill(0, stModified)
+	c.fill(16<<10, stShared)
+	if victim, st := c.fill(32<<10, stShared); victim != 0 || st != stModified {
+		t.Errorf("victim %#x in state %d, want line 0 in state %d", victim, st, stModified)
+	}
+	c.fill(0, stShared)
+	c.invalidate(0)
+	if st := c.lookup(0); st != stInvalid {
+		t.Errorf("line 0 reads state %d after its invalidation", st)
 	}
 }

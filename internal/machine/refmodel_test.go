@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/simm"
@@ -76,15 +77,15 @@ func (c *refCache) classify(line uint64) stats.MissKind {
 	}
 }
 
-// insert returns the evicted victim line (0 if none).
-func (c *refCache) insert(line uint64) uint64 {
+// insert returns the evicted victim line, ok false if a way was free.
+func (c *refCache) insert(line uint64) (victim uint64, ok bool) {
 	c.tick++
 	s := c.set(line)
 	rows := c.content[s]
 	if len(rows) < c.ways {
 		c.content[s] = append(rows, refLine{line, c.tick})
 		c.seen[line] = 3
-		return 0
+		return 0, false
 	}
 	// Evict the least recently used way.
 	lru := 0
@@ -93,12 +94,12 @@ func (c *refCache) insert(line uint64) uint64 {
 			lru = i
 		}
 	}
-	victim := rows[lru].line
+	victim = rows[lru].line
 	rows[lru] = refLine{line, c.tick}
 	c.content[s] = rows
 	c.seen[victim] = 1 // replaced
 	c.seen[line] = 3
-	return victim
+	return victim, true
 }
 
 func (c *refCache) drop(line uint64, reason uint8) bool {
@@ -184,9 +185,9 @@ func (r *refMachine) fetchShared(n int, g uint64) {
 }
 
 func (r *refMachine) insertL2(n int, g uint64, st uint8) {
-	victim := r.l2[n].insert(g)
+	victim, ok := r.l2[n].insert(g)
 	r.l2[n].state[g] = st
-	if victim != 0 {
+	if ok {
 		if r.dir.owner[victim] == n {
 			r.dir.owner[victim] = -1
 		}
@@ -220,7 +221,9 @@ func (r *refMachine) exclusive(n int, g uint64) {
 func (r *refMachine) read(n int, a simm.Addr, size int) {
 	addr, end := uint64(a), uint64(a)+uint64(size)
 	for line := addr &^ (uint64(r.cfg.L1Line) - 1); line < end; line += uint64(r.cfg.L1Line) {
-		cat := r.mem.CategoryOf(simm.Addr(line))
+		// A reference is attributed by the first byte it reads in each
+		// line: a line longer than a page can span categories.
+		cat := r.mem.CategoryOf(simm.Addr(max(addr, line)))
 		g := line &^ (uint64(r.cfg.L2Line) - 1)
 		if r.l1[n].has(line) {
 			r.l1[n].touch(line)
@@ -233,9 +236,7 @@ func (r *refMachine) read(n int, a simm.Addr, size int) {
 			r.l2m.Add(cat, r.l2[n].classify(g))
 			r.fetchShared(n, g)
 		}
-		if v := r.l1[n].insert(line); v != 0 {
-			_ = v
-		}
+		r.l1[n].insert(line)
 	}
 }
 
@@ -256,18 +257,91 @@ func (r *refMachine) sync(n int, a simm.Addr) {
 	r.l1[n].insert(line)
 }
 
+// refScript replays steps pseudo-random accesses drawn from seed through
+// m and ref, both cold, and fails t where their miss tables or
+// invalidation counts differ.
+func refScript(t *testing.T, m *Machine, ref *refMachine, regions []*simm.Region, seed int64, steps int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	nodes := m.cfg.Nodes
+	now := int64(0)
+	for i := 0; i < steps; i++ {
+		n := rng.Intn(nodes)
+		reg := regions[rng.Intn(len(regions))]
+		// Skewed offsets create sharing and conflicts.
+		var off uint64
+		if rng.Intn(3) == 0 {
+			off = uint64(rng.Intn(512)) * 8 // hot area: heavy sharing
+		} else {
+			off = uint64(rng.Intn(int(reg.Size)/8-1)) * 8
+		}
+		a := reg.Base + simm.Addr(off)
+		// Large gaps keep the write buffer drained so timing
+		// never changes behavior.
+		now += 100000
+		switch rng.Intn(10) {
+		case 0:
+			m.Sync(n, a, now)
+			ref.sync(n, a)
+		case 1, 2:
+			m.Write(n, a, 8, now)
+			ref.write(n, a)
+		default:
+			m.Read(n, a, 8, now)
+			ref.read(n, a, 8)
+		}
+	}
+
+	st := m.Stats()
+	if st.L1Misses != ref.l1m {
+		t.Errorf("L1 miss tables diverge:\n got %v\n ref %v", st.L1Misses, ref.l1m)
+	}
+	if st.L2Misses != ref.l2m {
+		t.Errorf("L2 miss tables diverge:\n got %v\n ref %v", st.L2Misses, ref.l2m)
+	}
+	if st.Invalidations != ref.inv {
+		t.Errorf("invalidations: got %d, ref %d", st.Invalidations, ref.inv)
+	}
+}
+
+// madeLeaves counts the secondary-cache leaves of m's nodes that were
+// made, out of all of them.
+func madeLeaves(m *Machine) (made, all int) {
+	for _, nd := range m.nodes {
+		for _, lf := range nd.l2.leaves {
+			if lf != nil {
+				made++
+			}
+		}
+		all += len(nd.l2.leaves)
+	}
+	return made, all
+}
+
 // TestAgainstReferenceModel replays a long random script through both
-// implementations and compares the complete miss tables.
+// implementations and compares the complete miss tables. Besides the
+// paper's geometries it covers a set count that is not a power of two
+// (192 KB, 2-way: the division path of setIndex), an 8-MB secondary
+// cache the script's 1.3 MB of regions leave mostly without leaves, and
+// a machine that runs the script again after Flush and once more after
+// NewReusing hands its secondary caches to a machine of the same L2
+// geometry, each time against a fresh reference model.
 func TestAgainstReferenceModel(t *testing.T) {
 	for _, geom := range []struct {
 		name         string
 		l1, l1l      int
 		l2, l2l, wys int
+		reuse        bool
 	}{
-		{"baseline", 4 << 10, 32, 128 << 10, 64, 2},
-		{"short-lines", 4 << 10, 8, 128 << 10, 16, 2},
-		{"long-lines", 4 << 10, 128, 128 << 10, 256, 2},
-		{"big-4way", 32 << 10, 32, 1 << 20, 64, 4},
+		{"baseline", 4 << 10, 32, 128 << 10, 64, 2, false},
+		{"short-lines", 4 << 10, 8, 128 << 10, 16, 2, false},
+		{"long-lines", 4 << 10, 128, 128 << 10, 256, 2, false},
+		{"big-4way", 32 << 10, 32, 1 << 20, 64, 4, false},
+		{"sets-not-power-of-two", 4 << 10, 32, 192 << 10, 64, 2, false},
+		{"sparse-8mb", 4 << 10, 32, 8 << 20, 64, 2, false},
+		{"flush-and-reuse", 4 << 10, 32, 128 << 10, 64, 2, true},
+		{"page-long-l2-lines", 4 << 10, 4 << 10, 256 << 10, 8 << 10, 2, false},
+		{"page-long-l1-lines", 16 << 10, 8 << 10, 256 << 10, 16 << 10, 2, false},
 	} {
 		t.Run(geom.name, func(t *testing.T) {
 			// The write buffer drains between accesses here, so its depth
@@ -288,46 +362,39 @@ func TestAgainstReferenceModel(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref := newRefMachine(cfg, mem)
-
-					rng := rand.New(rand.NewSource(99))
-					now := int64(0)
-					for i := 0; i < 60000; i++ {
-						n := rng.Intn(cfg.Nodes)
-						reg := regions[rng.Intn(len(regions))]
-						// Skewed offsets create sharing and conflicts.
-						var off uint64
-						if rng.Intn(3) == 0 {
-							off = uint64(rng.Intn(512)) * 8 // hot area: heavy sharing
-						} else {
-							off = uint64(rng.Intn(int(reg.Size)/8-1)) * 8
+					if !geom.reuse {
+						refScript(t, m, newRefMachine(cfg, mem), regions, 99, 60000)
+						if geom.l2 == 8<<20 {
+							if made, all := madeLeaves(m); made*2 > all {
+								t.Errorf("%d of %d L2 leaves made; want at most half", made, all)
+							}
 						}
-						a := reg.Base + simm.Addr(off)
-						// Large gaps keep the write buffer drained so timing
-						// never changes behavior.
-						now += 100000
-						switch rng.Intn(10) {
-						case 0:
-							m.Sync(n, a, now)
-							ref.sync(n, a)
-						case 1, 2:
-							m.Write(n, a, 8, now)
-							ref.write(n, a)
-						default:
-							m.Read(n, a, 8, now)
-							ref.read(n, a, 8)
-						}
+						return
 					}
 
-					st := m.Stats()
-					if st.L1Misses != ref.l1m {
-						t.Errorf("L1 miss tables diverge:\n got %v\n ref %v", st.L1Misses, ref.l1m)
+					refScript(t, m, newRefMachine(cfg, mem), regions, 99, 20000)
+					leaves := make([][]*l2Leaf, len(m.nodes))
+					for i, nd := range m.nodes {
+						leaves[i] = slices.Clone(nd.l2.leaves)
 					}
-					if st.L2Misses != ref.l2m {
-						t.Errorf("L2 miss tables diverge:\n got %v\n ref %v", st.L2Misses, ref.l2m)
+					m.Flush()
+					m.ResetStats()
+					refScript(t, m, newRefMachine(cfg, mem), regions, 99, 20000)
+
+					// Another L1 size, the same L2 geometry: the new machine
+					// takes the donor's secondary caches and re-runs the same
+					// script over the same leaves.
+					cfg2 := cfg
+					cfg2.L1Bytes *= 2
+					m2, err := NewReusing(cfg2, mem, m)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if st.Invalidations != ref.inv {
-						t.Errorf("invalidations: got %d, ref %d", st.Invalidations, ref.inv)
+					refScript(t, m2, newRefMachine(cfg2, mem), regions, 99, 20000)
+					for i, nd := range m2.nodes {
+						if !slices.Equal(nd.l2.leaves, leaves[i]) {
+							t.Errorf("node %d: the reused L2 holds other leaves than the donor's first run made", i)
+						}
 					}
 				})
 			}

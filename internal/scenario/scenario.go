@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/sched"
+	"repro/internal/simm"
 	"repro/internal/tpcd"
 )
 
@@ -342,6 +343,12 @@ const (
 	maxPointVal  = 1 << 20
 	maxHeapBytes = uint64(4) << 30
 
+	// maxSharedBytes bounds what a workload maps besides its private
+	// heaps: at scale 1 the buffer pool is 400,200 8-KB blocks (3.3 GB),
+	// and the buffer descriptors, the lock tables at 2^20 slots and the
+	// catalog add under 50 MB.
+	maxSharedBytes = uint64(4) << 30
+
 	// Stream-workload bounds: phases per stream and runs per processor
 	// per phase. Together with maxQueries-scale processor counts they
 	// bound the total work one network-supplied spec can demand.
@@ -495,6 +502,9 @@ func (s *Scenario) Validate() error {
 	if err := validPhases(s.Workload, s.Machine.Processors); err != nil {
 		return err
 	}
+	if err := fitsTags(s.Machine, s.Workload, "machine"); err != nil {
+		return err
+	}
 	if len(s.Workload.Phases) > 0 && s.Sweep.Axis != "" {
 		return bad("sweep.axis", "cannot sweep a stream workload; replay its capture per configuration instead")
 	}
@@ -517,6 +527,24 @@ func (s *Scenario) Validate() error {
 		if err := validateMachine(applied, fmt.Sprintf("sweep.points[%d]", i)); err != nil {
 			return err
 		}
+		if err := fitsTags(applied, s.Workload, fmt.Sprintf("sweep.points[%d]", i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fitsTags checks that every address the workload can map lies below
+// what the machine's secondary-cache tags reach (machine.Config.TagReach
+// is 2^32-1 times the bytes of one way, so only a cache of a few bytes
+// per way can fall short): one unmapped page, a private heap per
+// processor, and at most maxSharedBytes of database, lock tables and
+// catalog.
+func fitsTags(m Machine, w Workload, prefix string) error {
+	need := simm.PageSize + uint64(m.Processors)*w.PrivateHeapBytes + maxSharedBytes
+	if reach := m.MachineConfig().TagReach(); need > reach {
+		return bad(prefix+".l2_bytes", "%d-byte ways tag addresses below %#x; %d private heaps of %d bytes and the database may need %#x",
+			m.L2Bytes/m.L2Ways, reach, m.Processors, w.PrivateHeapBytes, need)
 	}
 	return nil
 }

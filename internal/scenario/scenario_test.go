@@ -104,6 +104,9 @@ func TestValidationErrors(t *testing.T) {
 		{"points without axis", `{"sweep": {"points": [64]}}`, "sweep.axis"},
 		{"invalid swept machine", `{"sweep": {"axis": "writebuf", "points": [8, 0]}}`, "sweep.points[1]"},
 		{"huge cache point", `{"sweep": {"axis": "cache", "points": [2097152]}}`, "sweep.points[0]"},
+		// 16-byte ways tag addresses below 64 GB, short of 16 4-GB heaps.
+		{"heaps past the tag reach", `{"machine": {"processors": 16, "l1_bytes": 8, "l1_line": 8, "l2_bytes": 32, "l2_line": 8, "l2_ways": 2},
+			"workload": {"private_heap_bytes": 4294967296}}`, "machine.l2_bytes"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -123,6 +126,25 @@ func TestValidationErrors(t *testing.T) {
 				t.Errorf("error path %q, want prefix %q (msg: %s)", fe.Path, c.path, fe.Msg)
 			}
 		})
+	}
+}
+
+// TestTagReachEdge pins the edge of the tag-reach check: at 16-byte
+// ways (64 GB of reach) 14 4-GB heaps fit and 15 do not, and at 32-byte
+// ways (128 GB) 16 fit.
+func TestTagReachEdge(t *testing.T) {
+	for _, c := range []struct {
+		procs, l2Bytes int
+		ok             bool
+	}{{14, 32, true}, {15, 32, false}, {16, 64, true}} {
+		sc := Default()
+		sc.Machine.Processors = c.procs
+		sc.Machine.L1Bytes, sc.Machine.L1Line = 8, 8
+		sc.Machine.L2Bytes, sc.Machine.L2Line, sc.Machine.L2Ways = c.l2Bytes, 8, 2
+		sc.Workload.PrivateHeapBytes = maxHeapBytes
+		if err := sc.Validate(); (err == nil) != c.ok {
+			t.Errorf("%d heaps, %d-byte L2: validation error %v, want ok %v", c.procs, c.l2Bytes, err, c.ok)
+		}
 	}
 }
 

@@ -59,11 +59,17 @@ func (m *Memory) Layout() Layout {
 // timing replay and for the live re-execution of spinlocks and lock
 // tables, whose zero state is the released/empty state.
 func NewFromLayout(l Layout) (*Memory, error) {
-	m := New(l.Nodes)
+	span := uint64(PageSize) // page 0 stays unmapped
 	for _, lr := range l.Regions {
 		if lr.Size == 0 || lr.Size%PageSize != 0 {
 			return nil, fmt.Errorf("simm: layout region %s has unaligned size %d", lr.Name, lr.Size)
 		}
+		span += lr.Size
+	}
+	m := New(l.Nodes)
+	m.growPages(int(span/PageSize) - 1)
+	m.regions = make([]*Region, 0, len(l.Regions))
+	for _, lr := range l.Regions {
 		m.AllocRegion(lr.Name, lr.Size, lr.Cat, lr.Node)
 	}
 	p := 1

@@ -3,6 +3,7 @@ package simm
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Addr is an address in the simulated 64-bit address space. Address 0 is
@@ -177,16 +178,30 @@ func (m *Memory) AllocRegion(name string, size uint64, cat Category, node int) *
 	idx := int32(len(m.regions))
 	m.next += Addr(aligned)
 	m.regions = append(m.regions, r)
-	for p := uint64(r.Base) >> PageShift; p < uint64(m.next)>>PageShift; p++ {
+	first, end := int(r.Base>>PageShift), int(m.next>>PageShift)
+	m.growPages(end - first)
+	m.pageRegion = m.pageRegion[:end]
+	m.pageCat = m.pageCat[:end]
+	m.pageHome = m.pageHome[:end]
+	for p := first; p < end; p++ {
 		home := node
 		if node == AnyNode {
-			home = int(p % uint64(m.nodes))
+			home = p % m.nodes
 		}
-		m.pageRegion = append(m.pageRegion, idx)
-		m.pageCat = append(m.pageCat, cat)
-		m.pageHome = append(m.pageHome, int16(home))
+		m.pageRegion[p] = idx
+		m.pageCat[p] = cat
+		m.pageHome[p] = int16(home)
 	}
 	return r
+}
+
+// growPages makes room in each page table for n more pages, growing it
+// at most once: by the region AllocRegion is carving out, or by a whole
+// layout before NewFromLayout carves out its regions.
+func (m *Memory) growPages(n int) {
+	m.pageRegion = slices.Grow(m.pageRegion, n)
+	m.pageCat = slices.Grow(m.pageCat, n)
+	m.pageHome = slices.Grow(m.pageHome, n)
 }
 
 // pageOf returns the page-table index of a, or -1 when a is unmapped.
